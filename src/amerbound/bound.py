@@ -308,6 +308,16 @@ def build_dual_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid)
     return _build_dual(m.states, m.rows, a.values, a.tail_slopes, extended=True)
 
 
+def _solve(lp, kind):
+    """Solve one of the two LPs; a non-optimal end names the LP and HiGHS."""
+    sol = lpcore.solve(lp)
+    if sol.status != "optimal":
+        raise BoundError("%s LP (%dx%d): HiGHS %s ended %s"
+                         % (kind, len(lp.rows), lp.num_vars, lpcore.METHOD,
+                            sol.status))
+    return sol
+
+
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6, tol_feas=1e-9) -> BoundResult:
     """Solve both LPs, extract certificates, and enforce the gap tolerance."""
@@ -332,12 +342,8 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         lp_p, idx_p = build_primal_extended(m, a)
         lp_d, idx_d = build_dual_extended(m, a)
 
-    sol_p = lpcore.solve(lp_p)
-    if sol_p.status != "optimal":
-        raise BoundError("primal solve ended %s" % sol_p.status)
-    sol_d = lpcore.solve(lp_d)
-    if sol_d.status != "optimal":
-        raise BoundError("dual solve ended %s" % sol_d.status)
+    sol_p = _solve(lp_p, "primal")
+    sol_d = _solve(lp_d, "dual")
 
     phi, psi = sol_p.objective, sol_d.objective
     gap = abs(phi - psi)

@@ -36,13 +36,14 @@ class CertifyError(Exception):
 class RegimeModel:
     """Simulable price/regime chain on a genuine state lattice.
 
-    F[j, n] is the exercise mass the optimizer assigns to state j at
-    maturity n; G1/G2[j, k, n] are joint masses of moves j -> k between
-    maturities n and n+1 while holding / after exercising; switch_prob[j, n]
-    is the conditional probability that a still-holding path arriving at
-    state j exercises there.  marginals[:, n] is the law of the price at
-    each maturity.  For surfaces without a zero-price top call the lattice
-    gains one far state (``xi``) that carries the tail mass.
+    F[j, n] is the mass of paths that exercise at state j at maturity n
+    (regime-1 inflow times switch_prob); G1/G2[j, k, n] are joint masses
+    of moves j -> k between maturities n and n+1 while holding / after
+    exercising; switch_prob[j, n] is the conditional probability that a
+    still-holding path arriving at state j exercises there.  marginals[:, n]
+    is the law of the price at each maturity.  For surfaces without a
+    zero-price top call the lattice gains one far state (``xi``) that
+    carries the tail mass.
     """
 
     states: np.ndarray
@@ -151,7 +152,7 @@ def _check_model(model: RegimeModel, tol_mass=1e-8):
         raise CertifyError("negative exercise mass")
 
 
-def _companion_from_extended(F, G1, G2, p_hat, states, xi):
+def _companion_from_extended(G1, G2, p_hat, states, xi):
     """Fold the virtual tail row into a genuine far state at price xi.
 
     Mass parked on the virtual row represents (x - x_J)-forward payoffs
@@ -161,7 +162,7 @@ def _companion_from_extended(F, G1, G2, p_hat, states, xi):
     J = len(states) - 1
     xJ = states[-1]
     w = 1.0 / (xi - xJ)
-    Mx, N = F.shape            # Mx = J + 2
+    N = p_hat.shape[1]
     T = J + 1
 
     newG = []
@@ -176,20 +177,10 @@ def _companion_from_extended(F, G1, G2, p_hat, states, xi):
         newG.append(H)
     G1x, G2x = newG
 
-    Fx = F.copy()
-    Fx[T, :] = F[T, :] * w
-    if N >= 2:
-        Fx[J, 0] = F[J, 0] - G2[T, T, 0] * w
-        for n in range(1, N - 1):
-            Fx[J, n] = F[J, n] - (G2[T, T, n] - G2[J, T, n - 1]
-                                  - G2[T, T, n - 1]) * w
-        Fx[J, N - 1] = F[J, N - 1] + (G2[J, T, N - 2] + G2[T, T, N - 2]
-                                      - p_hat[T, N - 1]) * w
-
     p = p_hat.copy()
     p[J, :] = p_hat[J, :] - p_hat[T, :] * w
     p[T, :] = p_hat[T, :] * w
-    return Fx, G1x, G2x, p
+    return G1x, G2x, p
 
 
 def companion_threshold(surface: market.CallSurface):
@@ -217,8 +208,8 @@ def model_from_primal(solution, index, surface: market.CallSurface,
         # far enough out that the fold-in corrections (~1/xi) drop below the
         # mass tolerance even where the top strike received no direct mass
         xi = max(1e9 * states[-1], 1.5 * companion_threshold(surface))
-        F, G1, G2, p = _companion_from_extended(F, G1, G2, ext.rows, states, xi)
-        F, G1, G2 = _clip_mass(F), _clip_mass(G1), _clip_mass(G2)
+        G1, G2, p = _companion_from_extended(G1, G2, ext.rows, states, xi)
+        G1, G2 = _clip_mass(G1), _clip_mass(G2)
         if p.min() < -1e-9:
             raise CertifyError("companion marginal went negative")
         p = np.maximum(p, 0.0)
@@ -228,6 +219,11 @@ def model_from_primal(solution, index, surface: market.CallSurface,
         p = market.implied_marginals(surface).probs
         xi = None
     q = _conservation_switch_prob(F, G1, G2, p)
+    # The LP's own F depends on the optimal vertex: where row (e) is slack
+    # it can omit exercised paths.  Regime-1 inflow times the switch
+    # probability records every one of them.
+    in1 = np.concatenate([p[:, :1], G1.sum(axis=0)], axis=1)
+    F = in1 * q
     model = RegimeModel(states, surface.maturities.copy(), surface.s0,
                         F, G1, G2, p, q, extended=index.extended, xi=xi)
     _check_model(model)
@@ -291,8 +287,8 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
         for G, cum in ((model.G1, cum1), (model.G2, cum2)):
             rowsum = G[:, :, n].sum(axis=1, keepdims=True)
             ker = np.divide(G[:, :, n], np.maximum(rowsum, MASS_TOL),
+                            out=np.zeros_like(G[:, :, n]),
                             where=rowsum > MASS_TOL)
-            ker[(rowsum <= MASS_TOL).ravel(), :] = 0.0
             cum[:, :, n] = np.cumsum(ker, axis=1)
 
     init = np.cumsum(model.marginals[:, 0])

@@ -216,9 +216,9 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
         rep = certify.verify_superreplication(
             res.hedge, grid, mode, trials=trials, seed=seed,
             payoff_fn=fn, s0=surface.s0)
+        # no wall-clock fields: identical runs give byte-identical reports
         reports[mode] = {"trials": rep.trials, "min_slack": rep.min_slack,
-                         "grid_slack": rep.grid_slack, "skipped": rep.skipped,
-                         "elapsed": rep.elapsed}
+                         "grid_slack": rep.grid_slack, "skipped": rep.skipped}
         if not rep.skipped and rep.min_slack < -tol_feas * scale:
             ok = False
     doc = {"phi": res.phi, "psi": res.psi, "gap": res.gap,

@@ -1,30 +1,34 @@
-"""Self-contained dense linear-programming kernel.
+"""Linear-programming kernel: sparse programs solved by HiGHS.
 
-Standard-form representation, a two-phase primal simplex with anti-cycling,
-and primal/dual solution extraction.  Problem sizes in this package are at
-most a few thousand columns, so everything is dense numpy.
+Programs are built row by row from sparse terms, held as one CSR matrix, and
+solved with the HiGHS dual revised simplex (Huangfu & Hall, Math. Prog.
+Comp. 10, 2018) through ``scipy.optimize.linprog``.  Primal/dual residuals,
+point checks and the mechanical dual are computed here from the same matrix,
+without trusting the solver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-# Absolute tolerances used by the solver.
-PIVOT_TOL = 1e-11
-RATIO_TOL = 1e-9
-RCOST_TOL = 1e-9
-DEGEN_TOL = 1e-12
-REFACTOR_EVERY = 100
+# Pinned solver settings.  Presolve stays off: with it on, HiGHS reports
+# valid programs of this package as unbounded or infeasible.  The 1e-10
+# tolerances keep the primal's mass balance well inside the 1e-8 that the
+# model certificate checks; HiGHS's default 1e-7 does not.
+METHOD = "highs-ds"
+OPTIONS = {"presolve": False,
+           "primal_feasibility_tolerance": 1e-10,
+           "dual_feasibility_tolerance": 1e-10}
+_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 class LPError(Exception):
-    """Raised on malformed programs or numerical breakdown."""
-
-
-class _NumericalTrouble(LPError):
-    """Internal: basis went bad; the caller retries in conservative mode."""
+    """Raised on malformed programs or when the solver gives up."""
 
 
 @dataclass
@@ -47,9 +51,9 @@ class Row:
             if j in seen:
                 raise LPError("duplicate column %d in row" % j)
             seen.add(j)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise LPError("non-finite coefficient")
-        if not np.isfinite(self.rhs):
+        if not math.isfinite(self.rhs):
             raise LPError("non-finite rhs")
 
 
@@ -62,6 +66,9 @@ class LinearProgram:
     objective    dense objective vector (length num_vars)
     rows         list of Row
     free         boolean mask; True marks a free (unbounded below) variable
+
+    ``matrix`` (CSR, one row per Row) and ``relations`` are built from the
+    rows on construction; rows must not change afterwards.
     """
 
     sense: str
@@ -82,32 +89,28 @@ class LinearProgram:
             self.free = np.asarray(self.free, dtype=bool)
             if self.free.shape != (self.num_vars,):
                 raise LPError("free mask length mismatch")
-        for r in self.rows:
-            for j, _ in r.terms:
-                if not (0 <= j < self.num_vars):
-                    raise LPError("column index %d out of range" % j)
-
-    def dense_matrix(self):
-        """(m, num_vars) dense coefficient matrix."""
-        A = np.zeros((len(self.rows), self.num_vars))
-        for i, r in enumerate(self.rows):
-            for j, v in r.terms:
-                A[i, j] = v
-        return A
+        counts = [len(r.terms) for r in self.rows]
+        nnz = sum(counts)
+        cols = np.fromiter((j for r in self.rows for j, _ in r.terms),
+                           dtype=np.int64, count=nnz)
+        vals = np.fromiter((v for r in self.rows for _, v in r.terms),
+                           dtype=float, count=nnz)
+        bad = (cols < 0) | (cols >= self.num_vars)
+        if bad.any():
+            raise LPError("column index %d out of range" % cols[bad][0])
+        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        self.matrix = sparse.csr_matrix((vals, cols, indptr),
+                                        shape=(len(self.rows), self.num_vars))
+        self.relations = np.array([r.relation for r in self.rows], dtype="<U2")
 
     def rhs_vector(self):
         return np.array([r.rhs for r in self.rows], dtype=float)
 
     def scale(self):
         """1 + largest absolute coefficient; the unit for residual tolerances."""
-        m = 0.0
-        for r in self.rows:
-            for _, v in r.terms:
-                m = max(m, abs(v))
-            m = max(m, abs(r.rhs))
-        if self.num_vars:
-            m = max(m, float(np.max(np.abs(self.objective))))
-        return 1.0 + m
+        parts = (self.matrix.data, self.rhs_vector(), self.objective)
+        return 1.0 + max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
 
 
 @dataclass
@@ -122,277 +125,87 @@ class LPSolution:
     cs_residual: float = 0.0
 
 
-def _standard_form(lp):
-    """Convert to  min c.x  s.t.  Ax = b, x >= 0, b >= 0.
-
-    Free variables are split x = x+ - x-; slack/surplus columns are appended
-    for inequality rows; rows with negative rhs are negated.  Returns
-    (A, b, c, split, slack_of_row, flip) where split maps original variable
-    index -> (plus column, minus column or -1), slack_of_row maps row index ->
-    slack column or -1, and flip is the per-row sign applied to reach b >= 0.
-    """
-    m = len(lp.rows)
-    n = lp.num_vars
-    nfree = int(np.count_nonzero(lp.free))
-    nslack = sum(1 for r in lp.rows if r.relation != "=")
-    ncols = n + nfree + nslack
-
-    A = np.zeros((m, ncols))
-    b = np.zeros(m)
-    c = np.zeros(ncols)
-
-    sign = -1.0 if lp.sense == "max" else 1.0
-    c[:n] = sign * lp.objective
-    split = np.full((n, 2), -1, dtype=int)
-    split[:, 0] = np.arange(n)
-    col = n
-    for j in np.flatnonzero(lp.free):
-        split[j, 1] = col
-        c[col] = -c[j]
-        col += 1
-
-    slack_of_row = np.full(m, -1, dtype=int)
-    for i, r in enumerate(lp.rows):
-        for j, v in r.terms:
-            A[i, j] = v
-            if split[j, 1] >= 0:
-                A[i, split[j, 1]] = -v
-        b[i] = r.rhs
-        if r.relation != "=":
-            A[i, col] = 1.0 if r.relation == "<=" else -1.0
-            slack_of_row[i] = col
-            col += 1
-
-    flip = np.ones(m)
-    neg = b < 0
-    flip[neg] = -1.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    return A, b, c, split, slack_of_row, flip
-
-
-class _Simplex:
-    """Revised primal simplex on  min c.x, Ax = b, x >= 0, b >= 0.
-
-    Dantzig pricing with a switch to Bland's rule after 5*(m+n) degenerate
-    pivots; explicit basis inverse, refactorized every REFACTOR_EVERY pivots.
-    Deterministic: ratio-test ties break on the largest pivot magnitude, then
-    the lowest variable index (lowest index only under Bland's rule, which
-    needs it for its termination guarantee).
-
-    ``conservative`` turns on Bland's rule from the first pivot and
-    refactorizes often; callers use it to retry after numerical breakdown.
-    """
-
-    def __init__(self, A, b, c, conservative=False):
-        self.A = A
-        self.b = b
-        self.c = c
-        self.m, self.n = A.shape
-        self.iterations = 0
-        self.conservative = conservative
-        self.refactor_every = 20 if conservative else REFACTOR_EVERY
-
-    def run(self):
-        m, n = self.m, self.n
-        if m == 0:
-            # Trivially feasible at x = 0; unbounded iff some cost is negative.
-            if np.any(self.c < -RCOST_TOL):
-                return "unbounded", np.zeros(n), np.zeros(0)
-            return "optimal", np.zeros(n), np.zeros(0)
-
-        # Phase I: artificial identity basis.
-        art = np.arange(n, n + m)
-        Aext = np.hstack([self.A, np.eye(m)])
-        c1 = np.zeros(n + m)
-        c1[n:] = 1.0
-        basis = art.copy()
-        Binv = np.eye(m)
-        status, basis, Binv = self._iterate(Aext, c1, basis, Binv, phase=1)
-        if status != "optimal":  # pragma: no cover - phase I cannot be unbounded
-            raise LPError("phase I failed: %s" % status)
-        xB = Binv @ self.b
-        if float(c1[basis] @ xB) > 1e-7 * (1.0 + float(np.max(np.abs(self.b)))):
-            return "infeasible", None, None
-
-        # Drive artificials still in the basis down to harmless rows.
-        for i in range(m):
-            if basis[i] >= n:
-                row = Binv[i] @ self.A
-                cand = np.flatnonzero(np.abs(row) > 1e-7)
-                cand = [j for j in cand if j not in set(basis)]
-                if cand:
-                    self._pivot(Aext, basis, Binv, i, cand[0])
-
-        # Phase II: original costs; artificials pinned by a huge reduced cost.
-        c2 = np.concatenate([self.c, np.zeros(m)])
-        status, basis, Binv = self._iterate(Aext, c2, basis, Binv, phase=2)
-        if status == "unbounded":
-            return "unbounded", None, None
-        x = np.zeros(n + m)
-        x[basis] = Binv @ self.b
-        y = c2[basis] @ Binv
-        return "optimal", x[:n], y
-
-    def _iterate(self, A, c, basis, Binv, phase):
-        m = self.m
-        ncols = A.shape[1]
-        art_start = self.n
-        degenerate = 0
-        bland = self.conservative
-        switch_at = 5 * (m + ncols)
-        since_refactor = 0
-        while True:
-            self.iterations += 1
-            xB = Binv @ self.b
-            y = c[basis] @ Binv
-            r = c - y @ A
-            if not (np.all(np.isfinite(xB)) and np.all(np.isfinite(r))):
-                raise _NumericalTrouble("non-finite basis state")
-            mask = np.zeros(ncols, dtype=bool)
-            mask[basis] = True
-            if phase == 2:
-                mask[art_start:] = True  # artificials may not re-enter
-            r_masked = np.where(mask, np.inf, r)
-            if bland:
-                cand = np.flatnonzero(r_masked < -RCOST_TOL)
-                if cand.size == 0:
-                    return "optimal", basis, Binv
-                enter = int(cand[0])
-            else:
-                enter = int(np.argmin(r_masked))
-                if r_masked[enter] >= -RCOST_TOL:
-                    return "optimal", basis, Binv
-            d = Binv @ A[:, enter]
-
-            # Keep zero-level artificials at zero: pivot one out at theta = 0.
-            leave = -1
-            if phase == 2:
-                for i in range(m):
-                    if basis[i] >= art_start and abs(d[i]) > 1e-7:
-                        leave = i
-                        theta = 0.0
-                        break
-            if leave < 0:
-                pos = np.flatnonzero(d > RATIO_TOL)
-                if pos.size == 0:
-                    return "unbounded", basis, Binv
-                ratios = xB[pos] / d[pos]
-                best = np.min(ratios)
-                ties = pos[ratios <= best + 1e-12]
-                if bland:
-                    leave = int(ties[np.argmin(basis[ties])])
-                else:
-                    leave = int(ties[np.argmax(d[ties])])
-                theta = best
-            if theta <= DEGEN_TOL:
-                degenerate += 1
-                if degenerate > switch_at:
-                    bland = True
-            else:
-                degenerate = 0
-
-            if abs(d[leave]) < PIVOT_TOL:
-                raise _NumericalTrouble("pivot too small: %.3e" % d[leave])
-            self._pivot(A, basis, Binv, leave, enter, d=d)
-            since_refactor += 1
-            if since_refactor >= self.refactor_every:
-                try:
-                    Binv[:] = np.linalg.inv(A[:, basis])
-                except np.linalg.LinAlgError:
-                    raise _NumericalTrouble("singular basis at refactorization")
-                since_refactor = 0
-
-    def _pivot(self, A, basis, Binv, leave, enter, d=None):
-        if d is None:
-            d = Binv @ A[:, enter]
-        if abs(d[leave]) < PIVOT_TOL:
-            raise _NumericalTrouble("pivot too small: %.3e" % d[leave])
-        basis[leave] = enter
-        Binv[leave] /= d[leave]
-        piv = Binv[leave].copy()
-        for i in range(len(basis)):
-            if i != leave and abs(d[i]) > 0.0:
-                Binv[i] -= d[i] * piv
-
-
 def solve(lp: LinearProgram) -> LPSolution:
-    """Solve with a two-phase primal simplex.
+    """Solve with HiGHS's dual simplex (pinned ``METHOD`` and ``OPTIONS``).
 
     Row multipliers in ``duals`` follow the convention: the dual objective
     sum(duals * rhs) equals the primal optimum, with duals >= 0 on "<=" rows
     and <= 0 on ">=" rows for a maximization (signs negated for "min").
+    Statuses other than optimal, infeasible and unbounded raise LPError with
+    HiGHS's own message.
     """
-    A, b, c, split, slack_of_row, flip = _standard_form(lp)
-    sx = _Simplex(A, b, c)
-    try:
-        status, xs, y = sx.run()
-    except _NumericalTrouble:
-        # deterministic fallback: Bland's rule throughout, frequent
-        # refactorization; slower but immune to the stalls and basis drift
-        # that degenerate instances can provoke under Dantzig pricing
-        sx = _Simplex(A, b, c, conservative=True)
-        status, xs, y = sx.run()
+    A, b = lp.matrix, lp.rhs_vector()
+    m, n = A.shape
+    eq = lp.relations == "="
+    ineq = ~eq
+    # ">=" rows enter linprog's A_ub x <= b_ub negated
+    flip = np.where(lp.relations[ineq] == ">=", -1.0, 1.0)
+    sign = -1.0 if lp.sense == "max" else 1.0
+    c = sign * lp.objective
+    bounds = np.column_stack([np.where(lp.free, -np.inf, 0.0),
+                              np.full(n, np.inf)])
+    if n == 0:  # linprog rejects an empty objective: one column fixed at 0
+        A, c, bounds = sparse.csr_matrix((m, 1)), np.zeros(1), [(0.0, 0.0)]
+    A_ub = b_ub = A_eq = b_eq = None
+    if ineq.any():
+        A_ub, b_ub = sparse.diags(flip) @ A[ineq], flip * b[ineq]
+    if eq.any():
+        A_eq, b_eq = A[eq], b[eq]
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=bounds, method=METHOD, options=OPTIONS)
+    iterations = int(res.nit)
+    if res.status not in _STATUS:
+        raise LPError("HiGHS %s on a %dx%d LP: %s"
+                      % (METHOD, m, n, res.message))
+    status = _STATUS[res.status]
     if status != "optimal":
-        return LPSolution(status, float("nan"), None, None, sx.iterations)
+        return LPSolution(status, float("nan"), None, None, iterations)
 
-    x = xs[split[:, 0]].copy()
-    has_minus = split[:, 1] >= 0
-    x[has_minus] -= xs[split[has_minus, 1]]
-    obj = float(lp.objective @ x)
-
-    # y is the multiplier of the flipped equality system under the internal
-    # min objective; undo the flip and the max negation.
-    yhat = y * flip
-    duals = -yhat if lp.sense == "max" else yhat
-
-    sol = LPSolution(status, obj, x, duals, sx.iterations)
+    x = np.asarray(res.x[:n], dtype=float)
+    # marginals are d(min objective)/d(rhs) of linprog's rows; undo the row
+    # flip and the max negation
+    y = np.zeros(m)
+    y[eq] = res.eqlin.marginals
+    y[ineq] = flip * res.ineqlin.marginals
+    duals = sign * y
+    sol = LPSolution(status, float(lp.objective @ x), x, duals, iterations)
     _attach_residuals(lp, sol)
     return sol
 
 
+def _row_gaps(lp, x):
+    """Signed row residuals ax - b; the positive part of ``viol`` is the
+    violation ("<=": ax - b, ">=": b - ax, "=": |ax - b|)."""
+    g = lp.matrix @ x - lp.rhs_vector()
+    viol = np.where(lp.relations == "<=", g,
+                    np.where(lp.relations == ">=", -g, np.abs(g)))
+    return g, viol
+
+
 def _attach_residuals(lp, sol):
     """Primal/dual feasibility and complementary-slackness residuals."""
-    A = lp.dense_matrix()
-    b = lp.rhs_vector()
-    x = sol.x
-    lam = sol.duals
-    m = len(lp.rows)
-    ax = A @ x if m else np.zeros(0)
-    pres = 0.0
-    cs = 0.0
+    x, lam = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "max" else -1.0
-    for i, r in enumerate(lp.rows):
-        g = ax[i] - b[i]
-        if r.relation == "<=":
-            pres = max(pres, g)
-            cs = max(cs, abs(lam[i] * g))
-        elif r.relation == ">=":
-            pres = max(pres, -g)
-            cs = max(cs, abs(lam[i] * g))
-        else:
-            pres = max(pres, abs(g))
-    pres = max(pres, float(np.max(-x[~lp.free], initial=0.0)))
+    g, viol = _row_gaps(lp, x)
+    ineq = lp.relations != "="
+    pres = max(float(np.max(viol, initial=0.0)),
+               float(np.max(-x[~lp.free], initial=0.0)))
+    cs = float(np.max(np.abs(lam[ineq] * g[ineq]), initial=0.0))
     # Dual feasibility: for max, A'lam - obj >= 0 on nonnegative variables
     # and == 0 on free ones (reversed for min).
-    red = (A.T @ lam - lp.objective) * sgn if m else -lp.objective * sgn
-    dres = 0.0
-    for j in range(lp.num_vars):
-        if lp.free[j]:
-            dres = max(dres, abs(red[j]))
-        else:
-            dres = max(dres, -red[j])
-            cs = max(cs, abs(red[j] * x[j]))
+    red = (lp.matrix.T @ lam - lp.objective) * sgn
     # Row multiplier sign errors count against dual feasibility too.
-    for i, r in enumerate(lp.rows):
-        v = lam[i] * sgn
-        if r.relation == "<=":
-            dres = max(dres, -v)
-        elif r.relation == ">=":
-            dres = max(dres, v)
-    sol.primal_residual = float(pres)
-    sol.dual_residual = float(dres)
-    sol.cs_residual = float(cs)
+    v = lam * sgn
+    row_sign = np.where(lp.relations == "<=", -v,
+                        np.where(lp.relations == ">=", v, 0.0))
+    dres = max(float(np.max(np.abs(red[lp.free]), initial=0.0)),
+               float(np.max(-red[~lp.free], initial=0.0)),
+               float(np.max(row_sign, initial=0.0)))
+    cs = max(cs, float(np.max(np.abs(red[~lp.free] * x[~lp.free]),
+                              initial=0.0)))
+    sol.primal_residual = pres
+    sol.dual_residual = dres
+    sol.cs_residual = cs
 
 
 @dataclass
@@ -402,10 +215,6 @@ class FeasibilityReport:
     max_violation: float
     row_residuals: np.ndarray    # signed; positive means violated by that much
     bound_violations: np.ndarray
-
-    def binding_rows(self, tol=1e-9):
-        """Indices of rows satisfied with equality (within tol)."""
-        return [i for i, r in enumerate(self.row_residuals) if abs(r) <= tol]
 
 
 def check_point(lp: LinearProgram, point, tol=1e-9) -> FeasibilityReport:
@@ -417,13 +226,7 @@ def check_point(lp: LinearProgram, point, tol=1e-9) -> FeasibilityReport:
     x = np.asarray(point, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LPError("point length mismatch")
-    A = lp.dense_matrix()
-    b = lp.rhs_vector()
-    ax = A @ x if len(lp.rows) else np.zeros(0)
-    res = np.zeros(len(lp.rows))
-    for i, r in enumerate(lp.rows):
-        g = ax[i] - b[i]
-        res[i] = g if r.relation == "<=" else (-g if r.relation == ">=" else abs(g))
+    _, res = _row_gaps(lp, x)
     bviol = np.where(lp.free, 0.0, np.maximum(0.0, -x))
     worst = max(float(np.max(res, initial=0.0)), float(np.max(bviol, initial=0.0)))
     return FeasibilityReport(
@@ -442,44 +245,26 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     constrained below zero are negated so every dual variable is nonnegative
     or free; objective values are unaffected, which is how this is used
     (cross-checking hand-built duals by value).
+
+    max c.x, Ax ~ b  ->  min b.y, A'y >= c (= on free columns), y >= 0 on
+    "<=" rows; min c.x  ->  max b.y, A'y <= c, y >= 0 on ">=" rows.
     """
-    m = len(lp.rows)
-    n = lp.num_vars
-    A = lp.dense_matrix()
-    b = lp.rhs_vector()
-    if lp.sense == "max":
-        # min b.y  s.t.  A'y >= c (":=" on free columns), y >= 0 on "<=" rows.
-        obj = np.zeros(m)
-        free = np.zeros(m, dtype=bool)
-        sign = np.ones(m)
-        for i, r in enumerate(lp.rows):
-            if r.relation == ">=":
-                sign[i] = -1.0
-            elif r.relation == "=":
-                free[i] = True
-            obj[i] = sign[i] * b[i]
-        rows = []
-        for j in range(n):
-            terms = [(i, sign[i] * A[i, j]) for i in range(m) if A[i, j] != 0.0]
-            rel = "=" if lp.free[j] else ">="
-            rows.append(Row(terms, rel, float(lp.objective[j])))
-        return LinearProgram("min", m, obj, rows, free)
-    # min primal -> max b.y with y >= 0 on ">=" rows, A'y <= c.
-    obj = np.zeros(m)
-    free = np.zeros(m, dtype=bool)
-    sign = np.ones(m)
-    for i, r in enumerate(lp.rows):
-        if r.relation == "<=":
-            sign[i] = -1.0
-        elif r.relation == "=":
-            free[i] = True
-        obj[i] = sign[i] * b[i]
+    negated = ">=" if lp.sense == "max" else "<="
+    sign = np.where(lp.relations == negated, -1.0, 1.0)
+    free = lp.relations == "="
+    obj = sign * lp.rhs_vector()
+    At = (sparse.diags(sign) @ lp.matrix).T.tocsr()
+    At.eliminate_zeros()
+    At.sort_indices()
+    rel = ">=" if lp.sense == "max" else "<="
     rows = []
-    for j in range(n):
-        terms = [(i, sign[i] * A[i, j]) for i in range(m) if A[i, j] != 0.0]
-        rel = "=" if lp.free[j] else "<="
-        rows.append(Row(terms, rel, float(lp.objective[j])))
-    return LinearProgram("max", m, obj, rows, free)
+    for j in range(lp.num_vars):
+        lo, hi = At.indptr[j], At.indptr[j + 1]
+        terms = list(zip(At.indices[lo:hi].tolist(), At.data[lo:hi].tolist()))
+        rows.append(Row(terms, "=" if lp.free[j] else rel,
+                        float(lp.objective[j])))
+    return LinearProgram("min" if lp.sense == "max" else "max",
+                         len(lp.rows), obj, rows, free)
 
 
 def dump(lp: LinearProgram) -> str:

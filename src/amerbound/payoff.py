@@ -69,11 +69,6 @@ class PayoffFunction:
         # only checkable when the declared slope is 0 and values stay bounded;
         # otherwise trust the declaration (growth shows up far beyond x_hint).
 
-    def right_slope(self, x, t, h=None):
-        """Right derivative in price by a tiny forward difference."""
-        h = h or 1e-7 * (1 + abs(x))
-        return (self.fn(x + h, t) - self.fn(x, t)) / h
-
 
 @dataclass
 class AmericanPayoffGrid:

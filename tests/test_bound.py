@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from amerbound import bound, certify, instances, lpcore, market
-from amerbound.payoff import AmericanPayoffGrid
+from amerbound import bound, certify, instances, lpcore, market, payoff
+from amerbound.payoff import (AmericanPayoffGrid, PayoffFunction,
+                              exercise_time_transform)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +82,8 @@ def test_reference_hedges_feasible_at_optimal_cost():
 
 
 def test_model_mass_exhausted(sec26_result):
-    # with a strictly positive payoff everything should eventually exercise
+    # every path exercises by the last maturity, also at states where the
+    # payoff is 0 (sec26's top state), so the exercise mass totals 1
     assert float(sec26_result.model.F.sum()) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -139,3 +143,64 @@ def test_mismatched_grids_rejected(sec26):
     a = AmericanPayoffGrid(np.zeros((3, 2)), [0.0, 1.0, 2.0], [1.0, 2.0])
     with pytest.raises(bound.BoundError):
         bound.robust_bound(sec26.surface, a)
+
+
+def _assert_gap_closed(res):
+    assert abs(res.phi - res.psi) <= 1e-6 * (1.0 + abs(res.phi))
+
+
+def _black_call(s0, strike, vol, t):
+    # erfc form: the same bits as perfbench's dense-grid quotes
+    sd = vol * math.sqrt(t)
+    d1 = (math.log(s0 / strike) + 0.5 * sd * sd) / sd
+    cdf = lambda z: 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return s0 * cdf(d1) - strike * cdf(d1 - sd)
+
+
+@pytest.mark.parametrize("J,N", [(15, 2), (15, 4), (19, 2), (19, 4)])
+def test_dense_grid_surfaces(J, N):
+    # valid lognormal surfaces of realistic size; the dense hand-written
+    # simplex failed J=19, N=2 with "phase I failed: unbounded"
+    strikes = np.linspace(70.0, 160.0, J)
+    mats = np.arange(1, N + 1) / N
+    surface = market.load_surface({
+        "s0": 100.0, "strikes": strikes.tolist(), "maturities": mats.tolist(),
+        "calls": [[_black_call(100.0, k, 0.213, t) for t in mats]
+                  for k in strikes]})
+    put = payoff.discounted_put(100.0, 0.05, horizon=1.0, x_hint=320.0)
+    grid = exercise_time_transform(put, surface.strikes, surface.maturities)
+    _assert_gap_closed(bound.robust_bound(surface, grid))
+
+
+def test_valid_surface_survives_without_presolve():
+    # HiGHS with presolve on called this extended program's dual unbounded:
+    # four strikes, five maturities, a put-mixture payoff
+    surface = market.load_surface({
+        "s0": 118.52101746750621,
+        "strikes": [73.54970668416018, 86.85674927077403, 99.29735983922697,
+                    120.8359888073062],
+        "maturities": [0.38966389028285053, 0.526906304966955,
+                       0.7301183282467207, 1.013818149576332,
+                       1.263270079416262],
+        "calls": [[44.97131078334604, 44.97131078339673, 44.971310810596606,
+                   44.97131373508593, 44.97134500831723],
+                  [31.664268783377494, 31.664288521749455, 31.664642613848727,
+                   31.667737205035692, 31.675715293991644],
+                  [19.22907997605246, 19.245488985684716, 19.295825259313716,
+                   19.41237692585078, 19.54753575462189],
+                  [2.010616058651145, 2.4842378455183223, 3.089705903603871,
+                   3.813022988839407, 4.371205994264024]]})
+    Ks = (43.9735846973031, 98.74160546623702)
+    ws = (1.4932445611329295, 1.4568009963653765)
+    r = 0.03738922373898784
+
+    def fn(x, t):
+        return sum(w * np.maximum(K * np.exp(-r * t) - x, 0.0)
+                   for K, w in zip(Ks, ws))
+
+    pf = PayoffFunction(fn, convex_in_x=True, decreasing_in_t=True,
+                        tail_slope=0.0, horizon=1.263270079416262,
+                        x_hint=2.0 * 120.8359888073062)
+    grid = exercise_time_transform(pf, surface.strikes, surface.maturities)
+    res = bound.robust_bound(surface, grid, variant="extended")
+    _assert_gap_closed(res)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from amerbound import bound, cli, instances
+from amerbound import bound, cli, instances, lpcore
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +68,17 @@ def test_solver_failure_exit_4(runner, tmp_path, monkeypatch):
     assert res.exit_code == 4
 
 
+def test_solver_status_named_exit_4(runner, tmp_path, monkeypatch):
+    def infeasible(lp):
+        return lpcore.LPSolution("infeasible", float("nan"), None, None, 0)
+    monkeypatch.setattr(lpcore, "solve", infeasible)
+    res = runner.invoke(cli.main, ["bound", "--input",
+                                   _surface_file(tmp_path),
+                                   "--payoff", PAYOFF])
+    assert res.exit_code == 4
+    assert "HiGHS" in res.stderr and "infeasible" in res.stderr
+
+
 def test_gap_failure_exit_5(runner, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise bound.GapError(1.0, 2.0, 1e-6)
@@ -92,15 +103,16 @@ def test_bound_report_contents(runner, tmp_path):
 
 def test_artifacts_byte_identical(runner, tmp_path):
     surface = _surface_file(tmp_path)
-    outs = []
-    for i in (1, 2):
-        out = tmp_path / ("run%d.json" % i)
-        res = runner.invoke(cli.main, ["bound", "--input", surface,
-                                       "--payoff", PAYOFF,
-                                       "--out", str(out)])
-        assert res.exit_code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    for command, extra in (("bound", []), ("certify", ["--trials", "2000"])):
+        outs = []
+        for i in (1, 2):
+            out = tmp_path / ("%s%d.json" % (command, i))
+            res = runner.invoke(cli.main, [command, "--input", surface,
+                                           "--payoff", PAYOFF,
+                                           "--out", str(out)] + extra)
+            assert res.exit_code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], command
 
 
 def test_report_sorted_keys_and_digits():
