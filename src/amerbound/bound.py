@@ -319,7 +319,7 @@ def _solve(lp, kind):
 
 
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
-                 variant="auto", tol_gap=1e-6, tol_feas=1e-9) -> BoundResult:
+                 variant="auto", tol_gap=1e-6) -> BoundResult:
     """Solve both LPs, extract certificates, and enforce the gap tolerance."""
     from . import certify  # deferred: certify consumes this module's types
 

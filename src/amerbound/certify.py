@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import market
-from .payoff import AmericanPayoffGrid
+from .payoff import AmericanPayoffGrid, evaluate
 
 MASS_TOL = 1e-12
 
@@ -752,10 +752,7 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
                          -slope * (Y[sel, n] - y_prev[sel]))
         x_ex = np.where(on_grid[sel], Y[sel, n], y_prev[sel])
         if payoff_fn is not None:
-            pay = np.asarray(payoff_fn(x_ex, rho[sel]), dtype=float)
-            if pay.shape != x_ex.shape:      # non-vectorized evaluator
-                pay = np.array([float(payoff_fn(xv, tv))
-                                for xv, tv in zip(x_ex, rho[sel])])
+            pay = evaluate(payoff_fn, x_ex, rho[sel])
         else:
             pay = a.interp(x_ex, n)
         slack[sel] = g[sel] + extra - pay

@@ -19,9 +19,32 @@ class PayoffError(Exception):
     pass
 
 
+def evaluate(fn, x, t):
+    """fn at the broadcast pairs (x, t), as a float array of their shape.
+
+    fn is called once on the float arrays.  A payoff written for scalars
+    (one that raises TypeError/ValueError on arrays or returns another
+    shape) is then called point by point instead.
+    """
+    x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(t, dtype=float))
+    try:
+        vals = np.asarray(fn(x, t), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(fn(xv, tv))
+                     for xv, tv in zip(x.flat, t.flat)]).reshape(x.shape)
+
+
 @dataclass
 class PayoffFunction:
     """A(x, t) with declared structure, sanity-checked by sampling.
+
+    ``fn`` is called on numpy arrays of prices and times and should return
+    an array of their broadcast shape; a scalar-only ``fn`` still works,
+    called point by point (see ``evaluate``).
 
     ``tail_slope`` is (an upper bound on) lim A(x, t)/x as x grows, uniform
     over t in [0, horizon].  ``x_hint`` bounds the price range used for the
@@ -47,24 +70,23 @@ class PayoffFunction:
         rng = np.random.default_rng(1234567891)
         xs = rng.uniform(0.0, self.x_hint, size=samples)
         ts = rng.uniform(0.0, self.horizon, size=samples)
-        vals = np.array([float(self.fn(x, t)) for x, t in zip(xs, ts)])
+        vals = evaluate(self.fn, xs, ts)
         if np.any(~np.isfinite(vals)) or np.any(vals < -tol):
             raise PayoffError("payoff must be finite and nonnegative")
         if self.convex_in_x:
             lam = rng.uniform(0.0, 1.0, size=samples)
             x2 = rng.uniform(0.0, self.x_hint, size=samples)
             mid = lam * xs + (1 - lam) * x2
-            for i in range(samples):
-                chord = lam[i] * vals[i] + (1 - lam[i]) * self.fn(x2[i], ts[i])
-                if self.fn(mid[i], ts[i]) > chord + tol * (1 + abs(chord)):
-                    raise PayoffError("convex_in_x contradicted by sampling")
+            chord = lam * vals + (1 - lam) * evaluate(self.fn, x2, ts)
+            at_mid = evaluate(self.fn, mid, ts)
+            if np.any(at_mid > chord + tol * (1 + np.abs(chord))):
+                raise PayoffError("convex_in_x contradicted by sampling")
         if self.decreasing_in_t:
             t2 = rng.uniform(0.0, self.horizon, size=samples)
             lo, hi = np.minimum(ts, t2), np.maximum(ts, t2)
-            for i in range(samples):
-                a, b = self.fn(xs[i], lo[i]), self.fn(xs[i], hi[i])
-                if b > a + tol * (1 + abs(a)):
-                    raise PayoffError("decreasing_in_t contradicted by sampling")
+            a, b = evaluate(self.fn, xs, lo), evaluate(self.fn, xs, hi)
+            if np.any(b > a + tol * (1 + np.abs(a))):
+                raise PayoffError("decreasing_in_t contradicted by sampling")
         # tail slope: secants over the sampled range must not exceed it...
         # only checkable when the declared slope is 0 and values stay bounded;
         # otherwise trust the declaration (growth shows up far beyond x_hint).
@@ -150,37 +172,9 @@ def grid_payoff(payoff: PayoffFunction, strikes, maturities) -> AmericanPayoffGr
     """Evaluate the payoff on the lattice [0] + strikes at each maturity."""
     states = np.concatenate([[0.0], np.asarray(strikes, dtype=float)])
     maturities = np.asarray(maturities, dtype=float)
-    vals = np.array([[float(payoff(x, t)) for t in maturities] for x in states])
+    vals = evaluate(payoff, states[:, None], maturities)
     slopes = np.full(len(maturities), float(payoff.tail_slope))
     return AmericanPayoffGrid(vals, states, maturities, slopes)
-
-
-def linearize(payoff: PayoffFunction, strikes, maturities) -> PayoffFunction:
-    """Piecewise-linear-in-price, piecewise-constant-in-time surrogate.
-
-    The surrogate interpolates the node values f(x_j, t_n) linearly in price
-    and holds them constant on each maturity interval [t_n, t_{n+1}), so an
-    evaluation at time t uses the latest maturity at or before t (the first
-    maturity before t_1).  Beyond the top strike each column extends with its
-    last segment's slope, clipped to [0, tail_slope], and the whole surface
-    is floored at 0.  Node values are reproduced exactly.
-    """
-    grid = grid_payoff(payoff, strikes, maturities)
-    maturities = grid.maturities
-    ext = np.clip((grid.values[-1, :] - grid.values[-2, :])
-                  / (grid.states[-1] - grid.states[-2]),
-                  0.0, payoff.tail_slope)
-    surrogate = AmericanPayoffGrid(grid.values, grid.states, maturities, ext)
-
-    def fn(x, t):
-        n = int(np.searchsorted(maturities, t, side="right")) - 1
-        n = max(n, 0)
-        return np.maximum(surrogate.interp(x, n), 0.0)
-
-    return PayoffFunction(fn, convex_in_x=payoff.convex_in_x,
-                          decreasing_in_t=payoff.decreasing_in_t,
-                          tail_slope=float(np.max(ext)),
-                          horizon=payoff.horizon, x_hint=payoff.x_hint)
 
 
 def exercise_time_transform(payoff: PayoffFunction, strikes,
@@ -197,6 +191,6 @@ def exercise_time_transform(payoff: PayoffFunction, strikes,
     maturities = np.asarray(maturities, dtype=float)
     starts = np.concatenate([[0.0], maturities[:-1]])
     states = np.concatenate([[0.0], np.asarray(strikes, dtype=float)])
-    vals = np.array([[float(payoff(x, t)) for t in starts] for x in states])
+    vals = evaluate(payoff, states[:, None], starts)
     slopes = np.full(len(maturities), float(payoff.tail_slope))
     return AmericanPayoffGrid(vals, states, maturities, slopes)

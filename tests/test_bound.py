@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from amerbound import bound, certify, instances, lpcore, market, payoff
+from amerbound import bench, bound, certify, instances, lpcore, market, payoff
 from amerbound.payoff import (AmericanPayoffGrid, PayoffFunction,
                               exercise_time_transform)
 
@@ -204,3 +205,23 @@ def test_valid_surface_survives_without_presolve():
     grid = exercise_time_transform(pf, surface.strikes, surface.maturities)
     res = bound.robust_bound(surface, grid, variant="extended")
     _assert_gap_closed(res)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(J=st.integers(3, 6), N=st.integers(2, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       K=st.floats(80.0, 120.0), r=st.floats(0.0, 0.1),
+       lam=st.floats(0.1, 10.0))
+def test_phi_is_homogeneous_in_price_scale(J, N, vol, lo, hi, K, r, lam):
+    strikes = tuple(np.linspace(lo, hi, J) * 100.0)
+    cfg = bench.BenchConfig(vol=vol, strikes=strikes, num_maturities=N)
+    surface = bench.bs_surface(cfg)
+
+    def phi(scale):
+        scaled = market.CallSurface(scale * surface.s0, scale * surface.strikes,
+                                    surface.maturities, scale * surface.prices)
+        put = payoff.discounted_put(scale * K, r)
+        a = exercise_time_transform(put, scaled.strikes, scaled.maturities)
+        return bound.robust_bound(scaled, a).phi
+
+    assert phi(lam) == pytest.approx(lam * phi(1.0), rel=1e-8)

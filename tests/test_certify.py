@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from amerbound import bound, certify, instances, market
+from amerbound import bench, bound, certify, instances, market
 from amerbound.certify import HedgeStrategy, PricePath
 
 
@@ -156,6 +158,22 @@ def test_verification_modes_pass(sec26, sec26_result):
                                               s0=sec26.surface.s0)
         assert not rep.skipped
         assert rep.min_slack >= -1e-9 * certify.hedge_scale(hedge), mode
+
+
+def test_continuous_replay_accepts_scalar_only_payoff():
+    cfg = bench.BenchConfig(strikes=(80.0, 100.0, 120.0), num_maturities=2)
+    put = bench.put_payoff(cfg)
+    a = bench.linearized_grid(cfg)
+    res = bound.robust_bound(bench.bs_surface(cfg), a)
+
+    def scalar_put(x, t):
+        return max(100.0 * math.exp(-0.05 * t) - x, 0.0)
+
+    reps = [certify.verify_superreplication(
+        res.hedge, a, "continuous-exercise-random", trials=2000, seed=5,
+        payoff_fn=fn, s0=cfg.s0) for fn in (put, scalar_put)]
+    assert reps[0].min_slack >= -1e-6 * certify.hedge_scale(res.hedge)
+    assert reps[1].min_slack == pytest.approx(reps[0].min_slack, abs=1e-12)
 
 
 def test_lattice_enumeration_cap(sec26, sec26_result):

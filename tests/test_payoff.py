@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,20 +59,6 @@ def test_grid_clamps_tiny_negative_values():
         payoff.AmericanPayoffGrid([[1.0], [-0.5]], [0.0, 50.0], [1.0])
 
 
-def test_linearize_matches_nodes_and_interpolates():
-    p = payoff.discounted_put(100.0, 0.05, horizon=1.0)
-    bar = payoff.linearize(p, [70.0, 90.0, 100.0, 140.0], QUARTERS)
-    for x in (0.0, 70.0, 90.0, 100.0, 140.0):
-        for t in QUARTERS:
-            assert bar(x, t) == pytest.approx(p(x, t), abs=1e-12)
-    # within a maturity interval, the earlier maturity's column applies
-    assert bar(95.0, 0.3) == pytest.approx(0.5 * (p(90.0, 0.25) + p(100.0, 0.25)))
-    # idempotence on knots
-    g1 = payoff.grid_payoff(bar, [70.0, 90.0, 100.0, 140.0], QUARTERS)
-    g2 = payoff.grid_payoff(p, [70.0, 90.0, 100.0, 140.0], QUARTERS)
-    assert np.allclose(g1.values, g2.values, atol=1e-12)
-
-
 def test_exercise_time_transform_uses_interval_starts():
     p = payoff.discounted_put(100.0, 0.05, horizon=1.0)
     g = payoff.exercise_time_transform(p, STRIKES, QUARTERS)
@@ -81,6 +69,43 @@ def test_exercise_time_transform_uses_interval_starts():
     # dominates the plain node evaluation for time-decaying payoffs
     plain = payoff.grid_payoff(p, STRIKES, QUARTERS)
     assert np.all(g.values >= plain.values - 1e-12)
+
+
+def _put_mixture(x, t):
+    return (np.maximum(100.0 * np.exp(-0.05 * t) - x, 0.0)
+            + 0.5 * np.maximum(80.0 * np.exp(-0.02 * t) - x, 0.0))
+
+
+def _put_mixture_scalar(x, t):
+    # math.exp and max raise TypeError on arrays
+    return (max(100.0 * math.exp(-0.05 * t) - x, 0.0)
+            + 0.5 * max(80.0 * math.exp(-0.02 * t) - x, 0.0))
+
+
+def test_vectorised_payoff_is_called_on_arrays():
+    calls = []
+
+    def counted(x, t):
+        calls.append(1)
+        return _put_mixture(x, t)
+
+    p = payoff.PayoffFunction(counted, convex_in_x=True, decreasing_in_t=True,
+                              x_hint=400.0)
+    payoff.exercise_time_transform(p, STRIKES, QUARTERS)
+    assert len(calls) <= 6, len(calls)
+
+
+def test_scalar_only_payoff_falls_back_point_by_point():
+    with pytest.raises(TypeError):
+        _put_mixture_scalar(np.array([1.0, 2.0]), np.array([0.0, 0.5]))
+    grids = [payoff.exercise_time_transform(
+        payoff.PayoffFunction(fn, convex_in_x=True, decreasing_in_t=True,
+                              x_hint=400.0), STRIKES, QUARTERS)
+        for fn in (_put_mixture, _put_mixture_scalar)]
+    np.testing.assert_allclose(grids[1].values, grids[0].values,
+                               rtol=1e-15, atol=0.0)
+    with pytest.raises(payoff.PayoffError, match="convex_in_x"):
+        payoff.PayoffFunction(lambda x, t: math.sqrt(x), convex_in_x=True)
 
 
 def test_exercise_time_transform_requires_decreasing_flag():
