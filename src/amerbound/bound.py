@@ -1,10 +1,13 @@
-"""The four linear programs behind the bound, and the headline solve.
+"""The linear programs behind the bound, and the headline solve.
 
 The primal LP searches over price/regime models: joint transition masses
 G1 (still holding) and G2 (already exercised) between consecutive maturities
 plus the exercise mass F, maximizing expected payoff at the switch time.
-The dual LP searches over semi-static hedges: static claim values E1/E2/V
+Its dual searches over semi-static hedges: static claim values E1/E2/V
 and dynamic holdings D1/D2, minimizing the cost of super-replication.
+``robust_bound`` solves the primal only: by LP duality its optimal row
+multipliers are a cheapest hedge, read off row block by row block.  The
+hand-built dual stays as a reference for checking that mapping.
 The extended variants append a virtual top row that carries the mass priced
 by the last traded call when no zero-price call exists.
 """
@@ -72,6 +75,7 @@ class VariableIndex:
                         names.append(("d", delta, j, n))
         self.names = names
         self._col = {name: i for i, name in enumerate(names)}
+        self.row_scale = None       # set by _build_primal, one per row
 
     @property
     def num_vars(self):
@@ -79,9 +83,6 @@ class VariableIndex:
 
     def col(self, *name):
         return self._col[name]
-
-    def name(self, col):
-        return self.names[col]
 
     def free_mask(self):
         """Primal variables are all nonnegative; dual e/d are free, v >= 0."""
@@ -95,43 +96,9 @@ class VariableIndex:
             raise BoundError("not a primal index")
         M, N = self.num_states, self.num_maturities
         x = np.asarray(x, dtype=float)
-        F = np.zeros((M, N))
-        G1 = np.zeros((M, M, max(N - 1, 0)))
-        G2 = np.zeros((M, M, max(N - 1, 0)))
-        for n in range(1, N + 1):
-            for j in range(M):
-                F[j, n - 1] = x[self._col[("f", j, n)]]
-        for delta, G in ((1, G1), (2, G2)):
-            for n in range(1, N):
-                for j in range(M):
-                    for k in range(M):
-                        G[j, k, n - 1] = x[self._col[("g", delta, j, k, n)]]
+        F = x[:M * N].reshape(N, M).T.copy()
+        G1, G2 = x[M * N:].reshape(2, N - 1, M, M).transpose(0, 2, 3, 1).copy()
         return F, G1, G2
-
-    def unpack_dual(self, x):
-        """Return (E1, E2, V, D1, D2); the fixed boundary columns of E1/E2
-        come back as explicit zeros."""
-        if self.kind != "dual":
-            raise BoundError("not a dual index")
-        M, N = self.num_states, self.num_maturities
-        x = np.asarray(x, dtype=float)
-        E1 = np.zeros((M, N))
-        E2 = np.zeros((M, N))
-        V = np.zeros((M, N))
-        D1 = np.zeros((M, max(N - 1, 0)))
-        D2 = np.zeros((M, max(N - 1, 0)))
-        for n in range(1, N):
-            for j in range(M):
-                E1[j, n - 1] = x[self._col[("e", 1, j, n)]]
-                D1[j, n - 1] = x[self._col[("d", 1, j, n)]]
-                D2[j, n - 1] = x[self._col[("d", 2, j, n)]]
-        for n in range(2, N + 1):
-            for j in range(M):
-                E2[j, n - 1] = x[self._col[("e", 2, j, n)]]
-        for n in range(1, N + 1):
-            for j in range(M):
-                V[j, n - 1] = x[self._col[("v", j, n)]]
-        return E1, E2, V, D1, D2
 
 
 @dataclass
@@ -164,6 +131,7 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
     states: the J+1 lattice values; p_hat: M x N mass matrix (M = J+1, or
     J+2 with the virtual tail row); a_vals: payoff on the lattice;
     tail_rates: objective rate for the tail row (extended only).
+    The index records each row's ``_norm_row`` scale in ``row_scale``.
     """
     x = np.asarray(states, dtype=float)
     M, N = p_hat.shape
@@ -183,16 +151,21 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
         if extended:
             objective[c("f", tail, n)] = tail_rates[n - 1]
 
-    rows = []
+    rows, scales = [], []
+
+    def add(terms, relation, rhs):
+        rows.append(_norm_row(terms, relation, rhs))
+        scales.append(max(abs(v) for _, v in terms))
+
     for n in range(1, N):                      # (a) outflow = mass
         for j in range(M):
             terms = [(c("g", d, j, k, n), 1.0) for d in (1, 2) for k in succ(j)]
-            rows.append(_norm_row(terms, "=", p_hat[j, n - 1]))
+            add(terms, "=", p_hat[j, n - 1])
     for n in range(2, N + 1):                  # (b) inflow = mass
         for j in range(M):
             sources = range(M) if j == tail else range(J + 1)
             terms = [(c("g", d, i, j, n - 1), 1.0) for d in (1, 2) for i in sources]
-            rows.append(_norm_row(terms, "=", p_hat[j, n - 1]))
+            add(terms, "=", p_hat[j, n - 1])
     for delta in (1, 2):                       # (c)/(d) martingale rows
         for n in range(1, N):
             for j in range(J + 1):
@@ -200,10 +173,10 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
                          for k in range(J + 1) if k != j]
                 if extended:
                     terms.append((c("g", delta, j, tail, n), 1.0))
-                rows.append(_norm_row(terms, "=", 0.0))
+                add(terms, "=", 0.0)
             if extended:                       # tail row sends no mass down
                 terms = [(c("g", delta, tail, k, n), 1.0) for k in range(J + 1)]
-                rows.append(_norm_row(terms, "=", 0.0))
+                add(terms, "=", 0.0)
     for n in range(1, N + 1):                  # (e) exercise-budget rows
         for j in range(M):
             if j == tail and not extended:
@@ -215,10 +188,35 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
                 sources = range(M) if j == tail else range(J + 1)
                 terms += [(c("g", 2, i, j, n - 1), 1.0) for i in sources]
             rhs = p_hat[j, N - 1] if n == N else 0.0
-            rows.append(_norm_row(terms, "<=", rhs))
+            add(terms, "<=", rhs)
 
     lp = lpcore.LinearProgram("max", idx.num_vars, objective, rows)
+    idx.row_scale = np.array(scales)
     return lp, idx
+
+
+def _hedge_blocks(duals, idx):
+    """Hedge (E1, E2, V, D1, D2) from the primal's optimal row multipliers.
+
+    By LP duality the multipliers of rows (a), (b), (c/d) and (e) above are
+    E1[:, n<N], E2[:, n>=2], D1/D2 and V, in the row order built there.
+    Rows enter the LP divided by their scale, so an unscaled row's
+    multiplier is the LP's divided by that scale.  The extended
+    tail-martingale row carries -D[tail]; the fixed E1[:, N] and E2[:, 1]
+    are zero.
+    """
+    M, N = idx.num_states, idx.num_maturities
+    y = np.asarray(duals, dtype=float) / idx.row_scale
+    K = (N - 1) * M
+    a, b, cd, e = np.split(y, np.cumsum([K, K, 2 * K]))
+    E1, E2 = np.zeros((M, N)), np.zeros((M, N))
+    E1[:, :-1] = a.reshape(N - 1, M).T
+    E2[:, 1:] = b.reshape(N - 1, M).T
+    D1, D2 = cd.reshape(2, N - 1, M).transpose(0, 2, 1)
+    if idx.extended:
+        D1[-1], D2[-1] = -D1[-1], -D2[-1]
+    V = e.reshape(N, M).T
+    return E1, E2, V, D1, D2
 
 
 def _build_dual(states, p_hat, a_vals, tail_rates, extended):
@@ -308,19 +306,10 @@ def build_dual_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid)
     return _build_dual(m.states, m.rows, a.values, a.tail_slopes, extended=True)
 
 
-def _solve(lp, kind):
-    """Solve one of the two LPs; a non-optimal end names the LP and HiGHS."""
-    sol = lpcore.solve(lp)
-    if sol.status != "optimal":
-        raise BoundError("%s LP (%dx%d): HiGHS %s ended %s"
-                         % (kind, len(lp.rows), lp.num_vars, lpcore.METHOD,
-                            sol.status))
-    return sol
-
-
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6) -> BoundResult:
-    """Solve both LPs, extract certificates, and enforce the gap tolerance."""
+    """Solve the primal LP, read both certificates off its optimum, and
+    enforce the gap tolerance and the hedge's grid inequalities."""
     from . import certify  # deferred: certify consumes this module's types
 
     if variant not in ("auto", "bounded", "extended"):
@@ -335,29 +324,38 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
 
     if variant == "bounded":
         m = market.implied_marginals(surface)
-        lp_p, idx_p = build_primal_bounded(m, a)
-        lp_d, idx_d = build_dual_bounded(m, a)
+        p_hat = m.probs
+        lp, idx = build_primal_bounded(m, a)
     else:
         m = market.extended_marginals(surface)
-        lp_p, idx_p = build_primal_extended(m, a)
-        lp_d, idx_d = build_dual_extended(m, a)
+        p_hat = m.rows
+        lp, idx = build_primal_extended(m, a)
 
-    sol_p = _solve(lp_p, "primal")
-    sol_d = _solve(lp_d, "dual")
+    sol = lpcore.solve(lp)
+    if sol.status != "optimal":
+        raise BoundError("primal LP (%dx%d): HiGHS %s ended %s"
+                         % (len(lp.rows), lp.num_vars, lpcore.METHOD,
+                            sol.status))
 
-    phi, psi = sol_p.objective, sol_d.objective
+    hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a,
+                                    idx.extended)
+    phi, psi = sol.objective, hedge.cost(p_hat)
     gap = abs(phi - psi)
     if gap > tol_gap * (1.0 + abs(phi)):
         raise GapError(phi, psi, tol_gap)
 
-    model = certify.model_from_primal(sol_p, idx_p, surface, a)
-    hedge = certify.hedge_from_dual(sol_d, idx_d, surface, a)
+    model = certify.model_from_primal(sol, idx, surface, p_hat)
+    slack = certify.grid_feasibility(hedge, a)
+    tol = tol_gap * certify.hedge_scale(hedge)
+    if slack < -tol:
+        raise certify.CertifyError(
+            "hedge read off the primal LP violates its grid rows (i)-(iii): "
+            "worst residual %.3g, tolerance %.3g" % (slack, tol))
     diagnostics = {
-        "primal_iterations": sol_p.iterations,
-        "dual_iterations": sol_d.iterations,
-        "primal_residual": sol_p.primal_residual,
-        "dual_residual": sol_d.primal_residual,
-        "num_primal_vars": lp_p.num_vars,
-        "num_dual_vars": lp_d.num_vars,
+        "primal_iterations": sol.iterations,
+        "primal_residual": sol.primal_residual,
+        "dual_residual": sol.dual_residual,
+        "num_primal_vars": lp.num_vars,
+        "hedge_grid_slack": slack,
     }
     return BoundResult(variant, phi, psi, gap, model, hedge, diagnostics)

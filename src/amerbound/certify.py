@@ -198,17 +198,18 @@ def companion_threshold(surface: market.CallSurface):
 
 
 def model_from_primal(solution, index, surface: market.CallSurface,
-                      a: AmericanPayoffGrid) -> RegimeModel:
-    """Unpack a primal optimum into a checked, simulable RegimeModel."""
+                      p_hat) -> RegimeModel:
+    """Unpack a primal optimum into a checked, simulable RegimeModel;
+    p_hat is the LP's mass matrix (marginals, plus the tail row if extended).
+    """
     F, G1, G2 = index.unpack_primal(solution.x)
     F, G1, G2 = _clip_mass(F), _clip_mass(G1), _clip_mass(G2)
     states = surface.states
     if index.extended:
-        ext = market.extended_marginals(surface)
         # far enough out that the fold-in corrections (~1/xi) drop below the
         # mass tolerance even where the top strike received no direct mass
         xi = max(1e9 * states[-1], 1.5 * companion_threshold(surface))
-        G1, G2, p = _companion_from_extended(G1, G2, ext.rows, states, xi)
+        G1, G2, p = _companion_from_extended(G1, G2, p_hat, states, xi)
         G1, G2 = _clip_mass(G1), _clip_mass(G2)
         if p.min() < -1e-9:
             raise CertifyError("companion marginal went negative")
@@ -216,7 +217,7 @@ def model_from_primal(solution, index, surface: market.CallSurface,
         p /= p.sum(axis=0, keepdims=True)
         states = np.concatenate([states, [xi]])
     else:
-        p = market.implied_marginals(surface).probs
+        p = p_hat
         xi = None
     q = _conservation_switch_prob(F, G1, G2, p)
     # The LP's own F depends on the optimal vertex: where row (e) is slack
@@ -232,8 +233,6 @@ def model_from_primal(solution, index, surface: market.CallSurface,
 
 def seed_model(m: market.MarginalSystem) -> RegimeModel:
     """Exercise-everything-at-t1 model over any martingale transport chain."""
-    from . import lpcore
-
     x = m.states
     p = m.probs
     M, N = p.shape
@@ -459,13 +458,13 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
     return beta
 
 
-def hedge_from_dual(solution, index, surface: market.CallSurface,
-                    a: AmericanPayoffGrid) -> HedgeStrategy:
-    E1, E2, V, D1, D2 = index.unpack_dual(solution.x)
-    hedge = HedgeStrategy(surface.states, surface.maturities.copy(),
-                          E1, E2, V, D1, D2, extended=index.extended,
-                          growth_rate=a.growth_rate)
-    if not index.extended:
+def hedge_from_dual(blocks, surface: market.CallSurface,
+                    a: AmericanPayoffGrid, extended) -> HedgeStrategy:
+    """HedgeStrategy from dual values (E1, E2, V, D1, D2), with the tail
+    calls of the bounded variant."""
+    hedge = HedgeStrategy(surface.states, surface.maturities.copy(), *blocks,
+                          extended=extended, growth_rate=a.growth_rate)
+    if not extended:
         hedge.beta = tail_calls(hedge, hedge.growth_rate)
         if hedge.beta.min() < -1e-9:
             raise CertifyError("negative tail-call coefficient")

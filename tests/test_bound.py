@@ -46,6 +46,13 @@ def test_eg11_value():
     assert res.phi == pytest.approx(34.0, abs=1e-8)
 
 
+def _pack_dual(hedge):
+    # the hand-built dual's column order: E1, E2, V, D1, D2, each n-major
+    N = len(hedge.maturities)
+    blocks = (hedge.E1[:, :N - 1], hedge.E2[:, 1:], hedge.V, hedge.D1, hedge.D2)
+    return np.concatenate([b.T.ravel() for b in blocks])
+
+
 def test_mechanical_dual_agrees(sec26):
     # dual_of applied to the primal build must price like the hand-built dual
     m = market.implied_marginals(sec26.surface)
@@ -53,6 +60,41 @@ def test_mechanical_dual_agrees(sec26):
     mech = lpcore.solve(lpcore.dual_of(lp))
     assert mech.status == "optimal"
     assert mech.objective == pytest.approx(35.625, abs=1e-7)
+    # the hedge read off the primal's row multipliers is a feasible point of
+    # the hand-built dual, at cost phi
+    cfg = bench.BenchConfig()
+    cases = [(instances.get(name), variant)
+             for name in ("sec26", "sec52", "eg11")
+             for variant in ("bounded", "extended")]
+    cases.append((instances.DemoInstance("headline", bench.bs_surface(cfg),
+                                         bench.linearized_grid(cfg), None),
+                  "extended"))
+    for inst, variant in cases:
+        res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
+        if variant == "bounded":
+            m = market.implied_marginals(inst.surface)
+            lp_d, _ = bound.build_dual_bounded(m, inst.payoff)
+        else:
+            m = market.extended_marginals(inst.surface)
+            lp_d, _ = bound.build_dual_extended(m, inst.payoff)
+        rep = lpcore.check_point(lp_d, _pack_dual(res.hedge), tol=1e-9)
+        assert rep.feasible, (inst.name, variant, rep.max_violation)
+        assert rep.objective == pytest.approx(res.phi, abs=1e-9)
+
+
+def test_one_solve_per_bound(sec26, monkeypatch):
+    calls = []
+    solve = lpcore.solve
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(lpcore, "solve", counting)
+    for variant in ("bounded", "extended"):
+        calls.clear()
+        bound.robust_bound(sec26.surface, sec26.payoff, variant=variant)
+        assert len(calls) == 1, variant
 
 
 def test_closed_form_sweep_random_parameters():
@@ -225,3 +267,35 @@ def test_phi_is_homogeneous_in_price_scale(J, N, vol, lo, hi, K, r, lam):
         return bound.robust_bound(scaled, a).phi
 
     assert phi(lam) == pytest.approx(lam * phi(1.0), rel=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(J=st.integers(3, 6), N=st.integers(2, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       K=st.floats(80.0, 120.0), r=st.floats(0.0, 0.1), data=st.data())
+def test_zero_mass_strike_leaves_phi_unchanged(J, N, vol, lo, hi, K, r, data):
+    # a strike midway between two neighbours, its calls interpolated
+    # linearly, carries no mass: the LP gains a state the dual is
+    # degenerate at, and neither phi nor the hedge's grid rows may move
+    strikes = tuple(np.linspace(lo, hi, J) * 100.0)
+    surface = bench.bs_surface(bench.BenchConfig(vol=vol, strikes=strikes,
+                                                 num_maturities=N))
+    i = data.draw(st.integers(1, J - 1))       # insert between strikes i, i+1
+    c = surface.prices                         # row 0 is strike 0
+    refined = market.CallSurface(
+        surface.s0,
+        np.insert(surface.strikes, i, 0.5 * (surface.strikes[i - 1]
+                                              + surface.strikes[i])),
+        surface.maturities,
+        np.insert(c, i + 1, 0.5 * (c[i] + c[i + 1]), axis=0))
+    put = payoff.discounted_put(K, r)
+
+    def solve(s):
+        a = exercise_time_transform(put, s.strikes, s.maturities)
+        return bound.robust_bound(s, a), a
+
+    base, _ = solve(surface)
+    res, a = solve(refined)
+    assert res.phi == pytest.approx(base.phi, rel=1e-8)
+    scale = certify.hedge_scale(res.hedge)
+    assert certify.grid_feasibility(res.hedge, a) >= -1e-9 * scale

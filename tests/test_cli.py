@@ -89,6 +89,28 @@ def test_gap_failure_exit_5(runner, tmp_path, monkeypatch):
     assert res.exit_code == 5
 
 
+def test_hedge_grid_violation_exit_5(runner, tmp_path, monkeypatch):
+    # V at the first maturity does not enter the hedge's cost, so lowering
+    # one of its multipliers below the payoff keeps phi = psi; only the grid
+    # check in robust_bound sees the broken exercise-coverage row (i)
+    s = instances.get("sec26").surface
+    M, N = len(s.states), len(s.maturities)
+    solve = lpcore.solve
+
+    def lowered(lp):
+        sol = solve(lp)
+        # rows (e) come last, n-major; state 0 at n = 1 pays 130 there
+        sol.duals[len(lp.rows) - N * M] -= 200.0
+        return sol
+
+    monkeypatch.setattr(lpcore, "solve", lowered)
+    res = runner.invoke(cli.main, ["bound", "--input",
+                                   _surface_file(tmp_path),
+                                   "--payoff", PAYOFF])
+    assert res.exit_code == 5
+    assert "grid rows (i)-(iii): worst residual -200," in res.stderr
+
+
 def test_bound_report_contents(runner, tmp_path):
     res = runner.invoke(cli.main, ["bound", "--input",
                                    _surface_file(tmp_path),
