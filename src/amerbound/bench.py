@@ -108,9 +108,8 @@ def tree_payoff_from_grid(a: payoff.AmericanPayoffGrid):
 def zeta(surface: market.CallSurface, a: payoff.AmericanPayoffGrid) -> float:
     """Best static European value: the priciest single maturity of the
     piecewise-linear payoff columns."""
-    return max(market.price_piecewise_linear(surface, a.values[:, n],
-                                             a.tail_slopes[n], n)
-               for n in range(len(a.maturities)))
+    return float(market.price_piecewise_linear(surface, a.values,
+                                               a.tail_slopes).max())
 
 
 @dataclass

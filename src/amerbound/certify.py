@@ -22,6 +22,10 @@ from . import market
 from .payoff import AmericanPayoffGrid, evaluate
 
 MASS_TOL = 1e-12
+# Monte Carlo kernel: paths simulated per block, and uniform buckets of the
+# inverse-CDF lookup (a power of two, so floor(u * B) is exact)
+SIMULATION_BLOCK = 2 ** 16
+LOOKUP_BUCKETS = 4096
 
 
 class CertifyError(Exception):
@@ -273,52 +277,92 @@ def _martingale_transport(x, mu, nu):
     return _clip_mass(np.asarray(sol.x).reshape(M, M))
 
 
-def simulate(model: RegimeModel, paths, seed) -> PathBatch:
-    """Vectorized simulation; exercise at the first regime switch."""
-    K, N = model.num_states, model.num_maturities
-    rng = np.random.default_rng(np.random.Philox(seed))
-    u = rng.random((paths, 2 * N))          # row i drives path i only
+def _step_tables(model: RegimeModel):
+    """Per-step inverse-CDF tables of the conditional kernels.
 
-    # per-step conditional kernels (cumulative), regime 1 and regime 2
-    cum1 = np.zeros((K, K, max(N - 1, 0)))
-    cum2 = np.zeros((K, K, max(N - 1, 0)))
+    cum[n] is (2K, K): row s holds the cumulative regime-1 kernel out of
+    state s between maturities n and n+1, row K + s the regime-2 kernel.
+    The next state of a path in row r with uniform draw u is
+    min(#{k : cum[n][r, k] < u}, K - 1).  lut[n][r, b] is that state for
+    every u in [b/B, (b+1)/B) when one state serves the whole bucket, and
+    -1 otherwise; rows that are not nondecreasing are -1 throughout.
+    """
+    K, N = model.num_states, model.num_maturities
+    edges = np.arange(LOOKUP_BUCKETS + 1) / LOOKUP_BUCKETS     # exact dyadics
+    cum, lut = [], []
     for n in range(N - 1):
-        for G, cum in ((model.G1, cum1), (model.G2, cum2)):
+        table = np.empty((2 * K, K))
+        for r, G in enumerate((model.G1, model.G2)):
             rowsum = G[:, :, n].sum(axis=1, keepdims=True)
             ker = np.divide(G[:, :, n], np.maximum(rowsum, MASS_TOL),
                             out=np.zeros_like(G[:, :, n]),
                             where=rowsum > MASS_TOL)
-            cum[:, :, n] = np.cumsum(ker, axis=1)
+            table[r * K:(r + 1) * K] = np.cumsum(ker, axis=1)
+        # on a nondecreasing row, the count below u lies between the counts
+        # below the edges of u's bucket; clipping to K - 1 keeps that order
+        cnt = np.stack([np.searchsorted(row, edges, side="left")
+                        for row in table]).clip(max=K - 1)
+        step = np.where(cnt[:, :-1] == cnt[:, 1:], cnt[:, :-1], -1)
+        step[~(np.diff(table, axis=1) >= 0).all(axis=1)] = -1
+        cum.append(table)
+        lut.append(step.astype(np.int32))
+    return cum, lut
 
+
+def simulate(model: RegimeModel, paths, seed) -> PathBatch:
+    """Exact-marginal simulation; exercise at the first regime switch.
+
+    Path i uses row i of one Philox(seed) stream of uniforms of width 2N:
+    column 0 picks the first state from the first marginal, column 2n+1
+    decides the switch at maturity n, and column 2n+2 the move from n to
+    n+1 (regime 2 once switched).  The rows are drawn SIMULATION_BLOCK at a
+    time into preallocated outputs, which consumes the stream exactly as
+    one (paths, 2N) draw does, so the paths depend only on (model, paths,
+    seed).  Moves are inverse-CDF lookups: a bucket table answers most
+    draws, and the few that fall in a bucket containing a kernel step
+    compare against their own kernel row.  No temporary grows with
+    paths x states.
+    """
+    K, N = model.num_states, model.num_maturities
+    rng = np.random.default_rng(np.random.Philox(seed))
+    cum, lut = _step_tables(model)
     init = np.cumsum(model.marginals[:, 0])
-    s = np.searchsorted(init, u[:, 0], side="left").clip(0, K - 1)
-    state_idx = np.zeros((paths, N), dtype=np.int64)
-    exercised = np.zeros(paths, dtype=bool)
-    ex_idx = np.zeros(paths, dtype=np.int64)
-    for n in range(N):
-        state_idx[:, n] = s
-        switch = ~exercised & (u[:, 2 * n + 1] < model.switch_prob[s, n])
-        ex_idx[switch] = n + 1
-        exercised |= switch
-        if n == N - 1:
-            break
-        cum = np.where(exercised[:, None], cum2[s, :, n], cum1[s, :, n])
-        draw = u[:, 2 * n + 2]
-        s = np.minimum((cum < draw[:, None]).sum(axis=1), K - 1)
-    ex_idx[~exercised] = N      # safety net; switch_prob forces exercise at N
+
+    state_idx = np.empty((paths, N), dtype=np.int64)
+    ex_idx = np.empty(paths, dtype=np.int64)
+    u = np.empty((min(paths, SIMULATION_BLOCK), 2 * N))
+    for lo in range(0, paths, SIMULATION_BLOCK):
+        hi = min(lo + SIMULATION_BLOCK, paths)
+        ub = u[:hi - lo]
+        rng.random(out=ub)
+        s = np.searchsorted(init, ub[:, 0], side="left").clip(0, K - 1)
+        exercised = np.zeros(hi - lo, dtype=bool)
+        ex = ex_idx[lo:hi]
+        ex[:] = N       # safety net; switch_prob forces exercise at N
+        for n in range(N):
+            state_idx[lo:hi, n] = s
+            switch = ~exercised & (ub[:, 2 * n + 1] < model.switch_prob[s, n])
+            ex[switch] = n + 1
+            exercised |= switch
+            if n == N - 1:
+                break
+            row = s + K * exercised
+            draw = ub[:, 2 * n + 2]
+            s = lut[n][row, (draw * LOOKUP_BUCKETS).astype(np.intp)]
+            amb = np.flatnonzero(s < 0)
+            if amb.size:
+                below = cum[n][row[amb]] < draw[amb, None]
+                s[amb] = np.minimum(below.sum(axis=1), K - 1)
     return PathBatch(model.states[state_idx], state_idx, ex_idx)
 
 
 def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
     """Monte Carlo estimate of the model's American value and its stderr."""
     batch = simulate(model, paths, seed)
+    pay = np.stack([a.interp(model.states, n)
+                    for n in range(model.num_maturities)], axis=1)
     cols = batch.exercise_index - 1
-    xs = batch.values[np.arange(len(batch)), cols]
-    vals = np.empty(len(batch))
-    for n in range(model.num_maturities):
-        sel = cols == n
-        if np.any(sel):
-            vals[sel] = a.interp(xs[sel], n)
+    vals = pay[batch.state_idx[np.arange(len(batch)), cols], cols]
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(len(batch)))
     return est, stderr

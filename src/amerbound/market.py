@@ -313,16 +313,17 @@ def extended_marginals(surface: CallSurface, tol=DEFAULT_TOL) -> ExtendedMargina
                                   surface.maturities.copy(), surface.s0)
 
 
-def price_piecewise_linear(surface: CallSurface, values, tail_slope, n) -> float:
-    """Static cost of the claim paying the extended linear interpolation of
-    ``values`` (one per lattice state) with slope ``tail_slope`` beyond the
-    top strike, at maturity index n."""
+def price_piecewise_linear(surface: CallSurface, values, tail_slopes):
+    """Static cost of each payoff column: column n pays, at maturity index
+    n, the extended linear interpolation of ``values[:, n]`` (one entry per
+    lattice state) with slope ``tail_slopes[n]`` beyond the top strike."""
     h = np.asarray(values, dtype=float)
-    J = surface.num_strikes
-    if h.shape != (J + 1,):
-        raise MarketError("values must have one entry per lattice state")
-    ext = extended_marginals(surface)
-    return float(h @ ext.rows[:-1, n] + tail_slope * ext.rows[-1, n])
+    J, N = surface.num_strikes, surface.num_maturities
+    if h.shape != (J + 1, N):
+        raise MarketError("values must be (lattice states) x (maturities)")
+    rows = extended_marginals(surface).rows
+    return np.array([h[:, n] @ rows[:-1, n] + tail_slopes[n] * rows[-1, n]
+                     for n in range(N)])
 
 
 def check_convex_order(marginals: MarginalSystem, tol=DEFAULT_TOL) -> ValidationReport:

@@ -148,9 +148,8 @@ def test_bound_monotone_in_payoff(sec26):
 
 def test_bound_dominates_every_european(sec26, sec26_result):
     a = sec26.payoff
-    for n in range(len(a.maturities)):
-        euro = market.price_piecewise_linear(sec26.surface, a.values[:, n],
-                                             a.tail_slopes[n], n)
+    for euro in market.price_piecewise_linear(sec26.surface, a.values,
+                                              a.tail_slopes):
         assert sec26_result.phi >= euro - 1e-9
 
 
@@ -299,3 +298,47 @@ def test_zero_mass_strike_leaves_phi_unchanged(J, N, vol, lo, hi, K, r, data):
     assert res.phi == pytest.approx(base.phi, rel=1e-8)
     scale = certify.hedge_scale(res.hedge)
     assert certify.grid_feasibility(res.hedge, a) >= -1e-9 * scale
+
+
+def _put_grid_surface(J, N, vol, lo, hi, K, r):
+    strikes = tuple(np.linspace(lo, hi, J) * 100.0)
+    surface = bench.bs_surface(bench.BenchConfig(vol=vol, strikes=strikes,
+                                                 num_maturities=N))
+    put = payoff.discounted_put(K, r)
+    return surface, exercise_time_transform(put, surface.strikes,
+                                            surface.maturities)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(J=st.integers(3, 6), N=st.integers(2, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       K=st.floats(80.0, 120.0), r=st.floats(0.0, 0.1),
+       c=st.floats(0.01, 50.0))
+def test_constant_added_to_payoff_raises_phi_by_it(J, N, vol, lo, hi, K, r, c):
+    # the claim is exercised exactly once, so a constant added to every
+    # column is paid exactly once
+    surface, a = _put_grid_surface(J, N, vol, lo, hi, K, r)
+    shifted = AmericanPayoffGrid(a.values + c, a.states, a.maturities,
+                                 a.tail_slopes)
+    base = bound.robust_bound(surface, a).phi
+    assert bound.robust_bound(surface, shifted).phi == pytest.approx(
+        base + c, rel=1e-8)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(J=st.integers(3, 6), N=st.integers(2, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       K=st.floats(80.0, 120.0), r=st.floats(0.0, 0.1),
+       rise=st.floats(0.01, 20.0), data=st.data())
+def test_raising_one_payoff_node_does_not_lower_phi(J, N, vol, lo, hi, K, r,
+                                                   rise, data):
+    surface, a = _put_grid_surface(J, N, vol, lo, hi, K, r)
+    j = data.draw(st.integers(0, J))
+    n = data.draw(st.integers(0, N - 1))
+    values = a.values.copy()
+    values[j, n] += rise
+    raised = AmericanPayoffGrid(values, a.states, a.maturities, a.tail_slopes)
+    base = bound.robust_bound(surface, a).phi
+    # every model's value rises weakly, so the supremum may only move up;
+    # the slack is LP rounding on phi of order 1 to 100
+    assert bound.robust_bound(surface, raised).phi >= base - 1e-12 * (1 + base)

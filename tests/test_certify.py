@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amerbound import bench, bound, certify, instances, market
-from amerbound.certify import HedgeStrategy, PricePath
+from amerbound.certify import HedgeStrategy, PricePath, RegimeModel
+from amerbound.payoff import AmericanPayoffGrid
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +236,171 @@ def test_tail_calls_zero_hedge():
                          np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)),
                          np.zeros((3, 1)), growth_rate=0.0)
     assert np.allclose(certify.tail_calls(zero, 0.0), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Monte Carlo kernel against the gather kernel it replaced
+
+
+def _gather_simulate(model, paths, seed):
+    """The previous simulation kernel, kept as the bit-identity oracle: one
+    (paths, 2N) draw, and per step a gather of each path's cumulative kernel
+    row and a count of its entries below the draw."""
+    K, N = model.num_states, model.num_maturities
+    rng = np.random.default_rng(np.random.Philox(seed))
+    u = rng.random((paths, 2 * N))
+    cum1 = np.zeros((K, K, max(N - 1, 0)))
+    cum2 = np.zeros((K, K, max(N - 1, 0)))
+    for n in range(N - 1):
+        for G, cum in ((model.G1, cum1), (model.G2, cum2)):
+            rowsum = G[:, :, n].sum(axis=1, keepdims=True)
+            ker = np.divide(G[:, :, n], np.maximum(rowsum, certify.MASS_TOL),
+                            out=np.zeros_like(G[:, :, n]),
+                            where=rowsum > certify.MASS_TOL)
+            cum[:, :, n] = np.cumsum(ker, axis=1)
+    init = np.cumsum(model.marginals[:, 0])
+    s = np.searchsorted(init, u[:, 0], side="left").clip(0, K - 1)
+    state_idx = np.zeros((paths, N), dtype=np.int64)
+    exercised = np.zeros(paths, dtype=bool)
+    ex_idx = np.zeros(paths, dtype=np.int64)
+    for n in range(N):
+        state_idx[:, n] = s
+        switch = ~exercised & (u[:, 2 * n + 1] < model.switch_prob[s, n])
+        ex_idx[switch] = n + 1
+        exercised |= switch
+        if n == N - 1:
+            break
+        cum = np.where(exercised[:, None], cum2[s, :, n], cum1[s, :, n])
+        draw = u[:, 2 * n + 2]
+        s = np.minimum((cum < draw[:, None]).sum(axis=1), K - 1)
+    ex_idx[~exercised] = N
+    return certify.PathBatch(model.states[state_idx], state_idx, ex_idx)
+
+
+def _gather_mc_price(model, a, paths, seed):
+    batch = _gather_simulate(model, paths, seed)
+    cols = batch.exercise_index - 1
+    xs = batch.values[np.arange(len(batch)), cols]
+    vals = np.empty(len(batch))
+    for n in range(model.num_maturities):
+        sel = cols == n
+        if np.any(sel):
+            vals[sel] = a.interp(xs[sel], n)
+    return (float(vals.mean()),
+            float(vals.std(ddof=1) / np.sqrt(len(batch))))
+
+
+BLOCK = certify.SIMULATION_BLOCK
+ORACLE_PATHS = (1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3)
+
+
+def _assert_kernel_matches_gather(model, a, seed):
+    for paths in ORACLE_PATHS:
+        got = certify.simulate(model, paths, seed)
+        ref = _gather_simulate(model, paths, seed)
+        for name in ("values", "state_idx", "exercise_index"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), \
+                (paths, name)
+        if paths > 1:       # one path has no sample variance
+            assert certify.mc_price(model, a, paths, seed) == \
+                _gather_mc_price(model, a, paths, seed), paths
+
+
+def _chain(states, G1, G2, first, switch_prob):
+    """A simulable chain; only the fields that simulate reads are filled."""
+    K, N = switch_prob.shape
+    return RegimeModel(np.asarray(states, dtype=float),
+                       np.arange(1.0, N + 1.0), 1.0, np.zeros((K, N)), G1, G2,
+                       np.tile(np.asarray(first)[:, None], (1, N)), switch_prob)
+
+
+def _grid_for(model, rng):
+    return AmericanPayoffGrid(rng.uniform(0.0, 10.0, model.switch_prob.shape),
+                              model.states, model.maturities)
+
+
+@pytest.fixture(scope="module")
+def headline_model():
+    cfg = bench.BenchConfig()
+    a = bench.linearized_grid(cfg)
+    res = bound.robust_bound(bench.bs_surface(cfg), a, variant="extended")
+    return res.model, a
+
+
+@pytest.mark.parametrize("name", ["sec26", "sec52", "eg11"])
+def test_kernel_matches_gather_on_demo_models(name):
+    inst = instances.get(name)
+    model = bound.robust_bound(inst.surface, inst.payoff).model
+    _assert_kernel_matches_gather(model, inst.payoff, seed=41)
+
+
+def test_kernel_matches_gather_on_seed_model():
+    inst = instances.get("eg11")
+    model = certify.seed_model(market.implied_marginals(inst.surface))
+    _assert_kernel_matches_gather(model, inst.payoff, seed=42)
+
+
+def test_kernel_matches_gather_on_headline(headline_model):
+    _assert_kernel_matches_gather(*headline_model, seed=43)
+
+
+def test_kernel_matches_gather_with_zero_mass_row():
+    # state 1 has no regime-1 outflow, and state 2 none in regime 2 at the
+    # first step: those kernel rows are all zeros, and every draw moves to
+    # the top state.  At the second step state 3's regime-1 row holds a
+    # negative mass, which no LP model has: its cumulative row dips from
+    # 0.9 to 0.5, so bisection is wrong there and every draw is counted.
+    G1 = np.zeros((4, 4, 2))
+    G2 = np.zeros((4, 4, 2))
+    G1[0, :, :] = 0.1
+    G1[2:, 1:3, :] = 0.2
+    G1[3, :, 1] = [0.0, 0.18, -0.08, 0.1]
+    G2[[0, 1, 3], 0, :] = 0.3
+    G2[:, 3, 1] = 0.05
+    q = np.array([[0.3, 0.5, 1.0]] * 4)
+    model = _chain([0.0, 1.0, 2.0, 3.0], G1, G2, [0.2, 0.3, 0.1, 0.4], q)
+    _assert_kernel_matches_gather(model, _grid_for(model, np.random.default_rng(1)),
+                                  seed=44)
+
+
+def test_kernel_matches_gather_on_bucket_edges():
+    # weights 1:1:2 put cumulative entries exactly on the bucket edges 0.25
+    # and 0.5; the paths drawn in the buckets next to them must still match
+    w = np.array([[1.0, 1.0, 2.0, 0.0], [0.0, 1.0, 1.0, 2.0],
+                  [2.0, 0.0, 1.0, 1.0], [1.0, 2.0, 0.0, 1.0]]) / 8.0
+    G1 = np.repeat(w[:, :, None], 2, axis=2)
+    G2 = np.repeat(w[::-1, :, None], 2, axis=2)
+    q = np.array([[0.25, 0.5, 1.0]] * 4)
+    model = _chain([0.0, 1.0, 2.0, 3.0], G1, G2, [0.25, 0.25, 0.25, 0.25], q)
+    cum, lut = certify._step_tables(model)
+    assert np.isin([0.25, 0.5], cum[0]).all()
+    _assert_kernel_matches_gather(model, _grid_for(model, np.random.default_rng(2)),
+                                  seed=45)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(K=st.integers(2, 8), N=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       zeros=st.floats(0.0, 0.8), dyadic=st.booleans())
+def test_kernel_matches_gather_on_random_chains(K, N, seed, zeros, dyadic):
+    rng = np.random.default_rng(seed)
+    shape = (K, K, N - 1)
+    # sixteenths of small integers land cumulative sums on bucket edges
+    G = (rng.integers(0, 5, (2,) + shape) / 16.0 if dyadic
+         else rng.exponential(size=(2,) + shape))
+    G = np.where(rng.random(G.shape) < zeros, 0.0, G)
+    q = rng.random((K, N))
+    q[:, -1] = 1.0
+    model = _chain(np.arange(K, dtype=float), G[0], G[1],
+                   rng.dirichlet(np.ones(K)), q)
+    _assert_kernel_matches_gather(model, _grid_for(model, rng), seed=seed)
+
+
+def test_mc_price_memory_does_not_grow_with_paths_times_states(headline_model):
+    model, a = headline_model
+    tracemalloc.start()
+    try:
+        certify.mc_price(model, a, 10 ** 6, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 10 ** 6, peak / 10 ** 6     # MB

@@ -129,16 +129,16 @@ def test_extended_marginals(sec26_surface):
 
 def test_price_piecewise_linear_reproduces_quotes(sec26_surface):
     x = sec26_surface.states
-    for n in range(3):
-        assert market.price_piecewise_linear(
-            sec26_surface, np.ones(4), 0.0, n) == pytest.approx(1.0, abs=1e-12)
-        assert market.price_piecewise_linear(
-            sec26_surface, x, 1.0, n) == pytest.approx(100.0, abs=1e-12)
-        for j in range(1, 4):
-            h = np.maximum(x - x[j], 0.0)
-            assert market.price_piecewise_linear(
-                sec26_surface, h, 1.0, n) == pytest.approx(
-                    sec26_surface.prices[j, n], abs=1e-12)
+
+    def cost(h, slope):
+        return market.price_piecewise_linear(
+            sec26_surface, np.tile(h[:, None], (1, 3)), np.full(3, slope))
+
+    assert cost(np.ones(4), 0.0) == pytest.approx(np.ones(3), abs=1e-12)
+    assert cost(x, 1.0) == pytest.approx(np.full(3, 100.0), abs=1e-12)
+    for j in range(1, 4):
+        assert cost(np.maximum(x - x[j], 0.0), 1.0) == pytest.approx(
+            sec26_surface.prices[j], abs=1e-12)
 
 
 def test_check_convex_order():
