@@ -33,71 +33,37 @@ class GapError(BoundError):
 
 
 class VariableIndex:
-    """Bijection between LP columns and named model/hedge variables.
+    """Layout of the primal LP: where each column and row block sits.
 
-    Primal names: ("f", j, n) and ("g", delta, j, k, n); dual names:
-    ("e", delta, j, n), ("v", j, n), ("d", delta, j, n).  Maturities are
-    1-based; j indexes states 0..M-1 where M includes the virtual tail row
-    in the extended variants.  The fixed boundary values e1[.,N] and
-    e2[.,1] have no columns.
+    Columns: ``f[n, j]`` is the exercise mass at state j, maturity n+1, and
+    ``g[d, n, j, k]`` the regime-(d+1) mass moving j -> k between maturities
+    n+1 and n+2.  Rows, each block n-major: ``row_a[n, j]`` outflow and
+    ``row_b[n, j]`` inflow (maturity n+2), ``row_cd[d, n, j]`` martingale,
+    ``row_e[n, j]`` exercise budget.  j indexes states 0..M-1 where M
+    includes the virtual tail row in the extended variants.
     """
 
-    def __init__(self, kind, num_states, num_maturities, extended=False):
-        if kind not in ("primal", "dual"):
-            raise ValueError("kind must be primal or dual")
-        self.kind = kind
+    def __init__(self, num_states, num_maturities, extended=False):
         self.num_states = M = num_states
         self.num_maturities = N = num_maturities
         self.extended = extended
-        names = []
-        if kind == "primal":
-            for n in range(1, N + 1):
-                for j in range(M):
-                    names.append(("f", j, n))
-            for delta in (1, 2):
-                for n in range(1, N):
-                    for j in range(M):
-                        for k in range(M):
-                            names.append(("g", delta, j, k, n))
-        else:
-            for n in range(1, N):
-                for j in range(M):
-                    names.append(("e", 1, j, n))
-            for n in range(2, N + 1):
-                for j in range(M):
-                    names.append(("e", 2, j, n))
-            for n in range(1, N + 1):
-                for j in range(M):
-                    names.append(("v", j, n))
-            for delta in (1, 2):
-                for n in range(1, N):
-                    for j in range(M):
-                        names.append(("d", delta, j, n))
-        self.names = names
-        self._col = {name: i for i, name in enumerate(names)}
+        self.f = np.arange(M * N).reshape(N, M)
+        self.g = M * N + np.arange(2 * (N - 1) * M * M).reshape(2, N - 1, M, M)
+        self.num_vars = M * N + self.g.size
+        K = (N - 1) * M
+        self.num_rows = 4 * K + N * M
+        a, b, cd, e = np.split(np.arange(self.num_rows),
+                               np.cumsum([K, K, 2 * K]))
+        self.row_a, self.row_b = a.reshape(N - 1, M), b.reshape(N - 1, M)
+        self.row_cd = cd.reshape(2, N - 1, M)
+        self.row_e = e.reshape(N, M)
         self.row_scale = None       # set by _build_primal, one per row
-
-    @property
-    def num_vars(self):
-        return len(self.names)
-
-    def col(self, *name):
-        return self._col[name]
-
-    def free_mask(self):
-        """Primal variables are all nonnegative; dual e/d are free, v >= 0."""
-        if self.kind == "primal":
-            return [False] * self.num_vars
-        return [name[0] != "v" for name in self.names]
 
     def unpack_primal(self, x):
         """Return (F, G1, G2): M x N and M x M x (N-1) arrays."""
-        if self.kind != "primal":
-            raise BoundError("not a primal index")
-        M, N = self.num_states, self.num_maturities
         x = np.asarray(x, dtype=float)
-        F = x[:M * N].reshape(N, M).T.copy()
-        G1, G2 = x[M * N:].reshape(2, N - 1, M, M).transpose(0, 2, 3, 1).copy()
+        F = x[self.f].T.copy()
+        G1, G2 = x[self.g].transpose(0, 2, 3, 1).copy()
         return F, G1, G2
 
 
@@ -131,159 +97,156 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
     states: the J+1 lattice values; p_hat: M x N mass matrix (M = J+1, or
     J+2 with the virtual tail row); a_vals: payoff on the lattice;
     tail_rates: objective rate for the tail row (extended only).
-    The index records each row's ``_norm_row`` scale in ``row_scale``.
+    Each row block's terms come from one broadcast mask over the layout,
+    in row order; the index records each row's scale in ``row_scale``.
     """
     x = np.asarray(states, dtype=float)
     M, N = p_hat.shape
     J = len(x) - 1
-    tail = M - 1 if extended else None
-    idx = VariableIndex("primal", M, N, extended)
-    c = idx.col
-
-    def succ(j):
-        # columns a transition row j may send mass to
-        return range(M) if j == tail else range(J + 1)
+    idx = VariableIndex(M, N, extended)
+    f, g = idx.f, idx.g
 
     objective = np.zeros(idx.num_vars)
-    for n in range(1, N + 1):
-        for j in range(J + 1):
-            objective[c("f", j, n)] = a_vals[j, n - 1]
-        if extended:
-            objective[c("f", tail, n)] = tail_rates[n - 1]
+    objective[f] = (np.vstack([a_vals, tail_rates]) if extended else a_vals).T
 
-    rows, scales = [], []
+    # move[j, k]: whether state j's mass rows (a), (b) and (e) count the
+    # move j -> k as outflow and k -> j as inflow.  A lattice state's rows
+    # skip the tail, whose row carries the top call's forward position.
+    move = np.ones((M, M), dtype=bool)
+    move[:J + 1, J + 1:] = False
+    # drift[j, k]: coefficient of j -> k in j's martingale row (c/d); the
+    # tail row and column carry 1, so the tail row sends no mass down
+    drift = np.ones((M, M))
+    drift[:J + 1, :J + 1] = x[None, :] - x[:, None]
+    drift[J + 1:, J + 1:] = 0.0
 
-    def add(terms, relation, rhs):
-        rows.append(_norm_row(terms, relation, rhs))
-        scales.append(max(abs(v) for _, v in terms))
+    blocks = []                                # (rows, cols, coefs), in row order
+    n, j, d, k = np.nonzero(np.broadcast_to(move[:, None, :], (N - 1, M, 2, M)))
+    ones = np.ones(len(n))
+    blocks.append((idx.row_a[n, j], g[d, n, j, k], ones))    # (a) outflow = mass
+    blocks.append((idx.row_b[n, j], g[d, n, k, j], ones))    # (b) inflow = mass
+    d, n, j, k = np.nonzero(np.broadcast_to(drift, (2, N - 1, M, M)))
+    blocks.append((idx.row_cd[d, n, j], g[d, n, j, k], drift[j, k]))  # (c/d)
+    # (e) exercise budget: f, then - outflow, then + inflow in each row
+    n, j, k = np.nonzero(np.broadcast_to(move, (N - 1, M, M)))
+    ones = np.ones(len(n))
+    rows = np.concatenate([idx.row_e.ravel(), idx.row_e[n, j],
+                           idx.row_e[n + 1, j]])
+    cols = np.concatenate([f.ravel(), g[1, n, j, k], g[1, n, k, j]])
+    coefs = np.concatenate([np.ones(f.size), -ones, ones])
+    order = np.argsort(rows, kind="stable")
+    blocks.append((rows[order], cols[order], coefs[order]))
+    rows, cols, coefs = (np.concatenate(b) for b in zip(*blocks))
 
-    for n in range(1, N):                      # (a) outflow = mass
-        for j in range(M):
-            terms = [(c("g", d, j, k, n), 1.0) for d in (1, 2) for k in succ(j)]
-            add(terms, "=", p_hat[j, n - 1])
-    for n in range(2, N + 1):                  # (b) inflow = mass
-        for j in range(M):
-            sources = range(M) if j == tail else range(J + 1)
-            terms = [(c("g", d, i, j, n - 1), 1.0) for d in (1, 2) for i in sources]
-            add(terms, "=", p_hat[j, n - 1])
-    for delta in (1, 2):                       # (c)/(d) martingale rows
-        for n in range(1, N):
-            for j in range(J + 1):
-                terms = [(c("g", delta, j, k, n), x[k] - x[j])
-                         for k in range(J + 1) if k != j]
-                if extended:
-                    terms.append((c("g", delta, j, tail, n), 1.0))
-                add(terms, "=", 0.0)
-            if extended:                       # tail row sends no mass down
-                terms = [(c("g", delta, tail, k, n), 1.0) for k in range(J + 1)]
-                add(terms, "=", 0.0)
-    for n in range(1, N + 1):                  # (e) exercise-budget rows
-        for j in range(M):
-            if j == tail and not extended:
-                continue
-            terms = [(c("f", j, n), 1.0)]
-            if n <= N - 1:
-                terms += [(c("g", 2, j, k, n), -1.0) for k in succ(j)]
-            if n >= 2:
-                sources = range(M) if j == tail else range(J + 1)
-                terms += [(c("g", 2, i, j, n - 1), 1.0) for i in sources]
-            rhs = p_hat[j, N - 1] if n == N else 0.0
-            add(terms, "<=", rhs)
+    rhs = np.zeros(idx.num_rows)
+    rhs[idx.row_a] = p_hat[:, :-1].T
+    rhs[idx.row_b] = p_hat[:, 1:].T
+    rhs[idx.row_e[-1]] = p_hat[:, -1]
+    relations = np.full(idx.num_rows, "=", dtype="<U2")
+    relations[idx.row_e] = "<="
 
-    lp = lpcore.LinearProgram("max", idx.num_vars, objective, rows)
-    idx.row_scale = np.array(scales)
+    counts = np.bincount(rows, minlength=idx.num_rows)
+    if not counts.all():
+        raise BoundError("empty LP row")
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    scale = np.maximum.reduceat(np.abs(coefs), indptr[:-1])
+    # divide, not multiply by the reciprocal: the rows keep their bits
+    cols, coefs = cols.tolist(), (coefs / scale[rows]).tolist()
+    ptr = indptr.tolist()
+    lp_rows = [lpcore.Row(list(zip(cols[lo:hi], coefs[lo:hi])), rel, b)
+               for lo, hi, rel, b in zip(ptr, ptr[1:], relations.tolist(),
+                                         (rhs / scale).tolist())]
+    lp = lpcore.LinearProgram("max", idx.num_vars, objective, lp_rows)
+    idx.row_scale = scale
     return lp, idx
 
 
 def _hedge_blocks(duals, idx):
     """Hedge (E1, E2, V, D1, D2) from the primal's optimal row multipliers.
 
-    By LP duality the multipliers of rows (a), (b), (c/d) and (e) above are
-    E1[:, n<N], E2[:, n>=2], D1/D2 and V, in the row order built there.
-    Rows enter the LP divided by their scale, so an unscaled row's
-    multiplier is the LP's divided by that scale.  The extended
-    tail-martingale row carries -D[tail]; the fixed E1[:, N] and E2[:, 1]
-    are zero.
+    By LP duality the multipliers of rows (a), (b), (c/d) and (e) are
+    E1[:, n<N], E2[:, n>=2], D1/D2 and V.  Rows enter the LP divided by
+    their scale, so an unscaled row's multiplier is the LP's divided by
+    that scale.  The extended tail-martingale row carries -D[tail]; the
+    fixed E1[:, N] and E2[:, 1] are zero.
     """
     M, N = idx.num_states, idx.num_maturities
     y = np.asarray(duals, dtype=float) / idx.row_scale
-    K = (N - 1) * M
-    a, b, cd, e = np.split(y, np.cumsum([K, K, 2 * K]))
     E1, E2 = np.zeros((M, N)), np.zeros((M, N))
-    E1[:, :-1] = a.reshape(N - 1, M).T
-    E2[:, 1:] = b.reshape(N - 1, M).T
-    D1, D2 = cd.reshape(2, N - 1, M).transpose(0, 2, 1)
+    E1[:, :-1] = y[idx.row_a].T
+    E2[:, 1:] = y[idx.row_b].T
+    D1, D2 = y[idx.row_cd].transpose(0, 2, 1)
     if idx.extended:
         D1[-1], D2[-1] = -D1[-1], -D2[-1]
-    V = e.reshape(N, M).T
+    V = y[idx.row_e].T
     return E1, E2, V, D1, D2
 
 
 def _build_dual(states, p_hat, a_vals, tail_rates, extended):
-    """Shared builder for hedge LP rows (i)-(iii) in both variants."""
+    """Shared builder for hedge LP rows (i)-(iii) in both variants.
+
+    Columns are E1[:, n<N], E2[:, n>=2], V, D1 and D2, each n-major; the
+    fixed E1[:, N] and E2[:, 1] have none.  V is nonnegative, the rest free.
+    """
     x = np.asarray(states, dtype=float)
     M, N = p_hat.shape
     J = len(x) - 1
     tail = M - 1 if extended else None
-    idx = VariableIndex("dual", M, N, extended)
-    c = idx.col
+    K = (N - 1) * M
+    num_vars = 4 * K + N * M
+    e1, e2, v, d = np.split(np.arange(num_vars), np.cumsum([K, K, N * M]))
+    # step n runs from maturity n+1 to n+2: e1[n], e2[n], d1[n], d2[n] and
+    # v[n], v[n + 1] are its columns
+    e1, e2, v = e1.reshape(N - 1, M), e2.reshape(N - 1, M), v.reshape(N, M)
+    d1, d2 = d.reshape(2, N - 1, M)
+    free = np.ones(num_vars, dtype=bool)
+    free[v] = False
 
-    objective = np.zeros(idx.num_vars)
-    for n in range(1, N):
-        for j in range(M):
-            objective[c("e", 1, j, n)] += p_hat[j, n - 1]
-    for n in range(2, N + 1):
-        for j in range(M):
-            objective[c("e", 2, j, n)] += p_hat[j, n - 1]
-    for j in range(M):
-        objective[c("v", j, N)] += p_hat[j, N - 1]
+    objective = np.zeros(num_vars)
+    objective[e1] = p_hat[:, :-1].T
+    objective[e2] = p_hat[:, 1:].T
+    objective[v[-1]] = p_hat[:, -1]
 
     rows = []
-    for n in range(1, N + 1):                  # (i) exercise coverage
+    for n in range(N):                         # (i) exercise coverage
         for j in range(J + 1):
-            rows.append(_norm_row([(c("v", j, n), 1.0)], ">=", a_vals[j, n - 1]))
+            rows.append(_norm_row([(v[n, j], 1.0)], ">=", a_vals[j, n]))
         if extended:
-            rows.append(_norm_row([(c("v", tail, n), 1.0)], ">=",
-                                  tail_rates[n - 1]))
-    for n in range(1, N):                      # (ii) holding-regime rows
-        for j in range(J + 1):
-            for k in range(J + 1):
-                terms = [(c("e", 1, j, n), 1.0), (c("e", 2, k, n + 1), 1.0)]
-                if k != j:
-                    terms.append((c("d", 1, j, n), x[k] - x[j]))
-                rows.append(_norm_row(terms, ">=", 0.0))
-        if extended:
-            rows.append(_norm_row([(c("e", 1, tail, n), 1.0),
-                                   (c("d", 1, tail, n), -1.0)], ">=", 0.0))
-            for j in range(J + 1):
-                rows.append(_norm_row([(c("e", 2, tail, n + 1), 1.0),
-                                       (c("d", 1, j, n), 1.0)], ">=", 0.0))
-            rows.append(_norm_row([(c("e", 1, tail, n), 1.0),
-                                   (c("e", 2, tail, n + 1), 1.0)], ">=", 0.0))
-    for n in range(1, N):                      # (iii) stopped-regime rows
+            rows.append(_norm_row([(v[n, tail], 1.0)], ">=", tail_rates[n]))
+    for n in range(N - 1):                     # (ii) holding-regime rows
         for j in range(J + 1):
             for k in range(J + 1):
-                terms = [(c("e", 1, j, n), 1.0), (c("e", 2, k, n + 1), 1.0),
-                         (c("v", j, n), -1.0), (c("v", k, n + 1), 1.0)]
+                terms = [(e1[n, j], 1.0), (e2[n, k], 1.0)]
                 if k != j:
-                    terms.append((c("d", 2, j, n), x[k] - x[j]))
+                    terms.append((d1[n, j], x[k] - x[j]))
                 rows.append(_norm_row(terms, ">=", 0.0))
         if extended:
-            rows.append(_norm_row([(c("e", 1, tail, n), 1.0),
-                                   (c("d", 2, tail, n), -1.0),
-                                   (c("v", tail, n), -1.0)], ">=", 0.0))
+            rows.append(_norm_row([(e1[n, tail], 1.0), (d1[n, tail], -1.0)],
+                                  ">=", 0.0))
             for j in range(J + 1):
-                rows.append(_norm_row([(c("e", 2, tail, n + 1), 1.0),
-                                       (c("d", 2, j, n), 1.0),
-                                       (c("v", tail, n + 1), 1.0)], ">=", 0.0))
-            rows.append(_norm_row([(c("e", 1, tail, n), 1.0),
-                                   (c("e", 2, tail, n + 1), 1.0),
-                                   (c("v", tail, n), -1.0),
-                                   (c("v", tail, n + 1), 1.0)], ">=", 0.0))
+                rows.append(_norm_row([(e2[n, tail], 1.0), (d1[n, j], 1.0)],
+                                      ">=", 0.0))
+            rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0)],
+                                  ">=", 0.0))
+    for n in range(N - 1):                     # (iii) stopped-regime rows
+        for j in range(J + 1):
+            for k in range(J + 1):
+                terms = [(e1[n, j], 1.0), (e2[n, k], 1.0),
+                         (v[n, j], -1.0), (v[n + 1, k], 1.0)]
+                if k != j:
+                    terms.append((d2[n, j], x[k] - x[j]))
+                rows.append(_norm_row(terms, ">=", 0.0))
+        if extended:
+            rows.append(_norm_row([(e1[n, tail], 1.0), (d2[n, tail], -1.0),
+                                   (v[n, tail], -1.0)], ">=", 0.0))
+            for j in range(J + 1):
+                rows.append(_norm_row([(e2[n, tail], 1.0), (d2[n, j], 1.0),
+                                       (v[n + 1, tail], 1.0)], ">=", 0.0))
+            rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0),
+                                   (v[n, tail], -1.0), (v[n + 1, tail], 1.0)],
+                                  ">=", 0.0))
 
-    lp = lpcore.LinearProgram("min", idx.num_vars, objective, rows,
-                              free=idx.free_mask())
-    return lp, idx
+    return lpcore.LinearProgram("min", num_vars, objective, rows, free=free)
 
 
 def build_primal_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):

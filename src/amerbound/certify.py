@@ -72,18 +72,25 @@ class RegimeModel:
 
 @dataclass
 class PathBatch:
-    """Simulated paths: values[p, n] at maturity n+1; 1-based exercise index."""
+    """Simulated paths: state_idx[p, n] into ``states`` at maturity n+1;
+    1-based exercise index.  Prices are looked up only when asked for."""
 
-    values: np.ndarray
+    states: np.ndarray
     state_idx: np.ndarray
     exercise_index: np.ndarray
 
+    @property
+    def values(self):
+        """Prices, values[p, n] at maturity n+1; a new paths x N array."""
+        return self.states[self.state_idx]
+
     def __len__(self):
-        return self.values.shape[0]
+        return self.state_idx.shape[0]
 
     def as_paths(self):
+        values = self.values
         for i in range(len(self)):
-            yield PricePath(self.values[i], int(self.exercise_index[i]))
+            yield PricePath(values[i], int(self.exercise_index[i]))
 
 
 @dataclass
@@ -353,7 +360,7 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
             if amb.size:
                 below = cum[n][row[amb]] < draw[amb, None]
                 s[amb] = np.minimum(below.sum(axis=1), K - 1)
-    return PathBatch(model.states[state_idx], state_idx, ex_idx)
+    return PathBatch(model.states, state_idx, ex_idx)
 
 
 def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
@@ -518,10 +525,11 @@ def hedge_from_dual(blocks, surface: market.CallSurface,
 
 def hedge_scale(hedge: HedgeStrategy):
     """Magnitude reference for slack tolerances."""
+    # D1/D2 are empty with a single maturity
     return 1.0 + max(np.abs(hedge.E1).max(), np.abs(hedge.E2).max(),
                      np.abs(hedge.V).max(),
-                     np.abs(hedge.D1).max() * hedge.states[-1],
-                     np.abs(hedge.D2).max() * hedge.states[-1])
+                     np.abs(hedge.D1).max(initial=0.0) * hedge.states[-1],
+                     np.abs(hedge.D2).max(initial=0.0) * hedge.states[-1])
 
 
 def grid_feasibility(hedge: HedgeStrategy, a: AmericanPayoffGrid) -> float:

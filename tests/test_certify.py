@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from amerbound import bench, bound, certify, instances, market
 from amerbound.certify import HedgeStrategy, PricePath, RegimeModel
@@ -274,7 +274,7 @@ def _gather_simulate(model, paths, seed):
         draw = u[:, 2 * n + 2]
         s = np.minimum((cum < draw[:, None]).sum(axis=1), K - 1)
     ex_idx[~exercised] = N
-    return certify.PathBatch(model.states[state_idx], state_idx, ex_idx)
+    return certify.PathBatch(model.states, state_idx, ex_idx)
 
 
 def _gather_mc_price(model, a, paths, seed):
@@ -378,7 +378,6 @@ def test_kernel_matches_gather_on_bucket_edges():
                                   seed=45)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
 @given(K=st.integers(2, 8), N=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
        zeros=st.floats(0.0, 0.8), dyadic=st.booleans())
 def test_kernel_matches_gather_on_random_chains(K, N, seed, zeros, dyadic):
@@ -403,4 +402,4 @@ def test_mc_price_memory_does_not_grow_with_paths_times_states(headline_model):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 160 * 10 ** 6, peak / 10 ** 6     # MB
+    assert peak < 80 * 10 ** 6, peak / 10 ** 6      # MB

@@ -123,6 +123,20 @@ def test_bound_report_contents(runner, tmp_path):
     assert set(doc["hedge"]) == {"E1", "E2", "D1", "D2", "V", "tail"}
 
 
+def test_bound_single_maturity_surface(runner, tmp_path):
+    # one maturity leaves the hedge without dynamic holdings D1/D2
+    def mangle(doc):
+        doc["maturities"] = doc["maturities"][:1]
+        doc["calls"] = [row[:1] for row in doc["calls"]]
+    res = runner.invoke(cli.main, ["bound", "--input",
+                                   _surface_file(tmp_path, mangle=mangle),
+                                   "--payoff",
+                                   '{"type": "put", "K": 100, "r": 0.05}'])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["phi"] == pytest.approx(doc["psi"], abs=1e-8)
+
+
 def test_artifacts_byte_identical(runner, tmp_path):
     surface = _surface_file(tmp_path)
     for command, extra in (("bound", []), ("certify", ["--trials", "2000"])):
