@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from . import bound, market, payoff
 
@@ -47,7 +47,7 @@ def black_call(forward, strike, vol, t):
         return max(forward - strike, 0.0)
     sd = vol * np.sqrt(t)
     d1 = (np.log(forward / strike) + 0.5 * sd * sd) / sd
-    return float(forward * norm.cdf(d1) - strike * norm.cdf(d1 - sd))
+    return float(forward * ndtr(d1) - strike * ndtr(d1 - sd))
 
 
 def bs_surface(config: BenchConfig) -> market.CallSurface:
@@ -84,12 +84,13 @@ def chi_binomial(payoff_fn, config: BenchConfig) -> float:
     u = np.exp(config.vol * np.sqrt(dt))
     d = 1.0 / u
     pu = (1.0 - d) / (u - d)
-    x = config.s0 * u ** np.arange(-steps, steps + 1, 2)
-    value = np.asarray(payoff_fn(x, config.horizon), dtype=float)
+    # level k's prices s0 * u**(-k), s0 * u**(2-k), ..., s0 * u**k
+    levels = config.s0 * u ** np.arange(-steps, steps + 1)
+    value = np.asarray(payoff_fn(levels[::2], config.horizon), dtype=float)
     for k in range(steps - 1, -1, -1):
         cont = pu * value[1:] + (1.0 - pu) * value[:-1]
-        x = config.s0 * u ** np.arange(-k, k + 1, 2)
-        value = np.maximum(cont, payoff_fn(x, k * dt))
+        value = np.maximum(cont, payoff_fn(levels[steps - k:steps + k + 1:2],
+                                           k * dt))
     return float(value[0])
 
 

@@ -2,9 +2,9 @@
 
 Programs are built row by row from sparse terms, held as one CSR matrix, and
 solved with the HiGHS dual revised simplex (Huangfu & Hall, Math. Prog.
-Comp. 10, 2018) through ``scipy.optimize.linprog``.  Primal/dual residuals,
-point checks and the mechanical dual are computed here from the same matrix,
-without trusting the solver.
+Comp. 10, 2018), driven through the HiGHS core that ships inside scipy.
+Primal/dual residuals, point checks and the mechanical dual are computed here
+from the same matrix, without trusting the solver.
 """
 
 from __future__ import annotations
@@ -14,17 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+
+try:  # a private module of scipy; no other module of this package uses it
+    from scipy.optimize._highspy import _core as highs
+except ImportError as exc:
+    raise ImportError("amerbound solves its LPs with the HiGHS core inside "
+                      "scipy>=1.15 (scipy.optimize._highspy._core), which "
+                      "this scipy lacks") from exc
 
 # Pinned solver settings.  Presolve stays off: with it on, HiGHS reports
 # valid programs of this package as unbounded or infeasible.  The 1e-10
 # tolerances keep the primal's mass balance well inside the 1e-8 that the
 # model certificate checks; HiGHS's default 1e-7 does not.
-METHOD = "highs-ds"
-OPTIONS = {"presolve": False,
+METHOD = "dual simplex"
+OPTIONS = {"solver": "simplex",
+           "simplex_strategy":
+               highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual,
+           "presolve": "off",
            "primal_feasibility_tolerance": 1e-10,
-           "dual_feasibility_tolerance": 1e-10}
-_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+           "dual_feasibility_tolerance": 1e-10,
+           "output_flag": False}
+_STATUS = {highs.HighsModelStatus.kOptimal: "optimal",
+           highs.HighsModelStatus.kInfeasible: "infeasible",
+           highs.HighsModelStatus.kUnbounded: "unbounded"}
 
 
 class LPError(Exception):
@@ -126,49 +138,69 @@ class LPSolution:
 
 
 def solve(lp: LinearProgram) -> LPSolution:
-    """Solve with HiGHS's dual simplex (pinned ``METHOD`` and ``OPTIONS``).
+    """Solve with HiGHS's dual simplex (pinned ``OPTIONS``).
 
     Row multipliers in ``duals`` follow the convention: the dual objective
     sum(duals * rhs) equals the primal optimum, with duals >= 0 on "<=" rows
     and <= 0 on ">=" rows for a maximization (signs negated for "min").
     Statuses other than optimal, infeasible and unbounded raise LPError with
-    HiGHS's own message.
+    HiGHS's own status string.
     """
-    A, b = lp.matrix, lp.rhs_vector()
-    m, n = A.shape
+    m, n = lp.matrix.shape
     eq = lp.relations == "="
-    ineq = ~eq
-    # ">=" rows enter linprog's A_ub x <= b_ub negated
-    flip = np.where(lp.relations[ineq] == ">=", -1.0, 1.0)
+    # HiGHS pivots on the row layout it is given.  This is the layout of
+    # scipy.optimize's HiGHS front end: the inequality rows first, as "<="
+    # with the ">=" rows negated, then the equalities.  It keeps the pivot
+    # paths, and with them the iteration counts and vertices, that the
+    # package's pinned values and reports were made with.
+    order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+    flip = np.where(lp.relations[order] == ">=", -1.0, 1.0)
+    A = lp.matrix[order]
+    A.data *= np.repeat(flip, np.diff(A.indptr))
+    A = A.tocsc()
+    b = flip * lp.rhs_vector()[order]
     sign = -1.0 if lp.sense == "max" else 1.0
-    c = sign * lp.objective
-    bounds = np.column_stack([np.where(lp.free, -np.inf, 0.0),
-                              np.full(n, np.inf)])
-    if n == 0:  # linprog rejects an empty objective: one column fixed at 0
-        A, c, bounds = sparse.csr_matrix((m, 1)), np.zeros(1), [(0.0, 0.0)]
-    A_ub = b_ub = A_eq = b_eq = None
-    if ineq.any():
-        A_ub, b_ub = sparse.diags(flip) @ A[ineq], flip * b[ineq]
-    if eq.any():
-        A_eq, b_eq = A[eq], b[eq]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method=METHOD, options=OPTIONS)
-    iterations = int(res.nit)
-    if res.status not in _STATUS:
-        raise LPError("HiGHS %s on a %dx%d LP: %s"
-                      % (METHOD, m, n, res.message))
-    status = _STATUS[res.status]
-    if status != "optimal":
-        return LPSolution(status, float("nan"), None, None, iterations)
+    cost = sign * lp.objective
+    lower, upper = np.where(lp.free, -np.inf, 0.0), np.full(n, np.inf)
+    if n == 0:  # one column fixed at 0 stands in for the empty objective
+        A, cost = sparse.csc_matrix((m, 1)), np.zeros(1)
+        lower, upper = np.zeros(1), np.zeros(1)
 
-    x = np.asarray(res.x[:n], dtype=float)
-    # marginals are d(min objective)/d(rhs) of linprog's rows; undo the row
-    # flip and the max negation
-    y = np.zeros(m)
-    y[eq] = res.eqlin.marginals
-    y[ineq] = flip * res.ineqlin.marginals
-    duals = sign * y
-    sol = LPSolution(status, float(lp.objective @ x), x, duals, iterations)
+    model = highs.HighsLp()
+    model.num_col_, model.num_row_ = A.shape[1], m
+    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
+    model.row_lower_ = np.where(eq[order], b, -np.inf)
+    model.row_upper_ = b
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = A.shape[1], m
+    model.a_matrix_.start_ = A.indptr
+    model.a_matrix_.index_ = A.indices
+    model.a_matrix_.value_ = A.data
+
+    h = highs._Highs()
+    for key, value in OPTIONS.items():
+        if h.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise LPError("HiGHS rejected option %s=%r" % (key, value))
+    if h.passModel(model) == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        h.run()
+        status = h.getModelStatus()
+    if status not in _STATUS:
+        raise LPError("HiGHS %s on a %dx%d LP: %s"
+                      % (METHOD, m, n, h.modelStatusToString(status)))
+    iterations = int(h.getInfo().simplex_iteration_count)
+    if _STATUS[status] != "optimal":
+        return LPSolution(_STATUS[status], float("nan"), None, None,
+                          iterations)
+
+    solution = h.getSolution()
+    x = np.array(solution.col_value[:n], dtype=float)
+    # row_dual is d(min objective)/d(row bound) of HiGHS's rows; undo the
+    # row order, the ">=" negation and the max negation
+    duals = np.empty(m)
+    duals[order] = sign * flip * np.asarray(solution.row_dual, dtype=float)
+    sol = LPSolution("optimal", float(lp.objective @ x), x, duals, iterations)
     _attach_residuals(lp, sol)
     return sol
 

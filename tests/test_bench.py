@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import amerbound
 from amerbound import bench, bound, lpcore, market
 
 
@@ -43,6 +48,57 @@ def test_chi_raw_put(headline):
     # American value of the raw discounted put in the binomial model
     chi = bench.chi_binomial(bench.put_payoff(headline), headline)
     assert chi == pytest.approx(6.09, abs=0.05)
+
+
+def _chi_binomial_levelwise(payoff_fn, config):
+    """Reference tree: each level's prices computed from its own powers."""
+    steps = config.tree_steps
+    dt = config.horizon / steps
+    u = np.exp(config.vol * np.sqrt(dt))
+    d = 1.0 / u
+    pu = (1.0 - d) / (u - d)
+    x = config.s0 * u ** np.arange(-steps, steps + 1, 2)
+    value = np.asarray(payoff_fn(x, config.horizon), dtype=float)
+    for k in range(steps - 1, -1, -1):
+        cont = pu * value[1:] + (1.0 - pu) * value[:-1]
+        x = config.s0 * u ** np.arange(-k, k + 1, 2)
+        value = np.maximum(cont, payoff_fn(x, k * dt))
+    return float(value[0])
+
+
+def test_chi_binomial_matches_levelwise_tree_on_figure4_rows():
+    for K in (80.0, 90.0, 100.0, 110.0, 120.0):
+        config = bench.BenchConfig(put_strike=K)
+        fn = bench.tree_payoff_from_grid(bench.linearized_grid(config))
+        assert bench.chi_binomial(fn, config) == \
+            _chi_binomial_levelwise(fn, config)
+
+
+@given(s0=st.floats(20.0, 200.0), vol=st.floats(0.05, 0.8),
+       K=st.floats(0.5, 1.5), horizon=st.floats(0.1, 3.0),
+       steps=st.integers(100, 600), N=st.integers(1, 6),
+       gridded=st.booleans())
+def test_chi_binomial_matches_levelwise_tree(s0, vol, K, horizon, steps, N,
+                                             gridded):
+    config = bench.BenchConfig(s0=s0, vol=vol, put_strike=K * s0,
+                               strikes=tuple(s0 * np.linspace(0.7, 1.4, 8)),
+                               num_maturities=N, tree_steps=steps,
+                               horizon=horizon)
+    fn = (bench.tree_payoff_from_grid(bench.linearized_grid(config))
+          if gridded else bench.put_payoff(config))
+    assert bench.chi_binomial(fn, config) == \
+        _chi_binomial_levelwise(fn, config)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half of the package's import time
+    src = os.path.dirname(os.path.dirname(amerbound.__file__))
+    code = ("import sys, amerbound.cli, amerbound.bench; "
+            "print('scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_zeta_examples(headline):

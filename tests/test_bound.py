@@ -344,10 +344,11 @@ def _black_call(s0, strike, vol, t):
     return s0 * cdf(d1) - strike * cdf(d1 - sd)
 
 
-@pytest.mark.parametrize("J,N", [(15, 2), (15, 4), (19, 2), (19, 4)])
-def test_dense_grid_surfaces(J, N):
-    # valid lognormal surfaces of realistic size; the dense hand-written
-    # simplex failed J=19, N=2 with "phase I failed: unbounded"
+DENSE_GRIDS = [(15, 2), (15, 4), (19, 2), (19, 4)]
+
+
+def dense_grid_case(J, N):
+    """Lognormal surface on J strikes and N maturities, with a put."""
     strikes = np.linspace(70.0, 160.0, J)
     mats = np.arange(1, N + 1) / N
     surface = market.load_surface({
@@ -355,13 +356,20 @@ def test_dense_grid_surfaces(J, N):
         "calls": [[_black_call(100.0, k, 0.213, t) for t in mats]
                   for k in strikes]})
     put = payoff.discounted_put(100.0, 0.05, horizon=1.0, x_hint=320.0)
-    grid = exercise_time_transform(put, surface.strikes, surface.maturities)
-    _assert_gap_closed(bound.robust_bound(surface, grid))
+    return surface, exercise_time_transform(put, surface.strikes,
+                                            surface.maturities)
 
 
-def test_valid_surface_survives_without_presolve():
-    # HiGHS with presolve on called this extended program's dual unbounded:
-    # four strikes, five maturities, a put-mixture payoff
+@pytest.mark.parametrize("J,N", DENSE_GRIDS)
+def test_dense_grid_surfaces(J, N):
+    # valid lognormal surfaces of realistic size; the dense hand-written
+    # simplex failed J=19, N=2 with "phase I failed: unbounded"
+    _assert_gap_closed(bound.robust_bound(*dense_grid_case(J, N)))
+
+
+def presolve_trap_case():
+    """Four strikes, five maturities and a put-mixture payoff whose extended
+    program's dual HiGHS with presolve on called unbounded."""
     surface = market.load_surface({
         "s0": 118.52101746750621,
         "strikes": [73.54970668416018, 86.85674927077403, 99.29735983922697,
@@ -388,8 +396,12 @@ def test_valid_surface_survives_without_presolve():
     pf = PayoffFunction(fn, convex_in_x=True, decreasing_in_t=True,
                         tail_slope=0.0, horizon=1.263270079416262,
                         x_hint=2.0 * 120.8359888073062)
-    grid = exercise_time_transform(pf, surface.strikes, surface.maturities)
-    res = bound.robust_bound(surface, grid, variant="extended")
+    return surface, exercise_time_transform(pf, surface.strikes,
+                                            surface.maturities)
+
+
+def test_valid_surface_survives_without_presolve():
+    res = bound.robust_bound(*presolve_trap_case(), variant="extended")
     _assert_gap_closed(res)
 
 

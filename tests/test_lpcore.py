@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import amerbound
 from amerbound import lpcore
 from amerbound.lpcore import LinearProgram, Row
 
@@ -25,15 +30,42 @@ def test_degenerate_alternate_optima():
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
 
+def lp_infeasible():
+    return LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], ">=", 1.0),
+                                           Row([(0, 1.0)], "<=", 0.0)])
+
+
+def lp_unbounded():
+    return LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], ">=", 1.0)])
+
+
 def test_infeasible():
-    lp = LinearProgram("max", 1, [1.0],
-                       [Row([(0, 1.0)], ">=", 1.0), Row([(0, 1.0)], "<=", 0.0)])
-    assert lpcore.solve(lp).status == "infeasible"
+    assert lpcore.solve(lp_infeasible()).status == "infeasible"
 
 
 def test_unbounded():
-    lp = LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], ">=", 1.0)])
-    assert lpcore.solve(lp).status == "unbounded"
+    assert lpcore.solve(lp_unbounded()).status == "unbounded"
+
+
+def test_malformed_model_raises_with_highs_status():
+    # HiGHS refuses coefficients above its large_matrix_value (1e15)
+    lp = LinearProgram("max", 1, [1.0], [Row([(0, 1e16)], "<=", 3.0)])
+    with pytest.raises(lpcore.LPError, match="Model error"):
+        lpcore.solve(lp)
+
+
+def test_missing_highs_core_names_the_scipy_floor():
+    src = os.path.dirname(os.path.dirname(amerbound.__file__))
+    code = ("import sys\n"
+            "sys.modules['scipy.optimize._highspy'] = None\n"
+            "try:\n"
+            "    import amerbound.lpcore\n"
+            "except ImportError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
+    assert "scipy>=1.15" in out.stdout
 
 
 def test_free_variable():
