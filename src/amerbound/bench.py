@@ -8,7 +8,7 @@ with the model-free bound (phi) as a premium-capture ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -141,17 +141,3 @@ def premium_row(config: BenchConfig, variant="extended") -> PremiumRow:
 
 def premium_table(configs, variant="extended"):
     return [premium_row(c, variant) for c in configs]
-
-
-def markov_best_sec52(grid=None):
-    """Best natural-filtration price of the two-period demo: sweep the
-    admissible up-move probability from the low state; the optimum sits at
-    the smallest value, strictly below the 3.6 bound."""
-    if grid is None:
-        grid = np.linspace(0.05, 0.25, 201)
-    grid = np.asarray(grid, dtype=float)
-    lo, hi = 0.8 - 0.75, 0.25     # mass balance forces p in [1/20, 1/4]
-    grid = grid[(grid >= lo - 1e-12) & (grid <= hi + 1e-12)]
-    vals = 3.2 + np.maximum(0.5 - 4.0 * grid, 0.0)
-    best = int(np.argmax(vals))
-    return float(vals[best]), float(grid[best])

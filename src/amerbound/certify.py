@@ -4,16 +4,16 @@ The primal optimum becomes a RegimeModel — a bivariate Markov chain of
 (price, regime) whose first regime-switch time is the optimal exercise —
 that can be simulated and Monte-Carlo priced.  The dual optimum becomes a
 HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2 — whose
-terminal value can be evaluated path by path, on the lattice, on the
-interval [0, x_J], on the whole half-line, and for exercise times between
-maturities.  Verification never trusts the LP: it replays the certificates
-against their defining inequalities and against sampled or enumerated
-paths.
+terminal value is evaluated over batches of paths, one table of values per
+exercise date, on the lattice, on the interval [0, x_J], on the whole
+half-line, and for exercise times between maturities.  Verification never
+trusts the LP: it replays the certificates against their defining
+inequalities and against sampled or enumerated paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,29 +85,6 @@ class PathBatch:
 
     def __len__(self):
         return self.state_idx.shape[0]
-
-    def as_paths(self):
-        values = self.values
-        for i in range(len(self)):
-            yield PricePath(values[i], int(self.exercise_index[i]))
-
-
-@dataclass
-class PricePath:
-    """One price path with its exercise: either a 1-based maturity index or
-    a continuous time in (0, T]."""
-
-    values: np.ndarray
-    exercise_index: int = None
-    exercise_time: float = None
-    payoff_fn: object = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 0):
-            raise CertifyError("price paths must be nonnegative")
-        if (self.exercise_index is None) == (self.exercise_time is None):
-            raise CertifyError("exactly one of index/time exercise required")
 
 
 def _clip_mass(arr, tol=1e-7):
@@ -419,18 +396,14 @@ class HedgeStrategy:
         return total
 
 
-def linear_interp(xs, values, x, tail_slope=None):
-    """Piecewise-linear interpolation on the lattice; with a tail slope it
-    extends linearly beyond the last knot, otherwise the domain is capped."""
+def linear_interp(xs, values, x, tail_slope):
+    """Piecewise-linear interpolation on the lattice, extended beyond the
+    last knot with slope ``tail_slope``."""
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise CertifyError("interpolation below 0")
-    if tail_slope is None:
-        if np.any(x > xs[-1] * (1 + 1e-12)):
-            raise CertifyError("interpolation beyond the top strike")
-        return np.interp(x, xs, values)
     inside = np.interp(np.minimum(x, xs[-1]), xs, values)
     return inside + tail_slope * np.maximum(x - xs[-1], 0.0)
 
@@ -595,11 +568,12 @@ def _ratio(hedge, delta, n, y):
     return np.where(np.atleast_1d(y) > xs[-1], tail, np.atleast_1d(inside))
 
 
-def _gains_components(hedge: HedgeStrategy, Y):
-    """Exercise-independent pieces of the terminal hedge value.
+def _exercise_values(hedge: HedgeStrategy, Y):
+    """Terminal hedge value along each path of Y for each exercise date.
 
-    Returns (static, leg1, leg2): exercising in interval m (1-based) pays
-    static + sum(leg1[:, :m-1]) + sum(leg2[:, m-1:]).
+    Returns a (paths x N) table whose column m-1 is the value when the claim
+    is exercised at maturity m: the static legs, the holding ratios D1 over
+    the steps before m and the exercised ratios D2 from m on.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     P, N = Y.shape
@@ -636,36 +610,10 @@ def _gains_components(hedge: HedgeStrategy, Y):
                        + max(-i1, 0.0) * up_next)
             static += (max(hedge.D2[-1, n - 1] + R, 0.0) * up_now
                        + max(-(i2 + R), 0.0) * up_next)
-    return static, leg1, leg2
-
-
-def gains(hedge: HedgeStrategy, path: PricePath, a: AmericanPayoffGrid,
-          s0=None) -> float:
-    """Terminal value of the hedge along one path for its exercise."""
-    static, leg1, leg2 = _gains_components(hedge, path.values[None, :])
-    N = len(hedge.maturities)
-    if path.exercise_index is not None:
-        m = path.exercise_index
-        extra = 0.0
-    else:
-        rho = path.exercise_time
-        mats = hedge.maturities
-        if rho <= 0 or rho > mats[-1]:
-            raise CertifyError("exercise time outside (0, T]")
-        m0 = int(np.searchsorted(mats, rho, side="left"))   # rho in (t_m0, t_m0+1]
-        m = m0 + 1
-        if rho == mats[m0]:
-            extra = 0.0
-        else:
-            # between maturities: short the payoff's right slope at the
-            # standing price, unwound at the next maturity
-            if m0 == 0 and s0 is None:
-                raise CertifyError("s0 needed for exercise before t_1")
-            y_prev = float(s0) if m0 == 0 else float(path.values[m0 - 1])
-            slope = a.right_subgradient(y_prev, m0)
-            extra = -slope * (path.values[m0] - y_prev)
-    total = static[0] + leg1[0, : m - 1].sum() + leg2[0, m - 1:].sum() + extra
-    return float(total)
+    pre1 = np.concatenate([np.zeros((P, 1)), np.cumsum(leg1, axis=1)], axis=1)
+    suf2 = np.concatenate([np.cumsum(leg2[:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((P, 1))], axis=1)
+    return static[:, None] + pre1 + suf2
 
 
 @dataclass
@@ -683,23 +631,13 @@ class VerificationReport:
         return not self.skipped and self.min_slack >= -1e-6
 
 
-def _slack_over_exercise(hedge, a, Y, payoff_vals=None):
-    """Min over on-grid exercise dates of hedge value minus payoff."""
-    static, leg1, leg2 = _gains_components(hedge, Y)
-    P, N = Y.shape
-    pre1 = np.concatenate([np.zeros((P, 1)), np.cumsum(leg1, axis=1)], axis=1)
-    suf2 = np.concatenate([np.cumsum(leg2[:, ::-1], axis=1)[:, ::-1],
-                           np.zeros((P, 1))], axis=1)
-    best = np.full(P, np.inf)
-    best_m = np.zeros(P, dtype=np.int64)
-    for m in range(1, N + 1):
-        g = static + pre1[:, m - 1] + suf2[:, m - 1]
-        pay = a.interp(Y[:, m - 1], m - 1)
-        slack = g - pay
-        upd = slack < best
-        best[upd] = slack[upd]
-        best_m[upd] = m
-    return best, best_m
+def _slack_over_exercise(hedge, a, Y):
+    """Min over on-grid exercise dates of hedge value minus payoff, and the
+    1-based date that attains it (the earliest one on ties)."""
+    pay = np.stack([a.interp(Y[:, n], n) for n in range(Y.shape[1])], axis=1)
+    slack = _exercise_values(hedge, Y) - pay
+    best_m = np.argmin(slack, axis=1)
+    return slack[np.arange(len(slack)), best_m], best_m + 1
 
 
 def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
@@ -778,13 +716,9 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
     s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
 
-    static, leg1, leg2 = _gains_components(hedge, Y)
-    pre1 = np.concatenate([np.zeros((P, 1)), np.cumsum(leg1, axis=1)], axis=1)
-    suf2 = np.concatenate([np.cumsum(leg2[:, ::-1], axis=1)[:, ::-1],
-                           np.zeros((P, 1))], axis=1)
     m0 = np.searchsorted(mats, rho, side="left")    # rho in (t_m0, t_{m0+1}]
     rows = np.arange(P)
-    g = static + pre1[rows, m0] + suf2[rows, m0]
+    g = _exercise_values(hedge, Y)[rows, m0]
 
     y_prev = np.where(m0 == 0, s0, Y[rows, np.maximum(m0 - 1, 0)])
     on_grid = rho == mats[np.minimum(m0, N - 1)]

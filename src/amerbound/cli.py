@@ -119,6 +119,21 @@ def _bound_or_fail(surface, grid, variant, tol_gap):
         _fail(EXIT_CERTIFY, str(exc))
 
 
+def _bound_input(input_path, payoff_spec, variant, tol_gap):
+    """Load the surface and the payoff (exit 2), check the surface for
+    arbitrage (exit 3) and bound the claim (exit 4 or 5).  Returns the
+    surface, the lattice payoff, its continuum evaluator (or None) and the
+    bound."""
+    surface = _load_surface(input_path)
+    try:
+        grid, fn = payoff_from_config(_payoff_doc(payoff_spec), surface)
+    except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
+        _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
+    if not market.validate(surface).valid:
+        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
+    return surface, grid, fn, _bound_or_fail(surface, grid, variant, tol_gap)
+
+
 def _bound_report(res):
     return {
         "variant": res.variant,
@@ -140,8 +155,14 @@ def main():
     """Model-free price bounds for American claims from call quotes."""
 
 
+INPUT = click.option("--input", "input_path", required=True,
+                     type=click.Path(exists=True, dir_okay=False))
+# at least two paths: the Monte Carlo standard error needs a sample variance
+TRIALS = click.option("--trials", default=100000, type=click.IntRange(min=2))
+
+
 @main.command()
-@click.option("--input", "input_path", required=True)
+@INPUT
 @click.option("--mode", type=click.Choice(["weak", "strict"]), default="weak")
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "pretty"]),
@@ -160,7 +181,7 @@ def validate(input_path, mode, out, fmt):
 
 def _common_options(fn):
     for opt in (
-        click.option("--input", "input_path", required=True),
+        INPUT,
         click.option("--payoff", "payoff_spec", required=True),
         click.option("--variant",
                      type=click.Choice(["auto", "bounded", "extended"]),
@@ -178,33 +199,20 @@ def _common_options(fn):
 @_common_options
 def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
     """Compute the bound and both certificates."""
-    surface = _load_surface(input_path)
-    try:
-        grid, _ = payoff_from_config(_payoff_doc(payoff_spec), surface)
-    except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
-        _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
-    if not market.validate(surface).valid:
-        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
-    res = _bound_or_fail(surface, grid, variant, tol_gap)
+    res = _bound_input(input_path, payoff_spec, variant, tol_gap)[3]
     emit_report(_bound_report(res), fmt, out)
 
 
 @main.command(name="certify")
 @_common_options
-@click.option("--trials", default=100000)
+@TRIALS
 @click.option("--seed", default=0)
 @click.option("--tol-feas", default=1e-6)
 def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
                 seed, tol_feas):
     """Compute the bound, then independently verify both certificates."""
-    surface = _load_surface(input_path)
-    try:
-        grid, fn = payoff_from_config(_payoff_doc(payoff_spec), surface)
-    except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
-        _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
-    if not market.validate(surface).valid:
-        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
-    res = _bound_or_fail(surface, grid, variant, tol_gap)
+    surface, grid, fn, res = _bound_input(input_path, payoff_spec, variant,
+                                          tol_gap)
     est, se = certify.mc_price(res.model, grid, max(trials, 1000), seed)
     reports = {}
     modes = ["lattice-exhaustive", "interval-random", "full-line-random"]
@@ -232,18 +240,11 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
 
 @main.command()
 @_common_options
-@click.option("--trials", default=100000)
+@TRIALS
 @click.option("--seed", default=0)
 def simulate(input_path, payoff_spec, variant, tol_gap, out, fmt, trials, seed):
     """Monte-Carlo price the extremal model against the LP value."""
-    surface = _load_surface(input_path)
-    try:
-        grid, _ = payoff_from_config(_payoff_doc(payoff_spec), surface)
-    except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
-        _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
-    if not market.validate(surface).valid:
-        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
-    res = _bound_or_fail(surface, grid, variant, tol_gap)
+    _, grid, _, res = _bound_input(input_path, payoff_spec, variant, tol_gap)
     est, se = certify.mc_price(res.model, grid, trials, seed)
     emit_report({"phi": res.phi, "estimate": est, "stderr": se,
                  "trials": trials, "seed": seed}, fmt, out)

@@ -119,11 +119,6 @@ class LinearProgram:
     def rhs_vector(self):
         return np.array([r.rhs for r in self.rows], dtype=float)
 
-    def scale(self):
-        """1 + largest absolute coefficient; the unit for residual tolerances."""
-        parts = (self.matrix.data, self.rhs_vector(), self.objective)
-        return 1.0 + max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
-
 
 @dataclass
 class LPSolution:
@@ -134,7 +129,6 @@ class LPSolution:
     iterations: int
     primal_residual: float = 0.0
     dual_residual: float = 0.0
-    cs_residual: float = 0.0
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -215,14 +209,12 @@ def _row_gaps(lp, x):
 
 
 def _attach_residuals(lp, sol):
-    """Primal/dual feasibility and complementary-slackness residuals."""
+    """Primal and dual feasibility residuals."""
     x, lam = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "max" else -1.0
-    g, viol = _row_gaps(lp, x)
-    ineq = lp.relations != "="
+    _, viol = _row_gaps(lp, x)
     pres = max(float(np.max(viol, initial=0.0)),
                float(np.max(-x[~lp.free], initial=0.0)))
-    cs = float(np.max(np.abs(lam[ineq] * g[ineq]), initial=0.0))
     # Dual feasibility: for max, A'lam - obj >= 0 on nonnegative variables
     # and == 0 on free ones (reversed for min).
     red = (lp.matrix.T @ lam - lp.objective) * sgn
@@ -233,11 +225,8 @@ def _attach_residuals(lp, sol):
     dres = max(float(np.max(np.abs(red[lp.free]), initial=0.0)),
                float(np.max(-red[~lp.free], initial=0.0)),
                float(np.max(row_sign, initial=0.0)))
-    cs = max(cs, float(np.max(np.abs(red[~lp.free] * x[~lp.free]),
-                              initial=0.0)))
     sol.primal_residual = pres
     sol.dual_residual = dres
-    sol.cs_residual = cs
 
 
 @dataclass
@@ -297,15 +286,3 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
                         float(lp.objective[j])))
     return LinearProgram("min" if lp.sense == "max" else "max",
                          len(lp.rows), obj, rows, free)
-
-
-def dump(lp: LinearProgram) -> str:
-    """Fixed-format text dump, one constraint per line, for external checks."""
-    out = ["%s %d vars" % (lp.sense, lp.num_vars)]
-    out.append("obj " + " ".join("%d:%.17g" % (j, v)
-                                 for j, v in enumerate(lp.objective) if v))
-    out.append("free " + " ".join(str(j) for j in np.flatnonzero(lp.free)))
-    for r in lp.rows:
-        terms = " ".join("%d:%.17g" % (j, v) for j, v in sorted(r.terms))
-        out.append("%s %.17g %s" % (r.relation, r.rhs, terms))
-    return "\n".join(out) + "\n"

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,9 +92,6 @@ class MarginalSystem:
     @property
     def states(self):
         return np.concatenate([[0.0], self.strikes])
-
-    def column_means(self):
-        return self.states @ self.probs
 
 
 @dataclass
@@ -324,22 +321,3 @@ def price_piecewise_linear(surface: CallSurface, values, tail_slopes):
     rows = extended_marginals(surface).rows
     return np.array([h[:, n] @ rows[:-1, n] + tail_slopes[n] * rows[-1, n]
                      for n in range(N)])
-
-
-def check_convex_order(marginals: MarginalSystem, tol=DEFAULT_TOL) -> ValidationReport:
-    """Later marginals must dominate earlier ones in convex order."""
-    p = marginals.probs
-    x = marginals.states
-    N = p.shape[1]
-    violations = []
-    means = marginals.column_means()
-    for n in range(N - 1):
-        if abs(means[n + 1] - means[n]) > 1e-8 * (1 + abs(means[n])):
-            violations.append(("equal-means", (n,), abs(means[n + 1] - means[n])))
-        for j, k in enumerate(x):
-            early = np.maximum(x - k, 0.0) @ p[:, n]
-            late = np.maximum(x - k, 0.0) @ p[:, n + 1]
-            if late < early - tol:
-                violations.append(("convex-order", (j, n), early - late))
-    status = "invalid" if violations else "weakly-valid"
-    return ValidationReport(status, violations)

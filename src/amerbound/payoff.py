@@ -10,7 +10,7 @@ The lattice form stores one column per maturity over the state grid
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -136,14 +136,6 @@ def test_phi_decreases_with_grid_refinement():
     assert phis[1] >= phis[2] - 0.02
 
 
-def test_markov_best_sec52():
-    value, p = bench.markov_best_sec52()
-    assert value == pytest.approx(3.5, abs=1e-12)
-    assert p == pytest.approx(0.05, abs=1e-12)
-    # strictly below the full model-free bound of 3.6
-    assert value < 3.6
-
-
 def test_config_validation():
     with pytest.raises(bench.BenchError):
         bench.BenchConfig(vol=0.0)

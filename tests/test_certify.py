@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from amerbound import bench, bound, certify, instances, market
-from amerbound.certify import HedgeStrategy, PricePath, RegimeModel
+from amerbound.certify import HedgeStrategy, RegimeModel
 from amerbound.payoff import AmericanPayoffGrid
 
 
@@ -87,13 +87,6 @@ def test_seed_model_identity_for_constant_marginals():
     assert np.array_equal(batch.values[:, 0], batch.values[:, 1])
 
 
-def test_price_path_validation():
-    with pytest.raises(certify.CertifyError):
-        PricePath(np.array([1.0, 2.0]))
-    with pytest.raises(certify.CertifyError):
-        PricePath(np.array([1.0, 2.0]), exercise_index=1, exercise_time=0.5)
-
-
 def test_mixed_interp_three_cases():
     xs = np.array([0.0, 1.0, 2.0])
     h = np.array([0.0, 1.0, 1.0])     # secant slopes: 1 then 0
@@ -130,21 +123,17 @@ def test_gains_zero_hedge_is_zero(sec52):
                          np.zeros((J1, 2)), np.zeros((J1, 1)),
                          np.zeros((J1, 1)), growth_rate=0.0,
                          beta=np.zeros(2))
-    path = PricePath(np.array([1.0, 4.0]), exercise_index=1)
-    assert certify.gains(zero, path, sec52.payoff, s0=2.0) == pytest.approx(0.0)
+    values = certify._exercise_values(zero, np.array([[1.0, 4.0]]))
+    assert np.array_equal(values, np.zeros((1, 2)))
 
 
 def test_gains_cover_early_exercise(sec52, sec52_hedge):
-    hedge = sec52_hedge
-    hedge.beta = np.zeros(2)
-    # exercise immediately at the low state: claim pays 1, hedge must cover
-    path = PricePath(np.array([1.0, 0.0]), exercise_index=1)
-    g = certify.gains(hedge, path, sec52.payoff, s0=2.0)
-    assert g >= 1.0 - 1e-12
+    # exercise immediately at the low state: claim pays 1, hedge must cover;
     # ride to the top state and exercise late: claim pays 8
-    path = PricePath(np.array([3.0, 4.0]), exercise_index=2)
-    g = certify.gains(hedge, path, sec52.payoff, s0=2.0)
-    assert g >= 8.0 - 1e-12
+    values = certify._exercise_values(sec52_hedge,
+                                      np.array([[1.0, 0.0], [3.0, 4.0]]))
+    assert values[0, 0] >= 1.0 - 1e-12
+    assert values[1, 1] >= 8.0 - 1e-12
 
 
 def test_paper_hedge_cost_is_optimal(sec52, sec52_hedge):
@@ -190,12 +179,123 @@ def test_realized_weak_duality(sec26, sec26_result):
     # pathwise gains dominate the realized payoff on simulated optimal paths
     batch = certify.simulate(sec26_result.model, 500, seed=21)
     a = sec26.payoff
-    for path in batch.as_paths():
-        g = certify.gains(sec26_result.hedge, path, a, s0=sec26.surface.s0)
-        paid = a.values[np.searchsorted(a.states,
-                                        path.values[path.exercise_index - 1]),
-                        path.exercise_index - 1]
-        assert g >= paid - 1e-9
+    Y = batch.values
+    rows, cols = np.arange(len(batch)), batch.exercise_index - 1
+    g = certify._exercise_values(sec26_result.hedge, Y)[rows, cols]
+    paid = a.values[np.searchsorted(a.states, Y[rows, cols]), cols]
+    assert np.all(g >= paid - 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the exercise-value table against the replays it replaced
+
+
+def _loop_slack_over_exercise(hedge, a, Y):
+    """The replay's previous reduction, kept as the oracle: a scan over the
+    exercise dates that keeps a date only when its slack is strictly
+    smaller."""
+    values = certify._exercise_values(hedge, Y)
+    P, N = Y.shape
+    best = np.full(P, np.inf)
+    best_m = np.zeros(P, dtype=np.int64)
+    for m in range(1, N + 1):
+        slack = values[:, m - 1] - a.interp(Y[:, m - 1], m - 1)
+        upd = slack < best
+        best[upd] = slack[upd]
+        best_m[upd] = m
+    return best, best_m
+
+
+def _row_values(hedge, y):
+    """One row of the exercise-value table from scalar sums: the static
+    claims, the tail calls of the bounded variant and the traded gains."""
+    xs, N = hedge.states, len(y)
+    J, xJ, R = len(xs) - 1, xs[-1], hedge.growth_rate
+
+    def leg(col, slope, x):
+        return float(np.interp(min(x, xJ), xs, col[:J + 1])
+                     + slope * max(x - xJ, 0.0))
+
+    def tail(M):
+        return M[J + 1] if hedge.extended else np.zeros(N)
+
+    e1s, e2s = tail(hedge.E1), tail(hedge.E2)
+    vs = hedge.V[J + 1] if hedge.extended else np.full(N, R)
+    static = sum(leg(hedge.E1[:, n], e1s[n], y[n])
+                 + leg(hedge.E2[:, n], e2s[n], y[n]) for n in range(N))
+    static += leg(hedge.V[:, N - 1], vs[N - 1], y[N - 1])
+    if not hedge.extended:
+        beta = certify.tail_calls(hedge, R)
+        static += sum(beta[n] * max(y[n] - xJ, 0.0) for n in range(N))
+        static += R * max(y[N - 1] - xJ, 0.0)
+
+    def ratio(delta, n, x):
+        D = hedge.D1 if delta == 1 else hedge.D2
+        if x > xJ:
+            return (certify.tail_hedge_ratio(hedge, n, delta)
+                    if hedge.extended else D[J, n - 1])
+        h = hedge.E1[:J + 1, n - 1] - (delta == 2) * hedge.V[:J + 1, n - 1]
+        return certify.mixed_interp(xs, D[:J + 1, n - 1], h, x)
+
+    return np.array([
+        static
+        + sum((y[n] - y[n - 1]) * ratio(1, n, y[n - 1]) for n in range(1, m))
+        + sum((y[n] - y[n - 1]) * ratio(2, n, y[n - 1]) for n in range(m, N))
+        for m in range(1, N + 1)])
+
+
+@pytest.fixture(scope="module")
+def replay_cases():
+    """(name, hedge, payoff, s0) for each demo in both variants, and the
+    headline."""
+    cases = []
+    for name in ("sec26", "sec52", "eg11"):
+        inst = instances.get(name)
+        for variant in ("bounded", "extended"):
+            res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
+            cases.append(("%s-%s" % (name, variant), res.hedge, inst.payoff,
+                          inst.surface.s0))
+    cfg = bench.BenchConfig()
+    a = bench.linearized_grid(cfg)
+    res = bound.robust_bound(bench.bs_surface(cfg), a)
+    cases.append(("headline", res.hedge, a, cfg.s0))
+    return cases
+
+
+def _replay_paths(hedge, s0, rng):
+    """Lattice, interval and full-line paths, as the replay modes draw them."""
+    xs, N = hedge.states, len(hedge.maturities)
+    K = len(xs)
+    lattice = xs[np.stack(np.unravel_index(np.arange(min(K ** N, 20000)),
+                                           (K,) * N), axis=1)]
+    interval = rng.uniform(0.0, xs[-1], size=(2000, N))
+    full = certify._full_line_paths(rng, 2000, N, xs[-1], s0)
+    return {"lattice": lattice, "interval": interval, "full-line": full}
+
+
+def test_slack_over_exercise_matches_loop(replay_cases):
+    rng = np.random.default_rng(13)
+    for name, hedge, a, s0 in replay_cases:
+        for kind, Y in _replay_paths(hedge, s0, rng).items():
+            best, best_m = certify._slack_over_exercise(hedge, a, Y)
+            ref, ref_m = _loop_slack_over_exercise(hedge, a, Y)
+            assert np.array_equal(best, ref), (name, kind)
+            assert np.array_equal(best_m, ref_m), (name, kind)
+            assert best_m.dtype == ref_m.dtype
+
+
+def test_exercise_values_match_scalar_sums(replay_cases):
+    rng = np.random.default_rng(14)
+    for name, hedge, a, s0 in replay_cases:
+        scale = certify.hedge_scale(hedge)
+        for kind, Y in _replay_paths(hedge, s0, rng).items():
+            values = certify._exercise_values(hedge, Y)
+            # every 50th path, and the first paths that leave [0, x_J]
+            above = np.flatnonzero((Y > hedge.states[-1]).any(axis=1))[:20]
+            for i in np.union1d(np.arange(0, len(Y), 50), above):
+                ref = _row_values(hedge, Y[i])
+                assert np.max(np.abs(values[i] - ref)) <= 1e-12 * scale, \
+                    (name, kind, i)
 
 
 def test_v_mutation_detected(sec26, sec26_result):

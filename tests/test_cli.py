@@ -26,6 +26,10 @@ def _surface_file(tmp_path, name="sec26", mangle=None):
 PAYOFF = '{"type": "example", "name": "sec26"}'
 
 
+def _arbitrage(doc):
+    doc["calls"][2][2] += 1.0     # convexity violation in tight column
+
+
 def test_validate_ok(runner, tmp_path):
     res = runner.invoke(cli.main, ["validate", "--input",
                                    _surface_file(tmp_path)])
@@ -36,10 +40,8 @@ def test_validate_ok(runner, tmp_path):
 
 
 def test_validate_invalid_exit_3(runner, tmp_path):
-    def mangle(doc):
-        doc["calls"][2][2] += 1.0     # convexity violation in tight column
     res = runner.invoke(cli.main, ["validate", "--input",
-                                   _surface_file(tmp_path, mangle=mangle)])
+                                   _surface_file(tmp_path, mangle=_arbitrage)])
     assert res.exit_code == 3
     assert json.loads(res.output)["status"] == "invalid"
 
@@ -56,6 +58,42 @@ def test_bad_payoff_spec_exit_2(runner, tmp_path):
                                    _surface_file(tmp_path),
                                    "--payoff", '{"type": "put"}'])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["bound", "certify", "simulate"])
+def test_input_errors_exit_codes(runner, tmp_path, command):
+    surface = _surface_file(tmp_path)
+    res = runner.invoke(cli.main, [command, "--input", surface,
+                                   "--payoff", '{"type": "put"}'])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec" in res.stderr
+    res = runner.invoke(cli.main, [command, "--input",
+                                   _surface_file(tmp_path, mangle=_arbitrage),
+                                   "--payoff", PAYOFF])
+    assert res.exit_code == 3, res.output
+    assert "not arbitrage-free" in res.stderr
+
+
+@pytest.mark.parametrize("command, trials", [
+    ("certify", "0"), ("certify", "1"), ("simulate", "0"), ("simulate", "1"),
+    ("simulate", "-5")])
+def test_too_few_trials_exit_2(runner, tmp_path, command, trials):
+    res = runner.invoke(cli.main, [command, "--input", _surface_file(tmp_path),
+                                   "--payoff", PAYOFF, "--trials", trials])
+    assert res.exit_code == 2, res.output
+    assert "--trials" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "bound", "certify",
+                                     "simulate"])
+def test_missing_input_file_exit_2(runner, tmp_path, command):
+    missing = tmp_path / "missing.json"
+    args = [command, "--input", str(missing)]
+    if command != "validate":
+        args += ["--payoff", PAYOFF]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2, res.output
+    assert "missing.json" in res.stderr and "does not exist" in res.stderr
 
 
 def test_solver_failure_exit_4(runner, tmp_path, monkeypatch):
@@ -139,7 +177,8 @@ def test_bound_single_maturity_surface(runner, tmp_path):
 
 def test_artifacts_byte_identical(runner, tmp_path):
     surface = _surface_file(tmp_path)
-    for command, extra in (("bound", []), ("certify", ["--trials", "2000"])):
+    for command, extra in (("bound", []), ("certify", ["--trials", "2000"]),
+                           ("simulate", ["--trials", "2000"])):
         outs = []
         for i in (1, 2):
             out = tmp_path / ("%s%d.json" % (command, i))

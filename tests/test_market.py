@@ -103,7 +103,7 @@ def test_implied_marginals_sec26(sec26_surface):
     expected = np.vstack([np.zeros(3), Q / 2, 1 - Q, Q / 2])
     assert np.allclose(m.probs, expected, atol=1e-12)
     assert np.allclose(m.probs.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(m.column_means(), 100.0, atol=1e-10)
+    assert np.allclose(m.states @ m.probs, 100.0, atol=1e-10)
 
 
 def test_implied_marginals_eg11():
@@ -139,24 +139,6 @@ def test_price_piecewise_linear_reproduces_quotes(sec26_surface):
     for j in range(1, 4):
         assert cost(np.maximum(x - x[j], 0.0), 1.0) == pytest.approx(
             sec26_surface.prices[j], abs=1e-12)
-
-
-def test_check_convex_order():
-    good = market.implied_marginals(instances.sec52().surface)
-    assert market.check_convex_order(good).valid
-    # shrinking variance violates convex order
-    bad = market.MarginalSystem(
-        np.array([[0.4, 0.0], [0.0, 1.0], [0.6, 0.0]]),
-        np.array([1.0, 2.0]), np.array([1.0, 2.0]), 1.2)
-    rep = market.check_convex_order(bad)
-    assert not rep.valid
-    assert any(v[0] == "convex-order" for v in rep.violations)
-
-
-def test_check_convex_order_single_maturity():
-    single = market.MarginalSystem(np.array([[0.5], [0.5]]),
-                                   np.array([2.0]), np.array([1.0]), 1.0)
-    assert market.check_convex_order(single).valid
 
 
 def test_implied_marginals_rejects_inconsistent_surface(sec26_surface):
