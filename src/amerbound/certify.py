@@ -3,12 +3,14 @@
 The primal optimum becomes a RegimeModel — a bivariate Markov chain of
 (price, regime) whose first regime-switch time is the optimal exercise —
 that can be simulated and Monte-Carlo priced.  The dual optimum becomes a
-HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2 — whose
-terminal value is evaluated over batches of paths, one table of values per
-exercise date, on the lattice, on the interval [0, x_J], on the whole
-half-line, and for exercise times between maturities.  Verification never
-trusts the LP: it replays the certificates against their defining
-inequalities and against sampled or enumerated paths.
+HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2, and in
+the bounded variant the top-strike tail calls ``beta`` — whose terminal
+value is evaluated over batches of paths, one table of values per exercise
+date, on the lattice, on the interval [0, x_J], on the whole half-line, and
+for exercise times between maturities.  Verification never trusts the LP:
+it replays the certificates against their defining inequalities (one
+broadcast over all steps) and against sampled or enumerated paths, and the
+replay pays exactly the tail calls that the hedge states.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import market
-from .payoff import AmericanPayoffGrid, evaluate
+from .payoff import AmericanPayoffGrid, evaluate, extended_interp
 
 MASS_TOL = 1e-12
 # Monte Carlo kernel: paths simulated per block, and uniform buckets of the
@@ -94,26 +96,24 @@ def _clip_mass(arr, tol=1e-7):
     return np.maximum(arr, 0.0)
 
 
-def _conservation_switch_prob(F, G1, G2, marginals):
-    """switch_prob[j, n] = (regime-1 inflow minus regime-1 outflow) / inflow.
+def _conservation_switch_prob(G1, marginals):
+    """switch_prob[j, n] = (regime-1 inflow minus regime-1 outflow) / inflow,
+    and the inflow itself.
 
     Inflow at the first maturity is the whole marginal (paths start in
     regime 1).  At the last maturity every surviving path exercises.
     """
-    M, N = F.shape
-    q = np.zeros((M, N))
-    in1 = marginals[:, 0].copy()
-    for n in range(N):
-        out1 = G1[:, :, n].sum(axis=1) if n < N - 1 else np.zeros(M)
-        switch = np.clip(in1 - out1, 0.0, None)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            q[:, n] = np.where(in1 > MASS_TOL, switch / np.maximum(in1, MASS_TOL), 0.0)
-        q[:, n] = np.clip(q[:, n], 0.0, 1.0)
-        if n == N - 1:
-            q[:, n] = np.where(in1 > MASS_TOL, 1.0, 0.0)
-        if n < N - 1:
-            in1 = G1[:, :, n].sum(axis=0)
-    return q
+    M, N = marginals.shape
+    in1 = np.concatenate([marginals[:, :1], G1.sum(axis=0)], axis=1)
+    # one reduction per step: summing k over the whole (j, k, n) array
+    # changes the last bits of the outflow
+    out1 = np.stack([G1[:, :, n].sum(axis=1) for n in range(N - 1)]
+                    + [np.zeros(M)], axis=1)
+    switch = np.clip(in1 - out1, 0.0, None)
+    q = np.clip(np.where(in1 > MASS_TOL,
+                         switch / np.maximum(in1, MASS_TOL), 0.0), 0.0, 1.0)
+    q[:, -1] = np.where(in1[:, -1] > MASS_TOL, 1.0, 0.0)
+    return q, in1
 
 
 def _check_model(model: RegimeModel, tol_mass=1e-8):
@@ -147,27 +147,22 @@ def _companion_from_extended(G1, G2, p_hat, states, xi):
     reproduces every constraint of a genuine lattice model exactly.
     """
     J = len(states) - 1
-    xJ = states[-1]
-    w = 1.0 / (xi - xJ)
-    N = p_hat.shape[1]
+    w = 1.0 / (xi - states[-1])
     T = J + 1
 
-    newG = []
-    for G in (G1, G2):
+    def fold(G):
         H = G.copy()
-        for n in range(N - 1):
-            H[:J, J, n] = G[:J, J, n] - G[:J, T, n] * w
-            H[J, J, n] = G[J, J, n] - (G[J, T, n] + G[T, T, n]) * w
-            H[: J + 1, T, n] = G[: J + 1, T, n] * w
-            H[T, : J + 1, n] = G[T, : J + 1, n] * w
-            H[T, T, n] = G[T, T, n] * w
-        newG.append(H)
-    G1x, G2x = newG
+        H[:J, J] = G[:J, J] - G[:J, T] * w
+        H[J, J] = G[J, J] - (G[J, T] + G[T, T]) * w
+        H[: J + 1, T] = G[: J + 1, T] * w
+        H[T, : J + 1] = G[T, : J + 1] * w
+        H[T, T] = G[T, T] * w
+        return H
 
     p = p_hat.copy()
     p[J, :] = p_hat[J, :] - p_hat[T, :] * w
     p[T, :] = p_hat[T, :] * w
-    return G1x, G2x, p
+    return fold(G1), fold(G2), p
 
 
 def companion_threshold(surface: market.CallSurface):
@@ -176,12 +171,10 @@ def companion_threshold(surface: market.CallSurface):
     c = surface.prices
     J = surface.num_strikes
     xJ, xJ1 = surface.states[J], surface.states[J - 1]
-    xi0 = 0.0
-    for n in range(surface.num_maturities):
-        den = c[J - 1, n] - c[J, n]
-        if den > 1e-12:
-            xi0 = max(xi0, (xJ * c[J - 1, n] - xJ1 * c[J, n]) / den)
-    return xi0
+    den = c[J - 1] - c[J]
+    live = den > 1e-12
+    return float(np.max((xJ * c[J - 1, live] - xJ1 * c[J, live]) / den[live],
+                        initial=0.0))
 
 
 def model_from_primal(solution, index, surface: market.CallSurface,
@@ -206,11 +199,10 @@ def model_from_primal(solution, index, surface: market.CallSurface,
     else:
         p = p_hat
         xi = None
-    q = _conservation_switch_prob(F, G1, G2, p)
+    q, in1 = _conservation_switch_prob(G1, p)
     # The LP's own F depends on the optimal vertex: where row (e) is slack
     # it can omit exercised paths.  Regime-1 inflow times the switch
     # probability records every one of them.
-    in1 = np.concatenate([p[:, :1], G1.sum(axis=0)], axis=1)
     F = in1 * q
     model = RegimeModel(states, surface.maturities.copy(), surface.s0,
                         F, G1, G2, p, q, extended=index.extended, xi=xi)
@@ -229,7 +221,7 @@ def seed_model(m: market.MarginalSystem) -> RegimeModel:
     G1 = np.zeros_like(G2)
     F = np.zeros((M, N))
     F[:, 0] = p[:, 0]
-    q = _conservation_switch_prob(F, G1, G2, p)
+    q, _ = _conservation_switch_prob(G1, p)
     model = RegimeModel(x.copy(), m.maturities.copy(), m.s0, F, G1, G2,
                         p.copy(), q)
     _check_model(model)
@@ -341,6 +333,9 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
 
 def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
     """Monte Carlo estimate of the model's American value and its stderr."""
+    if paths < 2:
+        raise CertifyError("a Monte Carlo stderr needs at least 2 paths, "
+                           "got %d" % paths)
     batch = simulate(model, paths, seed)
     pay = np.stack([a.interp(model.states, n)
                     for n in range(model.num_maturities)], axis=1)
@@ -378,6 +373,13 @@ class HedgeStrategy:
     growth_rate: float = 0.0
     beta: np.ndarray = None         # bounded variant only, filled on creation
 
+    def __post_init__(self):
+        if not self.extended and self.beta is None:
+            beta = tail_calls(self, self.growth_rate)
+            if beta.min() < -1e-9:
+                raise CertifyError("negative tail-call coefficient")
+            self.beta = np.maximum(beta, 0.0)
+
     @property
     def num_lattice(self):
         return len(self.states)
@@ -396,25 +398,21 @@ class HedgeStrategy:
         return total
 
 
-def linear_interp(xs, values, x, tail_slope):
-    """Piecewise-linear interpolation on the lattice, extended beyond the
-    last knot with slope ``tail_slope``."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise CertifyError("interpolation below 0")
-    inside = np.interp(np.minimum(x, xs[-1]), xs, values)
-    return inside + tail_slope * np.maximum(x - xs[-1], 0.0)
+def _interval_ratio(xs, d, h, j):
+    """Ratio on the open interval (x_j, x_{j+1}): d_j if it does not exceed
+    the secant slope u_j of h, else d_{j+1} if that stays at or above u_j,
+    else u_j itself."""
+    u = (h[j + 1] - h[j]) / (xs[j + 1] - xs[j])
+    dj, dj1 = d[j], d[j + 1]
+    return np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
 
 
 def mixed_interp(xs, d_row, h_row, x):
     """Hedge-ratio interpolation between lattice ratios.
 
-    On (x_j, x_{j+1}) the ratio is d_j if d_j does not exceed the secant
-    slope u_j of h; else d_{j+1} if that stays at or above u_j; else u_j
-    itself.  At knots it is the knot ratio d_j.  h_row is the static-claim
-    row whose secants bound admissible ratios (E1, or E1 - V).
+    On (x_j, x_{j+1}) the ratio is ``_interval_ratio``'s; at knots it is the
+    knot ratio d_j.  h_row is the static-claim row whose secants bound
+    admissible ratios (E1, or E1 - V).
     """
     xs = np.asarray(xs, dtype=float)
     d = np.asarray(d_row, dtype=float)
@@ -425,20 +423,24 @@ def mixed_interp(xs, d_row, h_row, x):
     if np.any((x < 0) | (x > xs[-1] * (1 + 1e-12))):
         raise CertifyError("mixed interpolation outside [0, x_J]")
     j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    u = (h[j + 1] - h[j]) / (xs[j + 1] - xs[j])
-    dj, dj1 = d[j], d[j + 1]
-    interval = np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
-    out = np.where(x == xs[j], dj, interval)
+    out = np.where(x == xs[j], d[j], _interval_ratio(xs, d, h, j))
     out = np.where(x == xs[-1], d[-1], out)
     return float(out[0]) if scalar else out
 
 
 def _mixed_inf(xs, d_row, h_row):
     """Exact infimum of the (piecewise constant) mixed interpolation."""
-    u = np.diff(h_row) / np.diff(xs)
-    dj, dj1 = d_row[:-1], d_row[1:]
-    interval = np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
+    interval = _interval_ratio(xs, d_row, h_row, np.arange(len(xs) - 1))
     return float(min(d_row.min(), interval.min()))
+
+
+def _regime_rows(hedge: HedgeStrategy, delta, n):
+    """Ratio column and the static column whose secants bound it, at step n
+    (1-based) in regime delta: (D1, E1) while holding, (D2, E1 - V) once
+    exercised.  Both keep the tail row of the extended variant."""
+    if delta == 1:
+        return hedge.D1[:, n - 1], hedge.E1[:, n - 1]
+    return hedge.D2[:, n - 1], hedge.E1[:, n - 1] - hedge.V[:, n - 1]
 
 
 def tail_hedge_ratio(hedge: HedgeStrategy, n, delta):
@@ -447,9 +449,8 @@ def tail_hedge_ratio(hedge: HedgeStrategy, n, delta):
     if not hedge.extended:
         raise CertifyError("tail ratios need an extended-variant hedge")
     J = hedge.num_lattice - 1
-    if delta == 1:
-        return min(hedge.D1[J, n - 1], hedge.E1[J + 1, n - 1])
-    return min(hedge.D2[J, n - 1], hedge.E1[J + 1, n - 1] - hedge.V[J + 1, n - 1])
+    d, h = _regime_rows(hedge, delta, n)
+    return min(d[J], h[J + 1])
 
 
 def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
@@ -468,9 +469,8 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
     for n in range(1, N + 1):
         b = 0.0
         if n >= 2:
-            i1 = _mixed_inf(xs, hedge.D1[:, n - 2], hedge.E1[:, n - 2])
-            i2 = _mixed_inf(xs, hedge.D2[:, n - 2],
-                            hedge.E1[:, n - 2] - hedge.V[:, n - 2])
+            i1 = _mixed_inf(xs, *_regime_rows(hedge, 1, n - 1))
+            i2 = _mixed_inf(xs, *_regime_rows(hedge, 2, n - 1))
             b += max(-i1, 0.0) + max(-(i2 + R), 0.0)
         if n <= N - 1:
             # falls from above the top strike: only positive carried ratios
@@ -483,16 +483,10 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
 
 def hedge_from_dual(blocks, surface: market.CallSurface,
                     a: AmericanPayoffGrid, extended) -> HedgeStrategy:
-    """HedgeStrategy from dual values (E1, E2, V, D1, D2), with the tail
-    calls of the bounded variant."""
-    hedge = HedgeStrategy(surface.states, surface.maturities.copy(), *blocks,
-                          extended=extended, growth_rate=a.growth_rate)
-    if not extended:
-        hedge.beta = tail_calls(hedge, hedge.growth_rate)
-        if hedge.beta.min() < -1e-9:
-            raise CertifyError("negative tail-call coefficient")
-        hedge.beta = np.maximum(hedge.beta, 0.0)
-    return hedge
+    """HedgeStrategy from dual values (E1, E2, V, D1, D2); the bounded
+    variant's tail calls are filled on creation."""
+    return HedgeStrategy(surface.states, surface.maturities.copy(), *blocks,
+                         extended=extended, growth_rate=a.growth_rate)
 
 
 def hedge_scale(hedge: HedgeStrategy):
@@ -510,61 +504,31 @@ def grid_feasibility(hedge: HedgeStrategy, a: AmericanPayoffGrid) -> float:
     coverage at intermediate maturities — that no path-wise replay of the
     terminal value can see."""
     x = hedge.states
-    J = len(x) - 1
-    N = len(hedge.maturities)
+    lat = slice(0, len(x))
     E1, E2, V, D1, D2 = hedge.E1, hedge.E2, hedge.V, hedge.D1, hedge.D2
-    worst = np.inf
-    lat = slice(0, J + 1)
-    worst = min(worst, float((V[lat, :] - a.values).min()))
+    # axes (j, n, k): a move from state j at maturity n to state k at n + 1
+    e1, e2 = E1[lat, :-1, None], E2[lat, 1:].T[None]
+    v0, v1 = V[lat, :-1, None], V[lat, 1:].T[None]
+    dx = (x[None, :] - x[:, None])[:, None, :]          # x_k - x_j
+    rows = [V[lat] - a.values,
+            e1 + e2 + dx * D1[lat, :, None],
+            e1 + e2 + dx * D2[lat, :, None] - v0 + v1]
     if hedge.extended:
-        worst = min(worst, float((V[J + 1, :] - a.tail_slopes).min()))
-    dx = x[None, :] - x[:, None]            # dx[j, k] = x_k - x_j
-    for n in range(N - 1):
-        r1 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D1[lat, n, None])
-        r2 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D2[lat, n, None]
-              - V[lat, n, None] + V[None, lat, n + 1])
-        worst = min(worst, float(r1.min()), float(r2.min()))
-        if hedge.extended:
-            T = J + 1
-            worst = min(
-                worst,
-                float(E1[T, n] - D1[T, n]),
-                float((E2[T, n + 1] + D1[lat, n]).min()),
-                float(E1[T, n] + E2[T, n + 1]),
-                float(E1[T, n] - D2[T, n] - V[T, n]),
-                float((E2[T, n + 1] + D2[lat, n] + V[T, n + 1]).min()),
-                float(E1[T, n] + E2[T, n + 1] - V[T, n] + V[T, n + 1]),
-            )
-    return worst
-
-
-def _static_rows(hedge: HedgeStrategy):
-    """Tail slopes of each static leg beyond the top strike."""
-    N = len(hedge.maturities)
-    if hedge.extended:
-        e1s = hedge.E1[-1, :]
-        e2s = hedge.E2[-1, :]
-        vs = hedge.V[-1, :]
-        lat = slice(0, hedge.num_lattice)
-        return hedge.E1[lat], hedge.E2[lat], hedge.V[lat], e1s, e2s, vs
-    zeros = np.zeros(N)
-    return (hedge.E1, hedge.E2, hedge.V, zeros, zeros,
-            np.full(N, hedge.growth_rate))
+        T = len(x)
+        t1, t2, tv0, tv1 = E1[T, :-1], E2[T, 1:], V[T, :-1], V[T, 1:]
+        rows += [V[T] - a.tail_slopes,
+                 t1 - D1[T], t2 + D1[lat], t1 + t2,
+                 t1 - D2[T] - tv0, t2 + D2[lat] + tv1, t1 + t2 - tv0 + tv1]
+    return min(float(r.min(initial=np.inf)) for r in rows)
 
 
 def _ratio(hedge, delta, n, y):
     """Hedge ratio d~ at prices y for step n (1-based), vectorized."""
     xs = hedge.states
-    D = hedge.D1 if delta == 1 else hedge.D2
-    if delta == 1:
-        h = hedge.E1[: len(xs), n - 1]
-    else:
-        h = hedge.E1[: len(xs), n - 1] - hedge.V[: len(xs), n - 1]
-    inside = mixed_interp(xs, D[: len(xs), n - 1], h, np.minimum(y, xs[-1]))
-    if hedge.extended:
-        tail = tail_hedge_ratio(hedge, n, delta)
-    else:
-        tail = D[len(xs) - 1, n - 1]
+    K = len(xs)
+    d, h = _regime_rows(hedge, delta, n)
+    inside = mixed_interp(xs, d[:K], h[:K], np.minimum(y, xs[-1]))
+    tail = tail_hedge_ratio(hedge, n, delta) if hedge.extended else d[K - 1]
     return np.where(np.atleast_1d(y) > xs[-1], tail, np.atleast_1d(inside))
 
 
@@ -573,24 +537,27 @@ def _exercise_values(hedge: HedgeStrategy, Y):
 
     Returns a (paths x N) table whose column m-1 is the value when the claim
     is exercised at maturity m: the static legs, the holding ratios D1 over
-    the steps before m and the exercised ratios D2 from m on.
+    the steps before m and the exercised ratios D2 from m on.  The bounded
+    variant also pays the hedge's tail calls ``beta``.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     P, N = Y.shape
     xs = hedge.states
-    xJ = xs[-1]
-    E1, E2, V, e1s, e2s, vs = _static_rows(hedge)
+    K = len(xs)
     R = hedge.growth_rate
+    if hedge.extended:      # the tail rows hold the legs' slopes above x_J
+        e1s, e2s, vs = hedge.E1[K], hedge.E2[K], hedge.V[K]
+    else:
+        e1s, e2s, vs = np.zeros(N), np.zeros(N), np.full(N, R)
 
     static = np.zeros(P)
     for n in range(N):
-        y = Y[:, n]
-        static += linear_interp(xs, E1[:, n], y, tail_slope=e1s[n])
-        static += linear_interp(xs, E2[:, n], y, tail_slope=e2s[n])
-    static += linear_interp(xs, V[:, N - 1], Y[:, N - 1],
-                            tail_slope=vs[N - 1])
+        static += extended_interp(xs, hedge.E1[:K, n], Y[:, n], e1s[n])
+        static += extended_interp(xs, hedge.E2[:K, n], Y[:, n], e2s[n])
+    static += extended_interp(xs, hedge.V[:K, N - 1], Y[:, N - 1], vs[N - 1])
     if not hedge.extended:
-        static += R * np.maximum(Y[:, N - 1] - xJ, 0.0)
+        up = np.maximum(Y - xs[-1], 0.0)
+        static += R * up[:, N - 1] + up @ hedge.beta
 
     leg1 = np.zeros((P, max(N - 1, 0)))
     leg2 = np.zeros((P, max(N - 1, 0)))
@@ -598,18 +565,6 @@ def _exercise_values(hedge: HedgeStrategy, Y):
         dy = Y[:, n] - Y[:, n - 1]
         leg1[:, n - 1] = dy * _ratio(hedge, 1, n, Y[:, n - 1])
         leg2[:, n - 1] = dy * _ratio(hedge, 2, n, Y[:, n - 1])
-        if not hedge.extended:
-            up_now = np.maximum(Y[:, n - 1] - xJ, 0.0)
-            up_next = np.maximum(Y[:, n] - xJ, 0.0)
-            i1 = _mixed_inf(xs, hedge.D1[:, n - 1], hedge.E1[:, n - 1])
-            i2 = _mixed_inf(xs, hedge.D2[:, n - 1],
-                            hedge.E1[:, n - 1] - hedge.V[:, n - 1])
-            # only positive carried top-state ratios lose on a fall from
-            # above the top strike (mirrors the tail_calls coefficients)
-            static += (max(hedge.D1[-1, n - 1], 0.0) * up_now
-                       + max(-i1, 0.0) * up_next)
-            static += (max(hedge.D2[-1, n - 1] + R, 0.0) * up_now
-                       + max(-(i2 + R), 0.0) * up_next)
     pre1 = np.concatenate([np.zeros((P, 1)), np.cumsum(leg1, axis=1)], axis=1)
     suf2 = np.concatenate([np.cumsum(leg2[:, ::-1], axis=1)[:, ::-1],
                            np.zeros((P, 1))], axis=1)
@@ -656,6 +611,9 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     xs = hedge.states
     N = len(hedge.maturities)
     K = len(xs)
+    if mode != "lattice-exhaustive" and trials < 1:
+        raise CertifyError("%s replay needs at least 1 trial, got %d"
+                           % (mode, trials))
     rng = np.random.default_rng(np.random.Philox(seed))
     gslack = grid_feasibility(hedge, a)
 

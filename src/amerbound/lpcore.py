@@ -9,7 +9,6 @@ from the same matrix, without trusting the solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +57,6 @@ class Row:
     def __post_init__(self):
         if self.relation not in ("<=", "=", ">="):
             raise LPError("bad relation %r" % self.relation)
-        seen = set()
-        for j, v in self.terms:
-            if j in seen:
-                raise LPError("duplicate column %d in row" % j)
-            seen.add(j)
-            if not math.isfinite(v):
-                raise LPError("non-finite coefficient")
-        if not math.isfinite(self.rhs):
-            raise LPError("non-finite rhs")
 
 
 @dataclass
@@ -80,7 +70,8 @@ class LinearProgram:
     free         boolean mask; True marks a free (unbounded below) variable
 
     ``matrix`` (CSR, one row per Row) and ``relations`` are built from the
-    rows on construction; rows must not change afterwards.
+    rows on construction, which rejects non-finite coefficients or rhs and a
+    column repeated within a row; rows must not change afterwards.
     """
 
     sense: str
@@ -110,10 +101,18 @@ class LinearProgram:
         bad = (cols < 0) | (cols >= self.num_vars)
         if bad.any():
             raise LPError("column index %d out of range" % cols[bad][0])
+        if not np.isfinite(vals).all():
+            raise LPError("non-finite coefficient")
+        if not np.isfinite(self.rhs_vector()).all():
+            raise LPError("non-finite rhs")
         indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self.matrix = sparse.csr_matrix((vals, cols, indptr),
                                         shape=(len(self.rows), self.num_vars))
+        merged = self.matrix.copy()
+        merged.sum_duplicates()
+        if merged.nnz < nnz:
+            raise LPError("duplicate column in a row")
         self.relations = np.array([r.relation for r in self.rows], dtype="<U2")
 
     def rhs_vector(self):

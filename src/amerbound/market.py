@@ -109,7 +109,10 @@ class ExtendedMarginalSystem:
 
 
 def load_surface(source) -> CallSurface:
-    """Build a CallSurface from a dict, JSON/CSV path, or JSON text.
+    """Build a CallSurface from a dict, JSON/CSV path, or JSON/CSV text.
+
+    A string that names no file is read as text only if it starts with "{"
+    or spans several lines; otherwise it is a missing path.
 
     Schemas: {"s0", "strikes", "maturities", "calls"} with calls indexed
     [strike][maturity]; or {"marginals", "maturities", optional "states"}
@@ -142,12 +145,13 @@ def _read_document(source):
     if isinstance(source, dict):
         return source
     if isinstance(source, (str, os.PathLike)):
-        text = None
         if isinstance(source, os.PathLike) or os.path.exists(source):
             with open(source) as fh:
                 text = fh.read()
-        else:
+        elif "\n" in source or source.lstrip().startswith("{"):
             text = source
+        else:
+            raise MarketError("no surface file %r" % source)
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:

@@ -38,6 +38,15 @@ def evaluate(fn, x, t):
                      for xv, tv in zip(x.flat, t.flat)]).reshape(x.shape)
 
 
+def extended_interp(xs, values, x, slope):
+    """Piecewise-linear interpolation of ``values`` on the knots xs at
+    price(s) x, continued beyond the last knot with slope ``slope``."""
+    x = np.asarray(x, dtype=float)
+    top = xs[-1]
+    inside = np.interp(np.minimum(x, top), xs, values)
+    return inside + slope * np.maximum(x - top, 0.0)
+
+
 @dataclass
 class PayoffFunction:
     """A(x, t) with declared structure, sanity-checked by sampling.
@@ -135,10 +144,8 @@ class AmericanPayoffGrid:
 
     def interp(self, x, n):
         """Extended linear interpolation of column n at price(s) x."""
-        x = np.asarray(x, dtype=float)
-        top = self.states[-1]
-        inside = np.interp(np.minimum(x, top), self.states, self.values[:, n])
-        return inside + self.tail_slopes[n] * np.maximum(x - top, 0.0)
+        return extended_interp(self.states, self.values[:, n], x,
+                               self.tail_slopes[n])
 
     def right_subgradient(self, x, n):
         """Exact right slope of the piecewise-linear column n at price(s) x."""

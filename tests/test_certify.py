@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -336,6 +337,149 @@ def test_tail_calls_zero_hedge():
                          np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)),
                          np.zeros((3, 1)), growth_rate=0.0)
     assert np.allclose(certify.tail_calls(zero, 0.0), 0.0)
+
+
+def test_replay_pays_the_stated_tail_calls():
+    # bounded hedges carry their tail calls from creation; a hedge whose
+    # stated calls are zeroed loses on paths that rally above x_J
+    for name in ("sec26", "sec52"):
+        inst = instances.get(name)
+        hedge = bound.robust_bound(inst.surface, inst.payoff,
+                                   variant="bounded").hedge
+        assert np.array_equal(hedge.beta,
+                              certify.tail_calls(hedge, hedge.growth_rate))
+        assert hedge.beta.max() > 0, name
+        bare = dataclasses.replace(hedge, beta=np.zeros_like(hedge.beta))
+        for h, passed in ((hedge, True), (bare, False)):
+            rep = certify.verify_superreplication(
+                h, inst.payoff, "full-line-random", trials=10000, seed=3,
+                s0=inst.surface.s0)
+            assert rep.passed == passed, (name, rep.min_slack)
+
+
+def test_hand_built_hedge_gets_its_tail_calls(sec52_hedge):
+    assert np.array_equal(sec52_hedge.beta,
+                          certify.tail_calls(sec52_hedge,
+                                             sec52_hedge.growth_rate))
+
+
+def test_too_few_paths_rejected(sec26, sec26_result):
+    for paths in (0, 1):
+        with pytest.raises(certify.CertifyError, match="at least 2 paths"):
+            certify.mc_price(sec26_result.model, sec26.payoff, paths, 7)
+    for mode in ("interval-random", "full-line-random",
+                 "continuous-exercise-random"):
+        with pytest.raises(certify.CertifyError, match="at least 1 trial"):
+            certify.verify_superreplication(sec26_result.hedge, sec26.payoff,
+                                            mode, trials=0)
+    rep = certify.verify_superreplication(sec26_result.hedge, sec26.payoff,
+                                          "lattice-exhaustive", trials=0)
+    assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the broadcast audits against the per-step loops they replaced
+
+
+def _loop_grid_feasibility(hedge, a):
+    """The grid audit's previous form, kept as the oracle: rows (i)-(iii)
+    and the extended tail rows evaluated one step at a time."""
+    x = hedge.states
+    J = len(x) - 1
+    N = len(hedge.maturities)
+    E1, E2, V, D1, D2 = hedge.E1, hedge.E2, hedge.V, hedge.D1, hedge.D2
+    lat = slice(0, J + 1)
+    worst = float((V[lat, :] - a.values).min())
+    if hedge.extended:
+        worst = min(worst, float((V[J + 1, :] - a.tail_slopes).min()))
+    dx = x[None, :] - x[:, None]
+    for n in range(N - 1):
+        r1 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D1[lat, n, None])
+        r2 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D2[lat, n, None]
+              - V[lat, n, None] + V[None, lat, n + 1])
+        worst = min(worst, float(r1.min()), float(r2.min()))
+        if hedge.extended:
+            T = J + 1
+            worst = min(
+                worst,
+                float(E1[T, n] - D1[T, n]),
+                float((E2[T, n + 1] + D1[lat, n]).min()),
+                float(E1[T, n] + E2[T, n + 1]),
+                float(E1[T, n] - D2[T, n] - V[T, n]),
+                float((E2[T, n + 1] + D2[lat, n] + V[T, n + 1]).min()),
+                float(E1[T, n] + E2[T, n + 1] - V[T, n] + V[T, n + 1]),
+            )
+    return worst
+
+
+def _loop_switch_prob(G1, marginals):
+    """The switch probabilities' previous form, kept as the oracle: regime-1
+    inflow carried forward one step at a time."""
+    M, N = marginals.shape
+    q = np.zeros((M, N))
+    inflow = np.zeros((M, N))
+    in1 = marginals[:, 0].copy()
+    for n in range(N):
+        inflow[:, n] = in1
+        out1 = G1[:, :, n].sum(axis=1) if n < N - 1 else np.zeros(M)
+        switch = np.clip(in1 - out1, 0.0, None)
+        q[:, n] = np.where(in1 > certify.MASS_TOL,
+                           switch / np.maximum(in1, certify.MASS_TOL), 0.0)
+        q[:, n] = np.clip(q[:, n], 0.0, 1.0)
+        if n == N - 1:
+            q[:, n] = np.where(in1 > certify.MASS_TOL, 1.0, 0.0)
+        else:
+            in1 = G1[:, :, n].sum(axis=0)
+    return q, inflow
+
+
+def _assert_audits_match_loops(hedge, a, model=None):
+    assert certify.grid_feasibility(hedge, a) == _loop_grid_feasibility(hedge, a)
+    if model is not None:
+        q, in1 = certify._conservation_switch_prob(model.G1, model.marginals)
+        ref_q, ref_in1 = _loop_switch_prob(model.G1, model.marginals)
+        assert np.array_equal(q, ref_q) and np.array_equal(in1, ref_in1)
+        assert np.array_equal(q, model.switch_prob)
+
+
+def test_audits_match_loops_on_demos():
+    for name in ("sec26", "sec52", "eg11"):
+        inst = instances.get(name)
+        for variant in ("bounded", "extended"):
+            res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
+            _assert_audits_match_loops(res.hedge, inst.payoff, res.model)
+
+
+@pytest.mark.parametrize("J, N", [(8, 4), (19, 4), (12, 6), (5, 1)])
+def test_audits_match_loops_on_black_scholes(J, N):
+    # the headline; M >= 8 states, where a whole-array outflow sum would
+    # change the last bits of q; and a single-maturity surface
+    cfg = bench.BenchConfig(strikes=tuple(np.linspace(70, 140, J)),
+                            num_maturities=N)
+    a = bench.linearized_grid(cfg)
+    res = bound.robust_bound(bench.bs_surface(cfg), a)
+    _assert_audits_match_loops(res.hedge, a, res.model)
+
+
+@given(K=st.integers(2, 8), N=st.integers(1, 5), extended=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_audits_match_loops_on_random_hedges(K, N, extended, seed):
+    rng = np.random.default_rng(seed)
+    rows = K + extended
+    # small integers put exact ties and zeros into the residuals
+    E1, E2, V = (rng.integers(-3, 4, (rows, N)).astype(float) for _ in range(3))
+    D1, D2 = (rng.normal(size=(rows, N - 1)) for _ in range(2))
+    states = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, K - 1))])
+    a = AmericanPayoffGrid(rng.integers(0, 3, (K, N)).astype(float), states,
+                           np.arange(1.0, N + 1.0), rng.uniform(0, 1, N))
+    hedge = HedgeStrategy(states, a.maturities, E1, E2, V, D1, D2,
+                          extended=extended, growth_rate=a.growth_rate)
+    G1 = np.where(rng.random((K, K, N - 1)) < 0.3, 0.0,
+                  rng.exponential(size=(K, K, N - 1)) / K ** 2)
+    marginals = rng.dirichlet(np.ones(K), size=N).T
+    model = RegimeModel(states, a.maturities, 1.0, np.zeros((K, N)), G1, G1,
+                        marginals, _loop_switch_prob(G1, marginals)[0])
+    _assert_audits_match_loops(hedge, a, model)
 
 
 # ---------------------------------------------------------------------------

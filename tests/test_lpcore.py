@@ -54,6 +54,26 @@ def test_malformed_model_raises_with_highs_status():
         lpcore.solve(lp)
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([([(0, 1.0), (1, float("nan"))], 1.0)], "non-finite coefficient"),
+    ([([(0, 1.0)], float("inf"))], "non-finite rhs"),
+    ([([(0, 1.0)], 0.0), ([(1, 1.0), (0, 2.0), (1, 3.0)], 1.0)],
+     "duplicate column"),
+])
+def test_malformed_rows_rejected_on_construction(rows, message):
+    with pytest.raises(lpcore.LPError, match=message):
+        LinearProgram("max", 2, [1.0, 1.0],
+                      [Row(terms, "<=", rhs) for terms, rhs in rows])
+
+
+def test_explicit_zero_coefficient_is_not_a_duplicate():
+    lp = LinearProgram("max", 2, [1.0, 1.0],
+                       [Row([(1, 0.0), (0, 1.0)], "<=", 1.0),
+                        Row([(1, 1.0)], "<=", 2.0)])
+    assert lp.matrix.nnz == 3
+    assert lpcore.solve(lp).objective == pytest.approx(3.0)
+
+
 def test_missing_highs_core_names_the_scipy_floor():
     src = os.path.dirname(os.path.dirname(amerbound.__file__))
     code = ("import sys\n"

@@ -52,6 +52,14 @@ def test_load_surface_rejects_bad_grids():
                              "maturities": [1], "calls": [[-5], [1]]})
 
 
+def test_load_surface_missing_file_names_the_path(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for source in ("missing.json", missing):
+        with pytest.raises(market.MarketError, match="no surface file") as err:
+            market.load_surface(source)
+        assert source in str(err.value)
+
+
 def test_load_surface_marginals_variant():
     surf = instances.sec52().surface
     assert surf.s0 == pytest.approx(2.0)
