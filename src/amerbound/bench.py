@@ -130,14 +130,14 @@ class PremiumRow:
         return 100.0 * (self.chi - self.zeta) / spread
 
 
-def premium_row(config: BenchConfig, variant="extended") -> PremiumRow:
+def premium_row(config: BenchConfig) -> PremiumRow:
     surface = bs_surface(config)
     a = linearized_grid(config)
-    res = bound.robust_bound(surface, a, variant=variant)
+    res = bound.robust_bound(surface, a, variant="extended")
     chi = chi_binomial(tree_payoff_from_grid(a), config)
     z = zeta(surface, a)
     return PremiumRow(config, res.phi, chi, z)
 
 
-def premium_table(configs, variant="extended"):
-    return [premium_row(c, variant) for c in configs]
+def premium_table(configs):
+    return [premium_row(c) for c in configs]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lpcore, market
+from . import certify, lpcore, market
 from .payoff import AmericanPayoffGrid
 
 
@@ -273,8 +273,6 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6) -> BoundResult:
     """Solve the primal LP, read both certificates off its optimum, and
     enforce the gap tolerance and the hedge's grid inequalities."""
-    from . import certify  # deferred: certify consumes this module's types
-
     if variant not in ("auto", "bounded", "extended"):
         raise BoundError("variant must be auto, bounded, or extended")
     report = market.validate(surface, mode="weak")

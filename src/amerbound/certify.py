@@ -23,6 +23,10 @@ from . import market
 from .payoff import AmericanPayoffGrid, evaluate, extended_interp
 
 MASS_TOL = 1e-12
+# an LP mass may be negative by up to CLIP_TOL before it is clipped to 0; a
+# model's outflows and inflows may miss its marginals by up to BALANCE_TOL
+CLIP_TOL = 1e-7
+BALANCE_TOL = 1e-8
 # Monte Carlo kernel: paths simulated per block, and uniform buckets of the
 # inverse-CDF lookup (a power of two, so floor(u * B) is exact)
 SIMULATION_BLOCK = 2 ** 16
@@ -89,9 +93,9 @@ class PathBatch:
         return self.state_idx.shape[0]
 
 
-def _clip_mass(arr, tol=1e-7):
+def _clip_mass(arr):
     worst = float(arr.min()) if arr.size else 0.0
-    if worst < -tol:
+    if worst < -CLIP_TOL:
         raise CertifyError("negative mass %.3e in LP solution" % worst)
     return np.maximum(arr, 0.0)
 
@@ -116,7 +120,7 @@ def _conservation_switch_prob(G1, marginals):
     return q, in1
 
 
-def _check_model(model: RegimeModel, tol_mass=1e-8):
+def _check_model(model: RegimeModel):
     x = model.states
     p = model.marginals
     M, N = model.F.shape
@@ -124,10 +128,10 @@ def _check_model(model: RegimeModel, tol_mass=1e-8):
     span = max(x[-2] if model.extended else x[-1], 1.0)
     for n in range(N - 1):
         out = model.G1[:, :, n].sum(axis=1) + model.G2[:, :, n].sum(axis=1)
-        if np.max(np.abs(out - p[:, n])) > tol_mass:
+        if np.max(np.abs(out - p[:, n])) > BALANCE_TOL:
             raise CertifyError("outflow mismatch at step %d" % (n + 1))
         infl = model.G1[:, :, n].sum(axis=0) + model.G2[:, :, n].sum(axis=0)
-        if np.max(np.abs(infl - p[:, n + 1])) > tol_mass:
+        if np.max(np.abs(infl - p[:, n + 1])) > BALANCE_TOL:
             raise CertifyError("inflow mismatch at step %d" % (n + 2))
         for G in (model.G1, model.G2):
             drift = (x[None, :] - x[:, None]) * G[:, :, n]
@@ -359,7 +363,7 @@ class HedgeStrategy:
     Matrices carry one row per lattice state, plus the tail-slope row in
     the extended variant.  ``growth_rate`` bounds the payoff's slope at
     large prices; ``beta`` are the free top-strike calls that extend a
-    zero-tail hedge to unbounded paths.
+    zero-tail hedge to unbounded paths.  Every block must be finite.
     """
 
     states: np.ndarray              # lattice (J+1,), no tail row
@@ -374,11 +378,12 @@ class HedgeStrategy:
     beta: np.ndarray = None         # bounded variant only, filled on creation
 
     def __post_init__(self):
+        blocks = [self.E1, self.E2, self.V, self.D1, self.D2, self.beta]
+        if not all(np.isfinite(b).all() for b in blocks if b is not None):
+            raise CertifyError("non-finite value in the hedge's E1, E2, V, "
+                               "D1, D2 or beta")
         if not self.extended and self.beta is None:
-            beta = tail_calls(self, self.growth_rate)
-            if beta.min() < -1e-9:
-                raise CertifyError("negative tail-call coefficient")
-            self.beta = np.maximum(beta, 0.0)
+            self.beta = tail_calls(self, self.growth_rate)
 
     @property
     def num_lattice(self):
@@ -580,10 +585,6 @@ class VerificationReport:
     worst_path: np.ndarray
     worst_exercise: object
     skipped: bool = False
-
-    @property
-    def passed(self):
-        return not self.skipped and self.min_slack >= -1e-6
 
 
 def _slack_over_exercise(hedge, a, Y):

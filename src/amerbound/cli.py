@@ -227,7 +227,8 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
         # no wall-clock fields: identical runs give byte-identical reports
         reports[mode] = {"trials": rep.trials, "min_slack": rep.min_slack,
                          "grid_slack": rep.grid_slack, "skipped": rep.skipped}
-        if not rep.skipped and rep.min_slack < -tol_feas * scale:
+        # written so that a NaN slack fails too
+        if not (rep.skipped or rep.min_slack >= -tol_feas * scale):
             ok = False
     doc = {"phi": res.phi, "psi": res.psi, "gap": res.gap,
            "variant": res.variant, "mc_estimate": est, "mc_stderr": se,

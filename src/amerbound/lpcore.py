@@ -3,8 +3,8 @@
 Programs are built row by row from sparse terms, held as one CSR matrix, and
 solved with the HiGHS dual revised simplex (Huangfu & Hall, Math. Prog.
 Comp. 10, 2018), driven through the HiGHS core that ships inside scipy.
-Primal/dual residuals, point checks and the mechanical dual are computed here
-from the same matrix, without trusting the solver.
+Primal and dual residuals of each optimum are computed here from the same
+matrix, without trusting the solver.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ class LinearProgram:
     rows         list of Row
     free         boolean mask; True marks a free (unbounded below) variable
 
-    ``matrix`` (CSR, one row per Row) and ``relations`` are built from the
-    rows on construction, which rejects non-finite coefficients or rhs and a
-    column repeated within a row; rows must not change afterwards.
+    ``matrix`` (CSR, one row per Row), ``rhs`` and ``relations`` are built
+    from the rows on construction, which rejects a non-finite objective,
+    coefficient or rhs and a column repeated within a row; rows must not
+    change afterwards.
     """
 
     sense: str
@@ -86,6 +87,8 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.num_vars,):
             raise LPError("objective length mismatch")
+        if not np.isfinite(self.objective).all():
+            raise LPError("non-finite objective")
         if self.free is None:
             self.free = np.zeros(self.num_vars, dtype=bool)
         else:
@@ -103,7 +106,8 @@ class LinearProgram:
             raise LPError("column index %d out of range" % cols[bad][0])
         if not np.isfinite(vals).all():
             raise LPError("non-finite coefficient")
-        if not np.isfinite(self.rhs_vector()).all():
+        self.rhs = np.array([r.rhs for r in self.rows], dtype=float)
+        if not np.isfinite(self.rhs).all():
             raise LPError("non-finite rhs")
         indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -114,9 +118,6 @@ class LinearProgram:
         if merged.nnz < nnz:
             raise LPError("duplicate column in a row")
         self.relations = np.array([r.relation for r in self.rows], dtype="<U2")
-
-    def rhs_vector(self):
-        return np.array([r.rhs for r in self.rows], dtype=float)
 
 
 @dataclass
@@ -151,7 +152,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     A = lp.matrix[order]
     A.data *= np.repeat(flip, np.diff(A.indptr))
     A = A.tocsc()
-    b = flip * lp.rhs_vector()[order]
+    b = flip * lp.rhs[order]
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = sign * lp.objective
     lower, upper = np.where(lp.free, -np.inf, 0.0), np.full(n, np.inf)
@@ -198,20 +199,14 @@ def solve(lp: LinearProgram) -> LPSolution:
     return sol
 
 
-def _row_gaps(lp, x):
-    """Signed row residuals ax - b; the positive part of ``viol`` is the
-    violation ("<=": ax - b, ">=": b - ax, "=": |ax - b|)."""
-    g = lp.matrix @ x - lp.rhs_vector()
-    viol = np.where(lp.relations == "<=", g,
-                    np.where(lp.relations == ">=", -g, np.abs(g)))
-    return g, viol
-
-
 def _attach_residuals(lp, sol):
     """Primal and dual feasibility residuals."""
     x, lam = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "max" else -1.0
-    _, viol = _row_gaps(lp, x)
+    # row violations: ax - b on "<=" rows, b - ax on ">=", |ax - b| on "="
+    g = lp.matrix @ x - lp.rhs
+    viol = np.where(lp.relations == "<=", g,
+                    np.where(lp.relations == ">=", -g, np.abs(g)))
     pres = max(float(np.max(viol, initial=0.0)),
                float(np.max(-x[~lp.free], initial=0.0)))
     # Dual feasibility: for max, A'lam - obj >= 0 on nonnegative variables
@@ -226,62 +221,3 @@ def _attach_residuals(lp, sol):
                float(np.max(row_sign, initial=0.0)))
     sol.primal_residual = pres
     sol.dual_residual = dres
-
-
-@dataclass
-class FeasibilityReport:
-    feasible: bool
-    objective: float
-    max_violation: float
-    row_residuals: np.ndarray    # signed; positive means violated by that much
-    bound_violations: np.ndarray
-
-
-def check_point(lp: LinearProgram, point, tol=1e-9) -> FeasibilityReport:
-    """Residuals of a candidate point, independent of the solver.
-
-    Row residual is ax - b for "<=" rows, b - ax for ">=" rows and |ax - b|
-    for equalities, so positive always means violation.
-    """
-    x = np.asarray(point, dtype=float)
-    if x.shape != (lp.num_vars,):
-        raise LPError("point length mismatch")
-    _, res = _row_gaps(lp, x)
-    bviol = np.where(lp.free, 0.0, np.maximum(0.0, -x))
-    worst = max(float(np.max(res, initial=0.0)), float(np.max(bviol, initial=0.0)))
-    return FeasibilityReport(
-        feasible=worst <= tol,
-        objective=float(lp.objective @ x),
-        max_violation=worst,
-        row_residuals=res,
-        bound_violations=bviol,
-    )
-
-
-def dual_of(lp: LinearProgram) -> LinearProgram:
-    """Mechanical LP dual.
-
-    One dual variable per primal row.  Multipliers that would be sign-
-    constrained below zero are negated so every dual variable is nonnegative
-    or free; objective values are unaffected, which is how this is used
-    (cross-checking hand-built duals by value).
-
-    max c.x, Ax ~ b  ->  min b.y, A'y >= c (= on free columns), y >= 0 on
-    "<=" rows; min c.x  ->  max b.y, A'y <= c, y >= 0 on ">=" rows.
-    """
-    negated = ">=" if lp.sense == "max" else "<="
-    sign = np.where(lp.relations == negated, -1.0, 1.0)
-    free = lp.relations == "="
-    obj = sign * lp.rhs_vector()
-    At = (sparse.diags(sign) @ lp.matrix).T.tocsr()
-    At.eliminate_zeros()
-    At.sort_indices()
-    rel = ">=" if lp.sense == "max" else "<="
-    rows = []
-    for j in range(lp.num_vars):
-        lo, hi = At.indptr[j], At.indptr[j + 1]
-        terms = list(zip(At.indices[lo:hi].tolist(), At.data[lo:hi].tolist()))
-        rows.append(Row(terms, "=" if lp.free[j] else rel,
-                        float(lp.objective[j])))
-    return LinearProgram("min" if lp.sense == "max" else "max",
-                         len(lp.rows), obj, rows, free)

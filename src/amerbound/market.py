@@ -2,8 +2,10 @@
 
 A surface is the matrix of European call quotes c[j][n] over a strike grid
 (strike 0 is implicit: a zero-strike call is the asset itself) and a maturity
-grid.  Second differences in strike give the implied marginal law of the
-price at each maturity; appending the last traded call price as an extra row
+grid.  The call-spread slopes between neighbouring strikes are derived once
+(``_spreads``); their differences give the implied marginal law of the price
+at each maturity, and the same arrays carry the no-arbitrage margins that
+``validate`` grades.  Appending the last traded call price as an extra row
 gives the extended system used when no zero-price call exists.
 """
 
@@ -17,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
+# a no-arbitrage inequality may fail by up to TOL and still count as weakly
+# met; the implied law clips negative masses no larger than TOL
+TOL = 1e-10
 
 
 class MarketError(Exception):
@@ -40,6 +44,9 @@ class CallSurface:
         self.strikes = np.asarray(self.strikes, dtype=float)
         self.maturities = np.asarray(self.maturities, dtype=float)
         self.prices = np.asarray(self.prices, dtype=float)
+        if not all(np.isfinite(v).all() for v in (self.s0, self.strikes,
+                                                    self.maturities, self.prices)):
+            raise MarketError("s0, strikes, maturities and prices must be finite")
         if self.s0 <= 0:
             raise MarketError("s0 must be positive")
         for name, g in (("strikes", self.strikes), ("maturities", self.maturities)):
@@ -121,9 +128,9 @@ def load_surface(source) -> CallSurface:
     data row strike 0 carrying s0.
     """
     doc = _read_document(source)
-    if "marginals" in doc:
-        return _surface_from_marginals(doc)
     try:
+        if "marginals" in doc:
+            return _surface_from_marginals(doc)
         s0 = float(doc["s0"])
         strikes = np.asarray(doc["strikes"], dtype=float)
         maturities = np.asarray(doc["maturities"], dtype=float)
@@ -219,50 +226,55 @@ def _surface_from_marginals(doc):
     return CallSurface(s0, strikes, maturities, prices)
 
 
-def validate(surface: CallSurface, mode="weak", tol=DEFAULT_TOL) -> ValidationReport:
+def _spreads(surface: CallSurface):
+    """Call-spread slopes s[j] = (c_j - c_{j+1}) / (x_{j+1} - x_j), j < J, and
+    the unnormalised implied law s[j-1] - s[j], taking s = 1 below strike 0
+    and s = 0 beyond x_J; one column per maturity."""
+    c = surface.prices
+    slopes = (c[:-1] - c[1:]) / np.diff(surface.states)[:, None]
+    ext = np.vstack([np.ones_like(c[:1]), slopes, np.zeros_like(c[:1])])
+    return slopes, ext[:-1] - ext[1:]
+
+
+def _grade(weak, strict, name, margins, n):
+    """Margins of one constraint family at maturity n, entry i at strike
+    i + 1: below -TOL a weak violation, up to TOL a strict one."""
+    for i in np.flatnonzero(margins <= TOL):
+        m = margins[i]
+        if m < -TOL:
+            weak.append((name, (int(i) + 1, n), -m))
+        else:
+            strict.append((name, (int(i) + 1, n), TOL - m))
+
+
+def validate(surface: CallSurface, mode="weak") -> ValidationReport:
     """Static no-arbitrage checks per maturity plus calendar monotonicity.
 
-    Weak mode reports violations beyond tol; strict mode additionally
-    requires every inequality to hold with margin > tol and a positive
+    Weak mode reports violations beyond TOL; strict mode additionally
+    requires every inequality to hold with margin > TOL and a positive
     last-strike call at every maturity.
     """
     if mode not in ("weak", "strict"):
         raise MarketError("mode must be 'weak' or 'strict'")
     c = surface.prices
-    x = surface.states
     J, N = surface.num_strikes, surface.num_maturities
+    slopes, law = _spreads(surface)
     weak, strict = [], []
 
     for n in range(N):
-        col = c[:, n]
-        for j in range(J):
-            drop = col[j] - col[j + 1]
-            if drop < -tol:
-                weak.append(("monotone-in-strike", (j + 1, n), -drop))
-            elif drop <= tol:
-                strict.append(("monotone-in-strike", (j + 1, n), tol - drop))
-        slopes = -(np.diff(col)) / np.diff(x)
-        if slopes[0] > 1.0 + tol:
-            weak.append(("slope-bound", (0, n), slopes[0] - 1.0))
-        elif slopes[0] >= 1.0 - tol:
-            strict.append(("slope-bound", (0, n), slopes[0] - 1.0 + tol))
-        for j in range(J - 1):
-            conv = slopes[j] - slopes[j + 1]
-            if conv < -tol:
-                weak.append(("convexity", (j + 1, n), -conv))
-            elif conv <= tol:
-                strict.append(("convexity", (j + 1, n), tol - conv))
-        if col[J] < tol:
-            strict.append(("positive-tail", (J, n), tol - col[J]))
+        _grade(weak, strict, "monotone-in-strike", c[:-1, n] - c[1:, n], n)
+        s = slopes[0, n]
+        if s > 1.0 + TOL:
+            weak.append(("slope-bound", (0, n), s - 1.0))
+        elif s >= 1.0 - TOL:
+            strict.append(("slope-bound", (0, n), s - 1.0 + TOL))
+        _grade(weak, strict, "convexity", law[1:J, n], n)
+        if c[J, n] < TOL:
+            strict.append(("positive-tail", (J, n), TOL - c[J, n]))
     for n in range(N - 1):
-        for j in range(1, J + 1):
-            gain = c[j, n + 1] - c[j, n]
-            if gain < -tol:
-                weak.append(("calendar", (j, n), -gain))
-            elif gain <= tol:
-                strict.append(("calendar", (j, n), tol - gain))
+        _grade(weak, strict, "calendar", c[1:, n + 1] - c[1:, n], n)
 
-    zero_tail = bool(c[J, N - 1] <= tol)
+    zero_tail = bool(c[J, N - 1] <= TOL)
     if weak:
         status = "invalid"
         violations = weak if mode == "weak" else weak + strict
@@ -275,39 +287,34 @@ def validate(surface: CallSurface, mode="weak", tol=DEFAULT_TOL) -> ValidationRe
     return ValidationReport(status, violations, zero_tail)
 
 
-def implied_marginals(surface: CallSurface, tol=DEFAULT_TOL) -> MarginalSystem:
+def implied_marginals(surface: CallSurface) -> MarginalSystem:
     """Node probabilities from call-spread second differences.
 
     p[0] = 1 - (s0 - c[1])/x1; interior entries are slope differences;
     p[J] is the last call spread per unit strike.  Small negative entries
-    (within tol) are clipped and the column renormalized.
+    (within TOL) are clipped and each column renormalized; the first
+    maturity with a larger negative entry or a total off 1 raises.
     """
-    c = surface.prices
-    x = surface.states
-    J, N = surface.num_strikes, surface.num_maturities
-    p = np.zeros((J + 1, N))
-    for n in range(N):
-        slopes = (c[:-1, n] - c[1:, n]) / np.diff(x)   # length J
-        p[0, n] = 1.0 - slopes[0]
-        for j in range(1, J):
-            p[j, n] = slopes[j - 1] - slopes[j]
-        p[J, n] = slopes[J - 1]
-        neg = p[:, n] < 0
-        if np.any(p[neg, n] < -tol):
-            worst = float(np.min(p[:, n]))
-            raise MarketError("inconsistent surface: implied probability %.3e" % worst)
-        p[neg, n] = 0.0
-        total = p[:, n].sum()
-        if abs(total - 1.0) > 1e-8:
-            raise MarketError("implied probabilities sum to %.12g" % total)
-        p[:, n] /= total
-    return MarginalSystem(p, surface.strikes.copy(), surface.maturities.copy(),
-                          surface.s0)
+    law = _spreads(surface)[1]
+    p = np.where(law < 0, 0.0, law)
+    # one contiguous reduction per maturity: summing down the columns of p
+    # in place changes the last bits of the totals
+    total = np.ascontiguousarray(p.T).sum(axis=1)
+    negative = (law < -TOL).any(axis=0)
+    bad = negative | (np.abs(total - 1.0) > 1e-8)
+    if bad.any():
+        n = int(np.argmax(bad))
+        if negative[n]:
+            raise MarketError("inconsistent surface: implied probability %.3e"
+                              % float(np.min(law[:, n])))
+        raise MarketError("implied probabilities sum to %.12g" % total[n])
+    return MarginalSystem(p / total, surface.strikes.copy(),
+                          surface.maturities.copy(), surface.s0)
 
 
-def extended_marginals(surface: CallSurface, tol=DEFAULT_TOL) -> ExtendedMarginalSystem:
+def extended_marginals(surface: CallSurface) -> ExtendedMarginalSystem:
     """Implied marginals plus the tail row equal to the last call price."""
-    m = implied_marginals(surface, tol)
+    m = implied_marginals(surface)
     tail = surface.prices[-1, :].copy()
     rows = np.vstack([m.probs, tail])
     return ExtendedMarginalSystem(rows, surface.strikes.copy(),

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a PayoffFunction's declared structure is checked at SAMPLES random points
+SAMPLES = 1000
+SAMPLE_TOL = 1e-9
+
 
 class PayoffError(Exception):
     pass
@@ -75,26 +79,26 @@ class PayoffFunction:
     def __call__(self, x, t):
         return self.fn(x, t)
 
-    def _sampling_check(self, samples=1000, tol=1e-9):
+    def _sampling_check(self):
         rng = np.random.default_rng(1234567891)
-        xs = rng.uniform(0.0, self.x_hint, size=samples)
-        ts = rng.uniform(0.0, self.horizon, size=samples)
+        xs = rng.uniform(0.0, self.x_hint, size=SAMPLES)
+        ts = rng.uniform(0.0, self.horizon, size=SAMPLES)
         vals = evaluate(self.fn, xs, ts)
-        if np.any(~np.isfinite(vals)) or np.any(vals < -tol):
+        if np.any(~np.isfinite(vals)) or np.any(vals < -SAMPLE_TOL):
             raise PayoffError("payoff must be finite and nonnegative")
         if self.convex_in_x:
-            lam = rng.uniform(0.0, 1.0, size=samples)
-            x2 = rng.uniform(0.0, self.x_hint, size=samples)
+            lam = rng.uniform(0.0, 1.0, size=SAMPLES)
+            x2 = rng.uniform(0.0, self.x_hint, size=SAMPLES)
             mid = lam * xs + (1 - lam) * x2
             chord = lam * vals + (1 - lam) * evaluate(self.fn, x2, ts)
             at_mid = evaluate(self.fn, mid, ts)
-            if np.any(at_mid > chord + tol * (1 + np.abs(chord))):
+            if np.any(at_mid > chord + SAMPLE_TOL * (1 + np.abs(chord))):
                 raise PayoffError("convex_in_x contradicted by sampling")
         if self.decreasing_in_t:
-            t2 = rng.uniform(0.0, self.horizon, size=samples)
+            t2 = rng.uniform(0.0, self.horizon, size=SAMPLES)
             lo, hi = np.minimum(ts, t2), np.maximum(ts, t2)
             a, b = evaluate(self.fn, xs, lo), evaluate(self.fn, xs, hi)
-            if np.any(b > a + tol * (1 + np.abs(a))):
+            if np.any(b > a + SAMPLE_TOL * (1 + np.abs(a))):
                 raise PayoffError("decreasing_in_t contradicted by sampling")
         # tail slope: secants over the sampled range must not exceed it...
         # only checkable when the declared slope is 0 and values stay bounded;
@@ -126,6 +130,9 @@ class AmericanPayoffGrid:
             self.tail_slopes = np.zeros(len(self.maturities))
         else:
             self.tail_slopes = np.asarray(self.tail_slopes, dtype=float)
+        if not (np.isfinite(self.values).all()
+                and np.isfinite(self.tail_slopes).all()):
+            raise PayoffError("payoff values and tail slopes must be finite")
         if np.any(self.tail_slopes < 0):
             raise PayoffError("tail slopes must be nonnegative")
         if np.any(self.values < 0):
@@ -138,9 +145,6 @@ class AmericanPayoffGrid:
     @property
     def growth_rate(self):
         return float(np.max(self.tail_slopes))
-
-    def column(self, n):
-        return self.values[:, n]
 
     def interp(self, x, n):
         """Extended linear interpolation of column n at price(s) x."""

@@ -8,6 +8,8 @@ from amerbound import bench, bound, certify, instances, lpcore, market, payoff
 from amerbound.payoff import (AmericanPayoffGrid, PayoffFunction,
                               exercise_time_transform)
 
+from lp_helpers import check_point, dual_of
+
 
 @pytest.fixture(scope="module")
 def sec26():
@@ -57,7 +59,7 @@ def test_mechanical_dual_agrees(sec26):
     # dual_of applied to the primal build must price like the hand-built dual
     m = market.implied_marginals(sec26.surface)
     lp, _ = bound.build_primal_bounded(m, sec26.payoff)
-    mech = lpcore.solve(lpcore.dual_of(lp))
+    mech = lpcore.solve(dual_of(lp))
     assert mech.status == "optimal"
     assert mech.objective == pytest.approx(35.625, abs=1e-7)
     # the hedge read off the primal's row multipliers is a feasible point of
@@ -77,7 +79,7 @@ def test_mechanical_dual_agrees(sec26):
         else:
             m = market.extended_marginals(inst.surface)
             lp_d = bound.build_dual_extended(m, inst.payoff)
-        rep = lpcore.check_point(lp_d, _pack_dual(res.hedge), tol=1e-9)
+        rep = check_point(lp_d, _pack_dual(res.hedge), tol=1e-9)
         assert rep.feasible, (inst.name, variant, rep.max_violation)
         assert rep.objective == pytest.approx(res.phi, abs=1e-9)
 
@@ -160,7 +162,7 @@ def _assert_builds_like_reference(states, p_hat, a_vals, tail_rates,
     assert (lp.matrix != ref.matrix).nnz == 0
     # each row's terms in the same order, as well as the same matrix
     assert [r.terms for r in lp.rows] == [r.terms for r in ref.rows]
-    assert np.array_equal(lp.rhs_vector(), ref.rhs_vector())
+    assert np.array_equal(lp.rhs, ref.rhs)
     assert np.array_equal(lp.relations, ref.relations)
     assert np.array_equal(lp.objective, ref.objective)
     assert np.array_equal(lp.free, ref.free)

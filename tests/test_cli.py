@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from amerbound import bound, cli, instances, lpcore
+from amerbound import bound, certify, cli, instances, lpcore
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +254,56 @@ def test_put_payoff_spec(runner, tmp_path):
     doc = json.loads(res.output)
     assert doc["variant"] == "extended"
     assert doc["phi"] >= doc["psi"] - 1e-6
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []), ("bound", ["--payoff", PAYOFF])])
+def test_nan_quote_exit_2(runner, tmp_path, command, extra):
+    def mangle(doc):
+        doc["calls"][2][1] = float("nan")
+    res = runner.invoke(cli.main, [command, "--input",
+                                   _surface_file(tmp_path, mangle=mangle)]
+                        + extra)
+    assert res.exit_code == 2, res.output
+    assert "finite" in res.stderr
+
+
+def test_infinite_grid_payoff_exit_2(runner, tmp_path):
+    # on a 3-strike, 2-maturity zero-tail surface, refused before any solve
+    def mangle(doc):
+        doc["maturities"] = doc["maturities"][:2]
+        doc["calls"] = [row[:2] for row in doc["calls"]]
+    res = runner.invoke(cli.main, [
+        "bound", "--input", _surface_file(tmp_path, mangle=mangle),
+        "--payoff", '{"type":"grid","values":[[Infinity,1],[1,1],[1,1],[0,0]]}'])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec" in res.stderr and "finite" in res.stderr
+
+
+@pytest.mark.parametrize("doc", [
+    {"marginals": [[0.5], [0.5]], "states": [0, 1]},
+    {"marginals": [[0.5], ["half"]], "states": [0, 1], "maturities": [1]},
+])
+def test_malformed_marginals_document_exit_2(runner, tmp_path, doc):
+    path = tmp_path / "marginals.json"
+    path.write_text(json.dumps(doc))
+    for command, extra in (("validate", []), ("bound", ["--payoff", PAYOFF])):
+        res = runner.invoke(cli.main, [command, "--input", str(path)] + extra)
+        assert res.exit_code == 2, (command, res.output)
+        assert "malformed" in res.stderr
+
+
+def test_nan_replay_slack_fails_certification(runner, tmp_path, monkeypatch):
+    verify = certify.verify_superreplication
+
+    def nan_slack(*args, **kwargs):
+        rep = verify(*args, **kwargs)
+        rep.min_slack = float("nan")
+        return rep
+
+    monkeypatch.setattr(certify, "verify_superreplication", nan_slack)
+    res = runner.invoke(cli.main, ["certify", "--input",
+                                   _surface_file(tmp_path),
+                                   "--payoff", PAYOFF, "--trials", "2000"])
+    assert res.exit_code == 5, res.output
+    assert json.loads(res.output)["certified"] is False

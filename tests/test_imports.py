@@ -1,12 +1,18 @@
-"""Static checks of the package source: every imported name is used, and
-every module-level private function or class is referenced."""
+"""Static checks of the package source: every imported name is used, every
+module-level private function or class is referenced, and every public
+function, class, method or property has a caller."""
 
 import ast
 import pathlib
+import re
 
 import amerbound
 
 MODULES = sorted(pathlib.Path(amerbound.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+# the benchmark harness beside the tests, when the checkout has one
+PERFBENCH = sorted((pathlib.Path(__file__).parent.parent / "perfbench")
+                   .glob("*.py"))
 
 
 def unused_imports(source):
@@ -62,3 +68,61 @@ def test_unreferenced_private_detector():
 
 def test_package_private_definitions_are_referenced():
     assert unreferenced_private(p.read_text() for p in MODULES) == []
+
+
+def _is_command(node):
+    """Whether a definition is decorated as a click command or group."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def unreferenced_public(package, others=(), by_string=()):
+    """Public module-level functions and classes, and public methods and
+    properties of those classes, that no source reads by name or as an
+    attribute.  ``package`` holds the sources that define them; ``others``
+    only read them; in ``by_string`` every identifier inside a string
+    constant counts as read too, since a tracer looks names up by string.
+    Dunders and click commands are skipped."""
+    defined, used = {}, set()
+    for source in package:
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and not _is_command(node):
+                defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                defined.update((m.name, "%s.%s" % (node.name, m.name))
+                               for m in node.body
+                               if isinstance(m, ast.FunctionDef)
+                               and not m.name.startswith("_"))
+    for source, strings in ([(s, False) for s in (*package, *others)]
+                            + [(s, True) for s in by_string]):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return sorted(label for name, label in defined.items() if name not in used)
+
+
+def test_unreferenced_public_detector():
+    package = ["import click\n"
+               "def used():\n    pass\ndef unused():\n    pass\n"
+               "def by_string():\n    pass\n"
+               "class C:\n    def __init__(self):\n        pass\n"
+               "    def m(self):\n        pass\n"
+               "    @property\n    def p(self):\n        return 1\n"
+               "@click.command()\ndef cmd():\n    pass\n"]
+    assert unreferenced_public(package, ["used(); C().p\n"],
+                               ["HOOKS = ('by_string',)\n"]) == [
+        "C.m", "unused"]
+
+
+def test_package_public_definitions_have_callers():
+    assert unreferenced_public(
+        [p.read_text() for p in MODULES], [p.read_text() for p in TESTS],
+        [p.read_text() for p in PERFBENCH]) == []

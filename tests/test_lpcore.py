@@ -9,6 +9,7 @@ import amerbound
 from amerbound import lpcore
 from amerbound.lpcore import LinearProgram, Row
 
+from lp_helpers import check_point, dual_of
 from rational_oracle import brute_force_optimum
 
 
@@ -104,21 +105,21 @@ def test_free_variable():
 def test_check_point_roundtrip():
     lp = lp_max_x_le_3()
     sol = lpcore.solve(lp)
-    rep = lpcore.check_point(lp, sol.x, tol=1e-9)
+    rep = check_point(lp, sol.x, tol=1e-9)
     assert rep.feasible
     assert rep.objective == pytest.approx(sol.objective)
-    rep2 = lpcore.check_point(lp, [4.0])
+    rep2 = check_point(lp, [4.0])
     assert not rep2.feasible
 
 
 def test_check_point_rejects_zero_on_positive_equality():
     lp = LinearProgram("max", 2, [1.0, 0.0], [Row([(0, 1.0), (1, 1.0)], "=", 0.5)])
-    assert not lpcore.check_point(lp, [0.0, 0.0]).feasible
+    assert not check_point(lp, [0.0, 0.0]).feasible
 
 
 def test_dual_of_trivial():
     lp = LinearProgram("max", 0, [], [])
-    d = lpcore.dual_of(lp)
+    d = dual_of(lp)
     assert d.sense == "min"
     assert lpcore.solve(d).objective == pytest.approx(0.0)
 
@@ -127,7 +128,7 @@ def test_dual_of_value_matches():
     rng = np.random.default_rng(7)
     for _ in range(25):
         lp = _random_bounded_lp(rng)
-        d = lpcore.dual_of(lp)
+        d = dual_of(lp)
         s1 = lpcore.solve(lp)
         s2 = lpcore.solve(d)
         assert s1.status == "optimal" and s2.status == "optimal"
@@ -136,7 +137,7 @@ def test_dual_of_value_matches():
 
 def test_dual_of_dual_of_value():
     lp = lp_max_x_le_3()
-    dd = lpcore.dual_of(lpcore.dual_of(lp))
+    dd = dual_of(dual_of(lp))
     assert lpcore.solve(dd).objective == pytest.approx(3.0, abs=1e-9)
 
 
@@ -146,18 +147,18 @@ def test_residual_invariants_on_random_lps():
         lp = _random_bounded_lp(rng)
         sol = lpcore.solve(lp)
         assert sol.status == "optimal"
-        parts = (lp.matrix.data, lp.rhs_vector(), lp.objective)
+        parts = (lp.matrix.data, lp.rhs, lp.objective)
         s = 1.0 + max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
         assert sol.primal_residual <= 1e-9 * s
         assert sol.dual_residual <= 1e-9 * s
         # complementary slackness: a slack row has no multiplier, and a
         # positive variable no reduced cost
-        gap = lp.matrix @ sol.x - lp.rhs_vector()
+        gap = lp.matrix @ sol.x - lp.rhs
         red = lp.matrix.T @ sol.duals - lp.objective
         assert np.max(np.abs(sol.duals * gap)) <= 1e-8 * s
         assert np.max(np.abs(red * sol.x)) <= 1e-8 * s
         # weak duality realized: dual objective equals primal objective
-        assert sol.duals @ lp.rhs_vector() == pytest.approx(sol.objective, abs=1e-8 * s)
+        assert sol.duals @ lp.rhs == pytest.approx(sol.objective, abs=1e-8 * s)
 
 
 def test_determinism():
@@ -206,3 +207,9 @@ def test_oracle_agreement_sample():
         sol = lpcore.solve(lp)
         assert sol.status == "optimal"
         assert abs(sol.objective - float(val)) <= 1e-7
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_objective_rejected_on_construction(bad):
+    with pytest.raises(lpcore.LPError, match="non-finite objective"):
+        LinearProgram("max", 2, [1.0, bad], [Row([(0, 1.0)], "<=", 1.0)])

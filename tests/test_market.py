@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from amerbound import instances, market
+from amerbound import bench, instances, market
 
 
 @pytest.fixture
@@ -156,3 +157,177 @@ def test_implied_marginals_rejects_inconsistent_surface(sec26_surface):
                              sec26_surface.maturities, prices)
     with pytest.raises(market.MarketError):
         market.implied_marginals(bad)
+
+
+# ---------------------------------------------------------------------------
+# the array passes against the per-maturity loops they replaced
+
+ORACLE_TOL = 1e-10
+
+
+def _loop_validate(surface, mode):
+    """The previous validate, kept as the oracle: every inequality visited
+    one maturity and one strike at a time."""
+    tol = ORACLE_TOL
+    c = surface.prices
+    x = surface.states
+    J, N = surface.num_strikes, surface.num_maturities
+    weak, strict = [], []
+    for n in range(N):
+        col = c[:, n]
+        for j in range(J):
+            drop = col[j] - col[j + 1]
+            if drop < -tol:
+                weak.append(("monotone-in-strike", (j + 1, n), -drop))
+            elif drop <= tol:
+                strict.append(("monotone-in-strike", (j + 1, n), tol - drop))
+        slopes = -(np.diff(col)) / np.diff(x)
+        if slopes[0] > 1.0 + tol:
+            weak.append(("slope-bound", (0, n), slopes[0] - 1.0))
+        elif slopes[0] >= 1.0 - tol:
+            strict.append(("slope-bound", (0, n), slopes[0] - 1.0 + tol))
+        for j in range(J - 1):
+            conv = slopes[j] - slopes[j + 1]
+            if conv < -tol:
+                weak.append(("convexity", (j + 1, n), -conv))
+            elif conv <= tol:
+                strict.append(("convexity", (j + 1, n), tol - conv))
+        if col[J] < tol:
+            strict.append(("positive-tail", (J, n), tol - col[J]))
+    for n in range(N - 1):
+        for j in range(1, J + 1):
+            gain = c[j, n + 1] - c[j, n]
+            if gain < -tol:
+                weak.append(("calendar", (j, n), -gain))
+            elif gain <= tol:
+                strict.append(("calendar", (j, n), tol - gain))
+    zero_tail = bool(c[J, N - 1] <= tol)
+    if weak:
+        status = "invalid"
+        violations = weak if mode == "weak" else weak + strict
+    elif strict:
+        status = "invalid" if mode == "strict" else "weakly-valid"
+        violations = strict if mode == "strict" else []
+    else:
+        status = "strictly-valid"
+        violations = []
+    return market.ValidationReport(status, violations, zero_tail)
+
+
+def _loop_implied_marginals(surface):
+    """The previous implied_marginals, kept as the oracle: one maturity at a
+    time, clipped and renormalized in place."""
+    tol = ORACLE_TOL
+    c = surface.prices
+    x = surface.states
+    J, N = surface.num_strikes, surface.num_maturities
+    p = np.zeros((J + 1, N))
+    for n in range(N):
+        slopes = (c[:-1, n] - c[1:, n]) / np.diff(x)
+        p[0, n] = 1.0 - slopes[0]
+        for j in range(1, J):
+            p[j, n] = slopes[j - 1] - slopes[j]
+        p[J, n] = slopes[J - 1]
+        neg = p[:, n] < 0
+        if np.any(p[neg, n] < -tol):
+            worst = float(np.min(p[:, n]))
+            raise market.MarketError(
+                "inconsistent surface: implied probability %.3e" % worst)
+        p[neg, n] = 0.0
+        total = p[:, n].sum()
+        if abs(total - 1.0) > 1e-8:
+            raise market.MarketError("implied probabilities sum to %.12g" % total)
+        p[:, n] /= total
+    return p
+
+
+@st.composite
+def perturbed_surfaces(draw):
+    """Black-Scholes or marginal-priced quotes with J in 1..12 strikes and N
+    in 1..5 maturities, some top calls zeroed, some quotes moved by 1e-12
+    to 10."""
+    J, N = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        strikes = np.sort(rng.choice(np.arange(20, 200), size=J, replace=False))
+        cfg = bench.BenchConfig(strikes=tuple(float(k) for k in strikes),
+                                num_maturities=N, vol=draw(st.floats(0.05, 1.0)))
+        prices = bench.bs_surface(cfg).prices
+        strikes, maturities = cfg.strikes, cfg.maturities
+    else:
+        # each maturity spreads a share of every inner state's mass evenly
+        # to its neighbours: one mean, in convex order
+        states = np.arange(J + 1, dtype=float)
+        probs = [rng.dirichlet(np.full(J + 1, 0.5))]
+        for _ in range(N - 1):
+            move = probs[-1] * rng.random(J + 1)
+            move[[0, -1]] = 0.0
+            step = probs[-1] - move
+            step[:-2] += move[1:-1] / 2
+            step[2:] += move[1:-1] / 2
+            probs.append(step)
+        probs = np.array(probs).T
+        calls = np.maximum(states[None, :] - states[1:, None], 0.0) @ probs
+        prices = np.vstack([np.full(N, states @ probs[:, 0]), calls])
+        strikes, maturities = states[1:], np.arange(1.0, N + 1)
+    prices = prices.copy()
+    if draw(st.booleans()):
+        prices[J, rng.random(N) < 0.5] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        size = 10.0 ** draw(st.floats(-12.0, 1.0))
+        j, n = int(rng.integers(1, J + 1)), int(rng.integers(N))
+        prices[j, n] = max(prices[j, n] + size * rng.choice((-1.0, 1.0)), 0.0)
+    return market.CallSurface(float(prices[0, 0]), strikes, maturities, prices)
+
+
+def _outcome(fn, surface, *args):
+    try:
+        return fn(surface, *args), None
+    except market.MarketError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200)
+@given(surface=perturbed_surfaces())
+def test_validate_and_marginals_match_their_loop_oracles(surface):
+    for mode in ("weak", "strict"):
+        new, old = market.validate(surface, mode), _loop_validate(surface, mode)
+        assert (new.status, new.zero_tail) == (old.status, old.zero_tail)
+        assert new.violations == old.violations
+    (new, new_err), (old, old_err) = (_outcome(market.implied_marginals, surface),
+                                      _outcome(_loop_implied_marginals, surface))
+    assert new_err == old_err
+    if old_err is None:
+        assert np.array_equal(new.probs, old)
+        assert np.array_equal(np.signbit(new.probs), np.signbit(old))
+
+
+@pytest.mark.parametrize("field", ["s0", "strikes", "maturities", "prices"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_surface_rejects_non_finite_numbers(sec26_surface, field, bad):
+    parts = {"s0": sec26_surface.s0, "strikes": sec26_surface.strikes.copy(),
+             "maturities": sec26_surface.maturities.copy(),
+             "prices": sec26_surface.prices.copy()}
+    if field == "s0":
+        parts["s0"] = bad
+    else:
+        parts[field][-1 if field != "prices" else (1, 0)] = bad
+    with pytest.raises(market.MarketError, match="finite"):
+        market.CallSurface(**parts)
+
+
+def test_load_surface_rejects_nan_quote_in_json_text():
+    text = ('{"s0": 100, "strikes": [50, 100, 150], "maturities": [1],'
+            ' "calls": [[50], [NaN], [0]]}')
+    with pytest.raises(market.MarketError, match="finite"):
+        market.load_surface(text)
+
+
+@pytest.mark.parametrize("doc", [
+    {"marginals": [[0.5], [0.5]], "states": [0, 1]},
+    {"marginals": [[0.5], ["half"]], "states": [0, 1], "maturities": [1]},
+])
+def test_load_surface_rejects_malformed_marginals(doc):
+    with pytest.raises(market.MarketError, match="malformed"):
+        market.load_surface(doc)

@@ -123,3 +123,14 @@ def test_interp_and_subgradient():
     assert g.right_subgradient(25.0, 0) == pytest.approx(-6.0 / 50.0)
     assert g.right_subgradient(100.0, 0) == pytest.approx(0.5)
     assert g.growth_rate == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_non_finite_values_and_tail_slopes(bad):
+    states, mats = [0.0] + STRIKES, [1.0, 2.0]
+    values = np.ones((4, 2))
+    values[0, 0] = bad
+    with pytest.raises(payoff.PayoffError, match="finite"):
+        payoff.AmericanPayoffGrid(values, states, mats)
+    with pytest.raises(payoff.PayoffError, match="finite"):
+        payoff.AmericanPayoffGrid(np.ones((4, 2)), states, mats, [0.0, bad])

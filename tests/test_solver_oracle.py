@@ -14,6 +14,7 @@ from amerbound import bench, instances, lpcore, market
 from amerbound.bound import build_primal_bounded, build_primal_extended
 from amerbound.lpcore import LinearProgram, Row
 
+from lp_helpers import dual_of
 from test_bound import DENSE_GRIDS, dense_grid_case, presolve_trap_case
 from test_lpcore import (_random_bounded_lp, lp_infeasible, lp_max_x_le_3,
                          lp_unbounded)
@@ -23,7 +24,7 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 def _linprog_solve(lp):
     """Reference: the pinned HiGHS dual simplex through linprog."""
-    A, b = lp.matrix, lp.rhs_vector()
+    A, b = lp.matrix, lp.rhs
     m, n = A.shape
     eq = lp.relations == "="
     ineq = ~eq
@@ -111,8 +112,8 @@ def test_small_lps_and_their_duals_solve_like_linprog():
     for seed, count in ((1357924680, 200), (7, 25)):
         rng = np.random.default_rng(seed)
         lps += [_random_bounded_lp(rng) for _ in range(count)]
-    lps += [lpcore.dual_of(lp) for lp in lps]
-    lps.append(lpcore.dual_of(lpcore.dual_of(lp_max_x_le_3())))
+    lps += [dual_of(lp) for lp in lps]
+    lps.append(dual_of(dual_of(lp_max_x_le_3())))
     statuses = {lpcore.solve(lp).status for lp in lps}
     assert statuses == {"optimal", "infeasible", "unbounded"}
     for lp in lps:
