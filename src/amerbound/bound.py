@@ -26,6 +26,10 @@ class BoundError(Exception):
     pass
 
 
+class ArbitrageError(BoundError):
+    """The surface fails the static no-arbitrage checks."""
+
+
 class GapError(BoundError):
     def __init__(self, phi, psi, tol):
         self.phi, self.psi = phi, psi
@@ -86,8 +90,8 @@ def _norm_row(terms, relation, rhs):
 
 
 def _check_grids(states, a: AmericanPayoffGrid):
-    if len(a.states) != len(states) or not np.allclose(a.states, states,
-                                                       atol=1e-12):
+    # exactly: the hedge's replay reads the payoff at the surface's brackets
+    if not np.array_equal(a.states, states):
         raise BoundError("payoff lattice does not match the surface lattice")
 
 
@@ -151,12 +155,8 @@ def _build_primal(states, p_hat, a_vals, tail_rates, extended):
     indptr = np.concatenate([[0], np.cumsum(counts)])
     scale = np.maximum.reduceat(np.abs(coefs), indptr[:-1])
     # divide, not multiply by the reciprocal: the rows keep their bits
-    cols, coefs = cols.tolist(), (coefs / scale[rows]).tolist()
-    ptr = indptr.tolist()
-    lp_rows = [lpcore.Row(list(zip(cols[lo:hi], coefs[lo:hi])), rel, b)
-               for lo, hi, rel, b in zip(ptr, ptr[1:], relations.tolist(),
-                                         (rhs / scale).tolist())]
-    lp = lpcore.LinearProgram("max", idx.num_vars, objective, lp_rows)
+    lp = lpcore.LinearProgram("max", idx.num_vars, objective, indptr, cols,
+                              coefs / scale[rows], rhs / scale, relations)
     idx.row_scale = scale
     return lp, idx
 
@@ -246,7 +246,8 @@ def _build_dual(states, p_hat, a_vals, tail_rates, extended):
                                    (v[n, tail], -1.0), (v[n + 1, tail], 1.0)],
                                   ">=", 0.0))
 
-    return lpcore.LinearProgram("min", num_vars, objective, rows, free=free)
+    return lpcore.LinearProgram.from_rows("min", num_vars, objective, rows,
+                                          free=free)
 
 
 def build_primal_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):
@@ -277,7 +278,8 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         raise BoundError("variant must be auto, bounded, or extended")
     report = market.validate(surface, mode="weak")
     if not report.valid:
-        raise BoundError("surface fails validation: %r" % report.violations[:3])
+        raise ArbitrageError("surface fails validation: %r"
+                             % report.violations[:3])
     if variant == "auto":
         variant = "bounded" if report.zero_tail else "extended"
     if variant == "bounded" and not report.zero_tail:
@@ -295,8 +297,7 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
     sol = lpcore.solve(lp)
     if sol.status != "optimal":
         raise BoundError("primal LP (%dx%d): HiGHS %s ended %s"
-                         % (len(lp.rows), lp.num_vars, lpcore.METHOD,
-                            sol.status))
+                         % (*lp.matrix.shape, lpcore.METHOD, sol.status))
 
     hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a,
                                     idx.extended)

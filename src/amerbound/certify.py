@@ -7,20 +7,23 @@ HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2, and in
 the bounded variant the top-strike tail calls ``beta`` — whose terminal
 value is evaluated over batches of paths, one table of values per exercise
 date, on the lattice, on the interval [0, x_J], on the whole half-line, and
-for exercise times between maturities.  Verification never trusts the LP:
-it replays the certificates against their defining inequalities (one
-broadcast over all steps) and against sampled or enumerated paths, and the
-replay pays exactly the tail calls that the hedge states.
+for exercise times between maturities.  Each price column is placed on the
+lattice by one search, and every leg and hedge ratio is then read from
+per-interval tables.  Verification never trusts the LP: it replays the
+certificates against their defining inequalities (one broadcast over all
+steps) and against sampled or enumerated paths, and the replay pays exactly
+the tail calls that the hedge states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from . import market
-from .payoff import AmericanPayoffGrid, evaluate, extended_interp
+from .payoff import AmericanPayoffGrid, evaluate
 
 MASS_TOL = 1e-12
 # an LP mass may be negative by up to CLIP_TOL before it is clipped to 0; a
@@ -249,7 +252,7 @@ def _martingale_transport(x, mu, nu):
         terms = [(col(j, k), float(x[k] - x[j])) for k in range(M) if k != j]
         if terms:
             rows.append(lpcore.Row(terms, "=", 0.0))
-    lp = lpcore.LinearProgram("max", M * M, np.zeros(M * M), rows)
+    lp = lpcore.LinearProgram.from_rows("max", M * M, np.zeros(M * M), rows)
     sol = lpcore.solve(lp)
     if sol.status != "optimal":
         raise CertifyError("no martingale transport: marginals not in convex order")
@@ -406,46 +409,26 @@ class HedgeStrategy:
 def _interval_ratio(xs, d, h, j):
     """Ratio on the open interval (x_j, x_{j+1}): d_j if it does not exceed
     the secant slope u_j of h, else d_{j+1} if that stays at or above u_j,
-    else u_j itself."""
-    u = (h[j + 1] - h[j]) / (xs[j + 1] - xs[j])
-    dj, dj1 = d[j], d[j + 1]
+    else u_j itself.  d and h may stack rows; j indexes their last axis."""
+    u = (h[..., j + 1] - h[..., j]) / (xs[j + 1] - xs[j])
+    dj, dj1 = d[..., j], d[..., j + 1]
     return np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
 
 
-def mixed_interp(xs, d_row, h_row, x):
-    """Hedge-ratio interpolation between lattice ratios.
-
-    On (x_j, x_{j+1}) the ratio is ``_interval_ratio``'s; at knots it is the
-    knot ratio d_j.  h_row is the static-claim row whose secants bound
-    admissible ratios (E1, or E1 - V).
-    """
-    xs = np.asarray(xs, dtype=float)
-    d = np.asarray(d_row, dtype=float)
-    h = np.asarray(h_row, dtype=float)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any((x < 0) | (x > xs[-1] * (1 + 1e-12))):
-        raise CertifyError("mixed interpolation outside [0, x_J]")
-    j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    out = np.where(x == xs[j], d[j], _interval_ratio(xs, d, h, j))
-    out = np.where(x == xs[-1], d[-1], out)
-    return float(out[0]) if scalar else out
-
-
 def _mixed_inf(xs, d_row, h_row):
-    """Exact infimum of the (piecewise constant) mixed interpolation."""
+    """Exact infimum of the (piecewise constant) mixed interpolation of the
+    ratios d_row: d_j at the knots, ``_interval_ratio`` between them."""
     interval = _interval_ratio(xs, d_row, h_row, np.arange(len(xs) - 1))
     return float(min(d_row.min(), interval.min()))
 
 
-def _regime_rows(hedge: HedgeStrategy, delta, n):
-    """Ratio column and the static column whose secants bound it, at step n
-    (1-based) in regime delta: (D1, E1) while holding, (D2, E1 - V) once
-    exercised.  Both keep the tail row of the extended variant."""
+def _regime_rows(hedge: HedgeStrategy, delta):
+    """Ratio columns and the static columns whose secants bound them, one
+    column per step, in regime delta: (D1, E1) while holding, (D2, E1 - V)
+    once exercised.  Both keep the tail row of the extended variant."""
     if delta == 1:
-        return hedge.D1[:, n - 1], hedge.E1[:, n - 1]
-    return hedge.D2[:, n - 1], hedge.E1[:, n - 1] - hedge.V[:, n - 1]
+        return hedge.D1, hedge.E1[:, :-1]
+    return hedge.D2, hedge.E1[:, :-1] - hedge.V[:, :-1]
 
 
 def tail_hedge_ratio(hedge: HedgeStrategy, n, delta):
@@ -454,8 +437,8 @@ def tail_hedge_ratio(hedge: HedgeStrategy, n, delta):
     if not hedge.extended:
         raise CertifyError("tail ratios need an extended-variant hedge")
     J = hedge.num_lattice - 1
-    d, h = _regime_rows(hedge, delta, n)
-    return min(d[J], h[J + 1])
+    d, h = _regime_rows(hedge, delta)
+    return min(d[J, n - 1], h[J + 1, n - 1])
 
 
 def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
@@ -471,11 +454,12 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
     J = len(xs) - 1
     N = len(hedge.maturities)
     beta = np.zeros(N)
+    regimes = [_regime_rows(hedge, delta) for delta in (1, 2)]
     for n in range(1, N + 1):
         b = 0.0
         if n >= 2:
-            i1 = _mixed_inf(xs, *_regime_rows(hedge, 1, n - 1))
-            i2 = _mixed_inf(xs, *_regime_rows(hedge, 2, n - 1))
+            i1, i2 = (_mixed_inf(xs, d[:, n - 2], h[:, n - 2])
+                      for d, h in regimes)
             b += max(-i1, 0.0) + max(-(i2 + R), 0.0)
         if n <= N - 1:
             # falls from above the top strike: only positive carried ratios
@@ -527,25 +511,66 @@ def grid_feasibility(hedge: HedgeStrategy, a: AmericanPayoffGrid) -> float:
     return min(float(r.min(initial=np.inf)) for r in rows)
 
 
-def _ratio(hedge, delta, n, y):
-    """Hedge ratio d~ at prices y for step n (1-based), vectorized."""
+def _brackets(xs, Y):
+    """Where each price of Y (paths x N) sits on the lattice xs, found by
+    one search per column.  Returns per column the pair (code, offset): code
+    2j for a price at the knot x_j and 2j + 1 for one inside (x_j, x_{j+1})
+    or, for j = J, above x_J; offset y - x_j.  The leg and ratio tables of
+    the replay are indexed by these codes."""
+    if Y.min() < 0:
+        raise CertifyError("hedge replay at a negative price")
+    at = []
+    for y in Y.T:
+        j = np.searchsorted(xs, y, side="right") - 1
+        off = y - xs[j]
+        at.append((2 * j + (off != 0), off))
+    return at
+
+
+def _leg_tables(xs, values, tail_slopes):
+    """Slope and value by bracket code of each piecewise-linear column of
+    values (K x C) on xs, continued above x_J with tail_slopes; one row
+    per column.  A knot has slope 0, so every code interpolates as
+    slope * offset + value, the arithmetic of np.interp."""
+    K, C = values.shape
+    slope = np.zeros((C, 2 * K))
+    slope[:, 1:-1:2] = (np.diff(values, axis=0) / np.diff(xs)[:, None]).T
+    slope[:, -1] = tail_slopes
+    return slope, np.repeat(values.T, 2, axis=1)
+
+
+def _leg(tables, at, n):
+    """Column n of the legs in ``tables`` at the prices ``at`` brackets."""
+    code, off = at[n]
+    slope, value = tables
+    return slope[n][code] * off + value[n][code]
+
+
+def _ratio_table(hedge: HedgeStrategy, delta):
+    """Hedge ratio in regime delta by step (rows) and bracket code: the knot
+    ratio d_j at code 2j, ``_interval_ratio`` inside (x_j, x_{j+1}) and, above
+    the top strike, the tail ratio (the extended variant) or d_J."""
     xs = hedge.states
     K = len(xs)
-    d, h = _regime_rows(hedge, delta, n)
-    inside = mixed_interp(xs, d[:K], h[:K], np.minimum(y, xs[-1]))
-    tail = tail_hedge_ratio(hedge, n, delta) if hedge.extended else d[K - 1]
-    return np.where(np.atleast_1d(y) > xs[-1], tail, np.atleast_1d(inside))
+    d, h = (r[:K].T for r in _regime_rows(hedge, delta))
+    table = np.empty((len(d), 2 * K))
+    table[:, 0::2] = d
+    table[:, 1:-1:2] = _interval_ratio(xs, d, h, np.arange(K - 1))
+    table[:, -1] = ([tail_hedge_ratio(hedge, n, delta)
+                     for n in range(1, len(d) + 1)]
+                    if hedge.extended else d[:, -1])
+    return table
 
 
-def _exercise_values(hedge: HedgeStrategy, Y):
-    """Terminal hedge value along each path of Y for each exercise date.
+def _exercise_values(hedge: HedgeStrategy, Y, at):
+    """Terminal hedge value along each path of Y for each exercise date;
+    ``at`` is ``_brackets(hedge.states, Y)``.
 
     Returns a (paths x N) table whose column m-1 is the value when the claim
     is exercised at maturity m: the static legs, the holding ratios D1 over
     the steps before m and the exercised ratios D2 from m on.  The bounded
     variant also pays the hedge's tail calls ``beta``.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
     P, N = Y.shape
     xs = hedge.states
     K = len(xs)
@@ -554,26 +579,29 @@ def _exercise_values(hedge: HedgeStrategy, Y):
         e1s, e2s, vs = hedge.E1[K], hedge.E2[K], hedge.V[K]
     else:
         e1s, e2s, vs = np.zeros(N), np.zeros(N), np.full(N, R)
+    e1, e2, v = (_leg_tables(xs, M[:K], slopes) for M, slopes in
+                 ((hedge.E1, e1s), (hedge.E2, e2s), (hedge.V, vs)))
 
     static = np.zeros(P)
     for n in range(N):
-        static += extended_interp(xs, hedge.E1[:K, n], Y[:, n], e1s[n])
-        static += extended_interp(xs, hedge.E2[:K, n], Y[:, n], e2s[n])
-    static += extended_interp(xs, hedge.V[:K, N - 1], Y[:, N - 1], vs[N - 1])
+        static += _leg(e1, at, n)
+        static += _leg(e2, at, n)
+    static += _leg(v, at, N - 1)
     if not hedge.extended:
         up = np.maximum(Y - xs[-1], 0.0)
         static += R * up[:, N - 1] + up @ hedge.beta
 
-    leg1 = np.zeros((P, max(N - 1, 0)))
-    leg2 = np.zeros((P, max(N - 1, 0)))
-    for n in range(1, N):
-        dy = Y[:, n] - Y[:, n - 1]
-        leg1[:, n - 1] = dy * _ratio(hedge, 1, n, Y[:, n - 1])
-        leg2[:, n - 1] = dy * _ratio(hedge, 2, n, Y[:, n - 1])
-    pre1 = np.concatenate([np.zeros((P, 1)), np.cumsum(leg1, axis=1)], axis=1)
-    suf2 = np.concatenate([np.cumsum(leg2[:, ::-1], axis=1)[:, ::-1],
-                           np.zeros((P, 1))], axis=1)
-    return static[:, None] + pre1 + suf2
+    # gains of the holding ratios over the steps before each exercise date
+    # and of the exercised ratios from it on, summed in np.cumsum's order
+    dy = [Y[:, n + 1] - Y[:, n] for n in range(N - 1)]
+    r1, r2 = _ratio_table(hedge, 1), _ratio_table(hedge, 2)
+    pre1 = [0.0, *accumulate(d * r1[n][at[n][0]] for n, d in enumerate(dy))]
+    suf2 = [*accumulate(dy[n] * r2[n][at[n][0]]
+                        for n in reversed(range(N - 1)))][::-1] + [0.0]
+    values = np.empty((P, N))
+    for m in range(N):
+        values[:, m] = static + pre1[m] + suf2[m]
+    return values
 
 
 @dataclass
@@ -589,9 +617,15 @@ class VerificationReport:
 
 def _slack_over_exercise(hedge, a, Y):
     """Min over on-grid exercise dates of hedge value minus payoff, and the
-    1-based date that attains it (the earliest one on ties)."""
-    pay = np.stack([a.interp(Y[:, n], n) for n in range(Y.shape[1])], axis=1)
-    slack = _exercise_values(hedge, Y) - pay
+    1-based date that attains it (the earliest one on ties).  The payoff is
+    read at the hedge's brackets, so it must share the hedge's lattice."""
+    if not np.array_equal(a.states, hedge.states):
+        raise CertifyError("payoff and hedge are on different lattices")
+    at = _brackets(hedge.states, Y)
+    slack = _exercise_values(hedge, Y, at)
+    pay = _leg_tables(a.states, a.values, a.tail_slopes)
+    for n in range(Y.shape[1]):
+        slack[:, n] -= _leg(pay, at, n)
     best_m = np.argmin(slack, axis=1)
     return slack[np.arange(len(slack)), best_m], best_m + 1
 
@@ -677,7 +711,7 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
 
     m0 = np.searchsorted(mats, rho, side="left")    # rho in (t_m0, t_{m0+1}]
     rows = np.arange(P)
-    g = _exercise_values(hedge, Y)[rows, m0]
+    g = _exercise_values(hedge, Y, _brackets(hedge.states, Y))[rows, m0]
 
     y_prev = np.where(m0 == 0, s0, Y[rows, np.maximum(m0 - 1, 0)])
     on_grid = rho == mats[np.minimum(m0, N - 1)]

@@ -113,6 +113,8 @@ def _bound_or_fail(surface, grid, variant, tol_gap):
                                   tol_gap=tol_gap)
     except bound.GapError as exc:
         _fail(EXIT_CERTIFY, str(exc))
+    except bound.ArbitrageError:
+        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
     except (bound.BoundError, lpcore.LPError) as exc:
         _fail(EXIT_SOLVER, str(exc))
     except certify.CertifyError as exc:
@@ -120,17 +122,15 @@ def _bound_or_fail(surface, grid, variant, tol_gap):
 
 
 def _bound_input(input_path, payoff_spec, variant, tol_gap):
-    """Load the surface and the payoff (exit 2), check the surface for
-    arbitrage (exit 3) and bound the claim (exit 4 or 5).  Returns the
-    surface, the lattice payoff, its continuum evaluator (or None) and the
-    bound."""
+    """Load the surface and the payoff (exit 2) and bound the claim, which
+    checks the surface for arbitrage (exit 3) before it solves (exit 4 or
+    5).  Returns the surface, the lattice payoff, its continuum evaluator (or
+    None) and the bound."""
     surface = _load_surface(input_path)
     try:
         grid, fn = payoff_from_config(_payoff_doc(payoff_spec), surface)
     except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
         _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
-    if not market.validate(surface).valid:
-        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
     return surface, grid, fn, _bound_or_fail(surface, grid, variant, tol_gap)
 
 

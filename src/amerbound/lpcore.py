@@ -1,10 +1,11 @@
 """Linear-programming kernel: sparse programs solved by HiGHS.
 
-Programs are built row by row from sparse terms, held as one CSR matrix, and
-solved with the HiGHS dual revised simplex (Huangfu & Hall, Math. Prog.
-Comp. 10, 2018), driven through the HiGHS core that ships inside scipy.
-Primal and dual residuals of each optimum are computed here from the same
-matrix, without trusting the solver.
+A program holds its constraints as CSR arrays (a list of ``Row`` objects
+converts to them through ``LinearProgram.from_rows``) and is solved with the
+HiGHS dual revised simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018),
+driven through the HiGHS core that ships inside scipy.  Primal and dual
+residuals of each optimum are computed here from the same matrix, without
+trusting the solver.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ OPTIONS = {"solver": "simplex",
            "primal_feasibility_tolerance": 1e-10,
            "dual_feasibility_tolerance": 1e-10,
            "output_flag": False}
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
 _STATUS = {highs.HighsModelStatus.kOptimal: "optimal",
            highs.HighsModelStatus.kInfeasible: "infeasible",
            highs.HighsModelStatus.kUnbounded: "unbounded"}
@@ -40,6 +43,9 @@ _STATUS = {highs.HighsModelStatus.kOptimal: "optimal",
 
 class LPError(Exception):
     """Raised on malformed programs or when the solver gives up."""
+
+
+RELATIONS = ("<=", "=", ">=")
 
 
 @dataclass
@@ -55,7 +61,7 @@ class Row:
     rhs: float
 
     def __post_init__(self):
-        if self.relation not in ("<=", "=", ">="):
+        if self.relation not in RELATIONS:
             raise LPError("bad relation %r" % self.relation)
 
 
@@ -66,19 +72,28 @@ class LinearProgram:
     sense        "max" or "min"
     num_vars     number of structural variables
     objective    dense objective vector (length num_vars)
-    rows         list of Row
+    indptr, indices, data
+                 the constraint matrix in CSR form: row i has the
+                 coefficients data[indptr[i]:indptr[i + 1]] in the columns
+                 indices[indptr[i]:indptr[i + 1]]
+    rhs          right-hand side, one per row
+    relations    "<=", "=" or ">=", one per row
     free         boolean mask; True marks a free (unbounded below) variable
 
-    ``matrix`` (CSR, one row per Row), ``rhs`` and ``relations`` are built
-    from the rows on construction, which rejects a non-finite objective,
-    coefficient or rhs and a column repeated within a row; rows must not
-    change afterwards.
+    Construction rejects a non-finite objective, coefficient or rhs, a
+    column out of range, a column repeated within a row and a bad relation,
+    and builds ``matrix`` (scipy CSR) on the arrays; they must not change
+    afterwards.
     """
 
     sense: str
     num_vars: int
     objective: np.ndarray
-    rows: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+    relations: np.ndarray
     free: np.ndarray = None
 
     def __post_init__(self):
@@ -95,29 +110,57 @@ class LinearProgram:
             self.free = np.asarray(self.free, dtype=bool)
             if self.free.shape != (self.num_vars,):
                 raise LPError("free mask length mismatch")
-        counts = [len(r.terms) for r in self.rows]
-        nnz = sum(counts)
-        cols = np.fromiter((j for r in self.rows for j, _ in r.terms),
-                           dtype=np.int64, count=nnz)
-        vals = np.fromiter((v for r in self.rows for _, v in r.terms),
-                           dtype=float, count=nnz)
-        bad = (cols < 0) | (cols >= self.num_vars)
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.data = np.asarray(self.data, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        relations = np.asarray(self.relations)
+        m = len(self.indptr) - 1
+        if self.rhs.shape != (m,) or relations.shape != (m,):
+            raise LPError("rhs and relations need one entry per row")
+        bad = (self.indices < 0) | (self.indices >= self.num_vars)
         if bad.any():
-            raise LPError("column index %d out of range" % cols[bad][0])
-        if not np.isfinite(vals).all():
+            raise LPError("column index %d out of range"
+                          % self.indices[bad][0])
+        if not np.isfinite(self.data).all():
             raise LPError("non-finite coefficient")
-        self.rhs = np.array([r.rhs for r in self.rows], dtype=float)
         if not np.isfinite(self.rhs).all():
             raise LPError("non-finite rhs")
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self.matrix = sparse.csr_matrix((vals, cols, indptr),
-                                        shape=(len(self.rows), self.num_vars))
+        bad = ~np.isin(relations, RELATIONS)
+        if bad.any():
+            raise LPError("bad relation %r" % str(relations[bad][0]))
+        self.relations = relations.astype("<U2")
+        self.matrix = sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                        shape=(m, self.num_vars))
         merged = self.matrix.copy()
         merged.sum_duplicates()
-        if merged.nnz < nnz:
+        if merged.nnz < len(self.data):
             raise LPError("duplicate column in a row")
-        self.relations = np.array([r.relation for r in self.rows], dtype="<U2")
+
+    @classmethod
+    def from_rows(cls, sense, num_vars, objective, rows, free=None):
+        """The program whose constraints are ``rows``, a list of Row."""
+        counts = [len(r.terms) for r in rows]
+        nnz = sum(counts)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        cols = np.fromiter((j for r in rows for j, _ in r.terms),
+                           dtype=np.int64, count=nnz)
+        vals = np.fromiter((v for r in rows for _, v in r.terms),
+                           dtype=float, count=nnz)
+        return cls(sense, num_vars, objective, indptr, cols, vals,
+                   [r.rhs for r in rows], [r.relation for r in rows], free)
+
+    @property
+    def rows(self):
+        """The constraints as a list of Row, built from the arrays on each
+        access; changing it leaves the program as it is."""
+        ptr = self.indptr.tolist()
+        cols, vals = self.indices.tolist(), self.data.tolist()
+        return [Row(list(zip(cols[lo:hi], vals[lo:hi])), rel, b)
+                for lo, hi, rel, b in zip(ptr, ptr[1:],
+                                          self.relations.tolist(),
+                                          self.rhs.tolist())]
 
 
 @dataclass
@@ -149,33 +192,26 @@ def solve(lp: LinearProgram) -> LPSolution:
     # package's pinned values and reports were made with.
     order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
     flip = np.where(lp.relations[order] == ">=", -1.0, 1.0)
-    A = lp.matrix[order]
-    A.data *= np.repeat(flip, np.diff(A.indptr))
-    A = A.tocsc()
+    a_start, a_index, a_value = _colwise(lp, order, flip)
     b = flip * lp.rhs[order]
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = sign * lp.objective
     lower, upper = np.where(lp.free, -np.inf, 0.0), np.full(n, np.inf)
     if n == 0:  # one column fixed at 0 stands in for the empty objective
-        A, cost = sparse.csc_matrix((m, 1)), np.zeros(1)
+        a_start, cost = np.zeros(2, dtype=np.int32), np.zeros(1)
         lower, upper = np.zeros(1), np.zeros(1)
-
-    model = highs.HighsLp()
-    model.num_col_, model.num_row_ = A.shape[1], m
-    model.col_cost_, model.col_lower_, model.col_upper_ = cost, lower, upper
-    model.row_lower_ = np.where(eq[order], b, -np.inf)
-    model.row_upper_ = b
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.num_col_, model.a_matrix_.num_row_ = A.shape[1], m
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
 
     h = highs._Highs()
     for key, value in OPTIONS.items():
         if h.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise LPError("HiGHS rejected option %s=%r" % (key, value))
-    if h.passModel(model) == highs.HighsStatus.kError:
+    # the array form of passModel reads the numpy buffers in place (a HighsLp
+    # copies each into a C++ vector item by item); its last array marks
+    # every column continuous
+    if h.passModel(len(cost), m, len(a_index), _COLWISE, _MINIMIZE, 0.0, cost,
+                   lower, upper, np.where(eq[order], b, -np.inf), b, a_start,
+                   a_index, a_value, np.zeros(len(cost), dtype=np.int32)
+                   ) == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
         h.run()
@@ -197,6 +233,23 @@ def solve(lp: LinearProgram) -> LPSolution:
     sol = LPSolution("optimal", float(lp.objective @ x), x, duals, iterations)
     _attach_residuals(lp, sol)
     return sol
+
+
+def _colwise(lp, order, flip):
+    """The matrix as HiGHS takes it, column by column (start, index, value),
+    for rows permuted by ``order`` and multiplied by ``flip``.
+
+    Within a column the rows ascend, as in scipy's CSR-to-CSC conversion.
+    """
+    m, n = lp.matrix.shape
+    new_row = np.empty(m, dtype=np.int64)
+    new_row[order] = np.arange(m)
+    rows = new_row[np.repeat(np.arange(m), np.diff(lp.indptr))]
+    perm = np.lexsort((rows, lp.indices))
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(lp.indices, minlength=n), out=start[1:])
+    index = rows[perm]
+    return start, index.astype(np.int32), lp.data[perm] * flip[index]
 
 
 def _attach_residuals(lp, sol):

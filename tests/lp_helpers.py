@@ -66,5 +66,5 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
         terms = list(zip(At.indices[lo:hi].tolist(), At.data[lo:hi].tolist()))
         rows.append(Row(terms, "=" if lp.free[j] else rel,
                         float(lp.objective[j])))
-    return LinearProgram("min" if lp.sense == "max" else "max",
-                         len(lp.rows), obj, rows, free)
+    return LinearProgram.from_rows("min" if lp.sense == "max" else "max",
+                                   lp.matrix.shape[0], obj, rows, free)

@@ -149,8 +149,8 @@ def _reference_build_primal(states, p_hat, a_vals, tail_rates, extended):
             if n >= 2:
                 terms += [(c("g", 2, i, j, n - 1), 1.0) for i in succ(j)]
             add(terms, "<=", p_hat[j, N - 1] if n == N else 0.0)
-    return lpcore.LinearProgram("max", len(names), objective, rows), \
-        np.array(scales)
+    lp = lpcore.LinearProgram.from_rows("max", len(names), objective, rows)
+    return lp, np.array(scales)
 
 
 def _assert_builds_like_reference(states, p_hat, a_vals, tail_rates,
@@ -324,13 +324,20 @@ def test_invalid_surface_rejected(sec26):
     prices[2, 2] += 1.0               # breaks convexity in the tight column
     bad = market.CallSurface(sec26.surface.s0, sec26.surface.strikes,
                              sec26.surface.maturities, prices)
-    with pytest.raises(bound.BoundError):
+    with pytest.raises(bound.ArbitrageError):
         bound.robust_bound(bad, sec26.payoff)
 
 
 def test_mismatched_grids_rejected(sec26):
     a = AmericanPayoffGrid(np.zeros((3, 2)), [0.0, 1.0, 2.0], [1.0, 2.0])
     with pytest.raises(bound.BoundError):
+        bound.robust_bound(sec26.surface, a)
+    # the replay reads the payoff at the surface's brackets: no tolerance
+    near = sec26.payoff.states.copy()
+    near[1] += 1e-13
+    a = AmericanPayoffGrid(sec26.payoff.values, near,
+                           sec26.payoff.maturities)
+    with pytest.raises(bound.BoundError, match="lattice does not match"):
         bound.robust_bound(sec26.surface, a)
 
 

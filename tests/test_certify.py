@@ -10,6 +10,8 @@ from amerbound import bench, bound, certify, instances, market
 from amerbound.certify import HedgeStrategy, RegimeModel
 from amerbound.payoff import AmericanPayoffGrid
 
+from replay_oracle import exercise_values, mixed_interp, payoff_values
+
 
 @pytest.fixture(scope="module")
 def sec26():
@@ -88,19 +90,34 @@ def test_seed_model_identity_for_constant_marginals():
     assert np.array_equal(batch.values[:, 0], batch.values[:, 1])
 
 
+def _values(hedge, Y):
+    """The replay's exercise-value table of a hedge along the paths Y."""
+    return certify._exercise_values(hedge, Y,
+                                    certify._brackets(hedge.states, Y))
+
+
 def test_mixed_interp_three_cases():
     xs = np.array([0.0, 1.0, 2.0])
     h = np.array([0.0, 1.0, 1.0])     # secant slopes: 1 then 0
     d = np.array([0.5, 2.0, -1.0])
-    # knots return the knot ratio
-    assert certify.mixed_interp(xs, d, h, 1.0) == pytest.approx(2.0)
-    # d_j below the secant: keep d_j
-    assert certify.mixed_interp(xs, d, h, 0.5) == pytest.approx(0.5)
-    # d_j above, d_{j+1} below the secant: fall back to the secant itself
-    assert certify.mixed_interp(xs, d, h, 1.5) == pytest.approx(0.0)
-    # d_j above, d_{j+1} above: take d_{j+1}
     d2 = np.array([2.0, 2.0, 0.5])
-    assert certify.mixed_interp(xs, d2, h, 1.5) == pytest.approx(0.5)
+
+    def kernel(d, y):
+        # the replay's holding ratio at step 1 of a hedge with D1 = d, E1 = h
+        zero = np.zeros((3, 2))
+        hedge = HedgeStrategy(xs, np.array([1.0, 2.0]),
+                              np.column_stack([h, h]), zero, zero,
+                              d[:, None], np.zeros((3, 1)))
+        code, _ = certify._brackets(xs, np.array([[y, y]]))[0]
+        return certify._ratio_table(hedge, 1)[0][code][0]
+
+    # knots return the knot ratio; d_j below the secant: keep d_j; d_j
+    # above, d_{j+1} below the secant: fall back to the secant itself; d_j
+    # above, d_{j+1} above: take d_{j+1}
+    for d_row, y, want in ((d, 1.0, 2.0), (d, 0.5, 0.5), (d, 1.5, 0.0),
+                           (d2, 1.5, 0.5)):
+        assert mixed_interp(xs, d_row, h, y) == pytest.approx(want)
+        assert kernel(d_row, y) == pytest.approx(want)
 
 
 def test_mixed_interp_infimum_matches_sampling():
@@ -109,11 +126,11 @@ def test_mixed_interp_infimum_matches_sampling():
     d = rng.normal(size=5)
     h = rng.normal(size=5)
     inf_exact = certify._mixed_inf(xs, d, h)
-    samples = certify.mixed_interp(xs, d, h, rng.uniform(0, xs[-1], 4000))
+    samples = mixed_interp(xs, d, h, rng.uniform(0, xs[-1], 4000))
     assert samples.min() >= inf_exact - 1e-12
     # the infimum is attained at a knot or in the interior of some interval
     mids = 0.5 * (xs[:-1] + xs[1:])
-    probes = certify.mixed_interp(xs, d, h, np.concatenate([xs, mids]))
+    probes = mixed_interp(xs, d, h, np.concatenate([xs, mids]))
     assert probes.min() == pytest.approx(inf_exact, abs=1e-12)
 
 
@@ -124,15 +141,14 @@ def test_gains_zero_hedge_is_zero(sec52):
                          np.zeros((J1, 2)), np.zeros((J1, 1)),
                          np.zeros((J1, 1)), growth_rate=0.0,
                          beta=np.zeros(2))
-    values = certify._exercise_values(zero, np.array([[1.0, 4.0]]))
+    values = _values(zero, np.array([[1.0, 4.0]]))
     assert np.array_equal(values, np.zeros((1, 2)))
 
 
 def test_gains_cover_early_exercise(sec52, sec52_hedge):
     # exercise immediately at the low state: claim pays 1, hedge must cover;
     # ride to the top state and exercise late: claim pays 8
-    values = certify._exercise_values(sec52_hedge,
-                                      np.array([[1.0, 0.0], [3.0, 4.0]]))
+    values = _values(sec52_hedge, np.array([[1.0, 0.0], [3.0, 4.0]]))
     assert values[0, 0] >= 1.0 - 1e-12
     assert values[1, 1] >= 8.0 - 1e-12
 
@@ -182,7 +198,7 @@ def test_realized_weak_duality(sec26, sec26_result):
     a = sec26.payoff
     Y = batch.values
     rows, cols = np.arange(len(batch)), batch.exercise_index - 1
-    g = certify._exercise_values(sec26_result.hedge, Y)[rows, cols]
+    g = _values(sec26_result.hedge, Y)[rows, cols]
     paid = a.values[np.searchsorted(a.states, Y[rows, cols]), cols]
     assert np.all(g >= paid - 1e-9)
 
@@ -192,15 +208,15 @@ def test_realized_weak_duality(sec26, sec26_result):
 
 
 def _loop_slack_over_exercise(hedge, a, Y):
-    """The replay's previous reduction, kept as the oracle: a scan over the
-    exercise dates that keeps a date only when its slack is strictly
-    smaller."""
-    values = certify._exercise_values(hedge, Y)
+    """The replay's previous reduction over the leg-by-leg tables, kept as
+    the oracle: a scan over the exercise dates that keeps a date only when
+    its slack is strictly smaller."""
+    slacks = exercise_values(hedge, Y) - payoff_values(a, Y)
     P, N = Y.shape
     best = np.full(P, np.inf)
     best_m = np.zeros(P, dtype=np.int64)
     for m in range(1, N + 1):
-        slack = values[:, m - 1] - a.interp(Y[:, m - 1], m - 1)
+        slack = slacks[:, m - 1]
         upd = slack < best
         best[upd] = slack[upd]
         best_m[upd] = m
@@ -236,7 +252,7 @@ def _row_values(hedge, y):
             return (certify.tail_hedge_ratio(hedge, n, delta)
                     if hedge.extended else D[J, n - 1])
         h = hedge.E1[:J + 1, n - 1] - (delta == 2) * hedge.V[:J + 1, n - 1]
-        return certify.mixed_interp(xs, D[:J + 1, n - 1], h, x)
+        return mixed_interp(xs, D[:J + 1, n - 1], h, x)
 
     return np.array([
         static
@@ -290,13 +306,68 @@ def test_exercise_values_match_scalar_sums(replay_cases):
     for name, hedge, a, s0 in replay_cases:
         scale = certify.hedge_scale(hedge)
         for kind, Y in _replay_paths(hedge, s0, rng).items():
-            values = certify._exercise_values(hedge, Y)
+            values = _values(hedge, Y)
             # every 50th path, and the first paths that leave [0, x_J]
             above = np.flatnonzero((Y > hedge.states[-1]).any(axis=1))[:20]
             for i in np.union1d(np.arange(0, len(Y), 50), above):
                 ref = _row_values(hedge, Y[i])
                 assert np.max(np.abs(values[i] - ref)) <= 1e-12 * scale, \
                     (name, kind, i)
+
+
+@st.composite
+def replay_inputs(draw):
+    """A random bounded or extended hedge, a payoff on its lattice, and
+    paths whose every column passes through 0, each knot, x_J, the next
+    float above x_J and prices far above x_J.  Rounded values and, at times,
+    whole-number knots make ties between a ratio and a secant slope."""
+    K, N = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    extended = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gaps = (rng.integers(1, 4, K - 1).astype(float) if draw(st.booleans())
+            else rng.uniform(0.5, 30.0, K - 1))
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    M = K + extended
+
+    def block(cols):
+        return np.round(rng.normal(scale=3.0, size=(M, cols)),
+                        int(rng.integers(0, 3)))
+
+    mats = np.arange(1.0, N + 1)
+    hedge = HedgeStrategy(xs, mats, block(N), block(N), block(N),
+                          block(N - 1), block(N - 1), extended=extended,
+                          growth_rate=float(rng.choice([0.0, 0.5, 1.0])))
+    a = AmericanPayoffGrid(np.abs(block(N)[:K]), xs, mats,
+                           rng.choice([0.0, 1.0], N) * rng.uniform(0, 2, N))
+    xJ = xs[-1]
+    pool = np.concatenate([xs, [np.nextafter(xJ, np.inf), 1e3 * xJ],
+                           rng.uniform(0.0, xJ, 8), rng.uniform(xJ, 3 * xJ, 4)])
+    Y = rng.choice(pool, size=(len(pool) + 40, N))
+    Y[:len(pool)] = pool[:, None]
+    return hedge, a, Y
+
+
+@given(case=replay_inputs())
+def test_bracketed_replay_matches_leg_by_leg_oracle(case):
+    hedge, a, Y = case
+    N = Y.shape[1]
+    at = certify._brackets(hedge.states, Y)
+    assert np.array_equal(certify._exercise_values(hedge, Y, at),
+                          exercise_values(hedge, Y))
+    pay = certify._leg_tables(a.states, a.values, a.tail_slopes)
+    assert np.array_equal(np.stack([certify._leg(pay, at, n)
+                                    for n in range(N)], axis=1),
+                          payoff_values(a, Y))
+    best, best_m = certify._slack_over_exercise(hedge, a, Y)
+    ref, ref_m = _loop_slack_over_exercise(hedge, a, Y)
+    assert np.array_equal(best, ref) and np.array_equal(best_m, ref_m)
+    # a negative price is refused by the kernel, as by the oracle's ratios
+    Y[-1, 0] = -1.0
+    with pytest.raises(certify.CertifyError):
+        certify._slack_over_exercise(hedge, a, Y)
+    if N > 1:
+        with pytest.raises(certify.CertifyError):
+            exercise_values(hedge, Y)
 
 
 def test_v_mutation_detected(sec26, sec26_result):

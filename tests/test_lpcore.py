@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import amerbound
-from amerbound import lpcore
+from amerbound import bound, instances, lpcore, market
 from amerbound.lpcore import LinearProgram, Row
 
 from lp_helpers import check_point, dual_of
@@ -14,7 +14,8 @@ from rational_oracle import brute_force_optimum
 
 
 def lp_max_x_le_3():
-    return LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], "<=", 3.0)])
+    return LinearProgram.from_rows("max", 1, [1.0],
+                                   [Row([(0, 1.0)], "<=", 3.0)])
 
 
 def test_simple_bound():
@@ -25,19 +26,22 @@ def test_simple_bound():
 
 
 def test_degenerate_alternate_optima():
-    lp = LinearProgram("max", 2, [1.0, 1.0], [Row([(0, 1.0), (1, 1.0)], "=", 1.0)])
+    lp = LinearProgram.from_rows("max", 2, [1.0, 1.0],
+                                 [Row([(0, 1.0), (1, 1.0)], "=", 1.0)])
     sol = lpcore.solve(lp)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-12)
 
 
 def lp_infeasible():
-    return LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], ">=", 1.0),
-                                           Row([(0, 1.0)], "<=", 0.0)])
+    return LinearProgram.from_rows("max", 1, [1.0],
+                                   [Row([(0, 1.0)], ">=", 1.0),
+                                    Row([(0, 1.0)], "<=", 0.0)])
 
 
 def lp_unbounded():
-    return LinearProgram("max", 1, [1.0], [Row([(0, 1.0)], ">=", 1.0)])
+    return LinearProgram.from_rows("max", 1, [1.0],
+                                   [Row([(0, 1.0)], ">=", 1.0)])
 
 
 def test_infeasible():
@@ -50,7 +54,8 @@ def test_unbounded():
 
 def test_malformed_model_raises_with_highs_status():
     # HiGHS refuses coefficients above its large_matrix_value (1e15)
-    lp = LinearProgram("max", 1, [1.0], [Row([(0, 1e16)], "<=", 3.0)])
+    lp = LinearProgram.from_rows("max", 1, [1.0],
+                                 [Row([(0, 1e16)], "<=", 3.0)])
     with pytest.raises(lpcore.LPError, match="Model error"):
         lpcore.solve(lp)
 
@@ -63,16 +68,66 @@ def test_malformed_model_raises_with_highs_status():
 ])
 def test_malformed_rows_rejected_on_construction(rows, message):
     with pytest.raises(lpcore.LPError, match=message):
-        LinearProgram("max", 2, [1.0, 1.0],
-                      [Row(terms, "<=", rhs) for terms, rhs in rows])
+        LinearProgram.from_rows("max", 2, [1.0, 1.0],
+                                [Row(terms, "<=", rhs) for terms, rhs in rows])
 
 
 def test_explicit_zero_coefficient_is_not_a_duplicate():
-    lp = LinearProgram("max", 2, [1.0, 1.0],
-                       [Row([(1, 0.0), (0, 1.0)], "<=", 1.0),
-                        Row([(1, 1.0)], "<=", 2.0)])
+    lp = LinearProgram.from_rows("max", 2, [1.0, 1.0],
+                                 [Row([(1, 0.0), (0, 1.0)], "<=", 1.0),
+                                  Row([(1, 1.0)], "<=", 2.0)])
     assert lp.matrix.nnz == 3
     assert lpcore.solve(lp).objective == pytest.approx(3.0)
+    arrays = LinearProgram("max", 2, [1.0, 1.0], [0, 2, 3], [1, 0, 1],
+                           [0.0, 1.0, 1.0], [1.0, 2.0], ["<=", "<="])
+    assert arrays.matrix.nnz == 3
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("objective, rows, message", [
+    ([1.0, NAN], [([(0, 1.0)], "<=", 1.0)], "non-finite objective"),
+    ([1.0, 1.0], [([(0, 1.0), (1, NAN)], "<=", 1.0)],
+     "non-finite coefficient"),
+    ([1.0, 1.0], [([(0, 1.0)], ">=", INF)], "non-finite rhs"),
+    ([1.0, 1.0], [([(0, 1.0)], "=", 1.0), ([(2, 1.0)], "<=", 1.0)],
+     "column index 2 out of range"),
+    ([1.0, 1.0], [([(0, 1.0)], "<=", 0.0), ([(1, 1.0), (0, 2.0), (1, 3.0)],
+                                            "<=", 1.0)], "duplicate column"),
+    ([1.0, 1.0], [([(0, 1.0)], "=>", 1.0)], "bad relation '=>'"),
+])
+def test_array_constructor_rejects_what_rows_reject(objective, rows, message):
+    with pytest.raises(lpcore.LPError) as via_rows:
+        LinearProgram.from_rows("max", 2, objective,
+                                [Row(*row) for row in rows])
+    indptr = np.cumsum([0] + [len(terms) for terms, _, _ in rows])
+    terms = [t for row in rows for t in row[0]]
+    with pytest.raises(lpcore.LPError) as via_arrays:
+        LinearProgram("max", 2, objective, indptr, [j for j, _ in terms],
+                      [v for _, v in terms], [rhs for _, _, rhs in rows],
+                      [rel for _, rel, _ in rows])
+    assert str(via_arrays.value) == str(via_rows.value)
+    assert message in str(via_arrays.value)
+
+
+def test_rows_view_rebuilds_the_same_arrays():
+    rng = np.random.default_rng(5)
+    lps = [_random_bounded_lp(rng) for _ in range(20)]
+    for name in ("sec26", "sec52", "eg11"):
+        inst = instances.get(name)
+        lps.append(bound.build_primal_bounded(
+            market.implied_marginals(inst.surface), inst.payoff)[0])
+        lps.append(bound.build_primal_extended(
+            market.extended_marginals(inst.surface), inst.payoff)[0])
+    for lp in lps:
+        again = LinearProgram.from_rows(lp.sense, lp.num_vars, lp.objective,
+                                        lp.rows, lp.free)
+        for name in ("indptr", "indices", "data", "rhs", "relations",
+                     "objective", "free"):
+            got, want = getattr(again, name), getattr(lp, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_missing_highs_core_names_the_scipy_floor():
@@ -91,7 +146,7 @@ def test_missing_highs_core_names_the_scipy_floor():
 
 def test_free_variable():
     # min y s.t. y >= x - 2, y >= -x, x <= 5: optimum y = -... with x >= 0.
-    lp = LinearProgram(
+    lp = LinearProgram.from_rows(
         "min", 2, [0.0, 1.0],
         [Row([(0, -1.0), (1, 1.0)], ">=", -2.0),
          Row([(0, 1.0), (1, 1.0)], ">=", 0.0),
@@ -113,12 +168,13 @@ def test_check_point_roundtrip():
 
 
 def test_check_point_rejects_zero_on_positive_equality():
-    lp = LinearProgram("max", 2, [1.0, 0.0], [Row([(0, 1.0), (1, 1.0)], "=", 0.5)])
+    lp = LinearProgram.from_rows("max", 2, [1.0, 0.0],
+                                 [Row([(0, 1.0), (1, 1.0)], "=", 0.5)])
     assert not check_point(lp, [0.0, 0.0]).feasible
 
 
 def test_dual_of_trivial():
-    lp = LinearProgram("max", 0, [], [])
+    lp = LinearProgram.from_rows("max", 0, [], [])
     d = dual_of(lp)
     assert d.sense == "min"
     assert lpcore.solve(d).objective == pytest.approx(0.0)
@@ -185,7 +241,7 @@ def _random_bounded_lp(rng, max_vars=4):
                         "<=", float(a @ x0 + slack)))
     obj = rng.integers(-5, 6, size=n).astype(float)
     sense = "max" if rng.random() < 0.5 else "min"
-    return LinearProgram(sense, n, obj, rows)
+    return LinearProgram.from_rows(sense, n, obj, rows)
 
 
 def random_lp_and_oracle_value(rng):
@@ -212,4 +268,5 @@ def test_oracle_agreement_sample():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_objective_rejected_on_construction(bad):
     with pytest.raises(lpcore.LPError, match="non-finite objective"):
-        LinearProgram("max", 2, [1.0, bad], [Row([(0, 1.0)], "<=", 1.0)])
+        LinearProgram.from_rows("max", 2, [1.0, bad],
+                                [Row([(0, 1.0)], "<=", 1.0)])

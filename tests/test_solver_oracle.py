@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from amerbound import bench, instances, lpcore, market
+from amerbound import bench, bound, instances, lpcore, market
 from amerbound.bound import build_primal_bounded, build_primal_extended
 from amerbound.lpcore import LinearProgram, Row
 
@@ -60,6 +60,26 @@ def _linprog_solve(lp):
                              iterations)
 
 
+def _scipy_colwise(lp):
+    """HiGHS's row order and ">=" flip, and the column-wise matrix that
+    scipy built from them: rows reordered, flipped, then ``tocsc``."""
+    eq = lp.relations == "="
+    order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+    flip = np.where(lp.relations[order] == ">=", -1.0, 1.0)
+    A = lp.matrix[order]
+    A.data *= np.repeat(flip, np.diff(A.indptr))
+    A = A.tocsc()
+    return order, flip, (A.indptr, A.indices, A.data)
+
+
+def assert_colwise_like_scipy(lp):
+    """lpcore hands HiGHS the start, index and value arrays scipy built."""
+    order, flip, ref = _scipy_colwise(lp)
+    for got, want in zip(lpcore._colwise(lp, order, flip), ref):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def _outcome(solve, lp):
     try:
         return solve(lp)
@@ -68,6 +88,7 @@ def _outcome(solve, lp):
 
 
 def assert_solves_like_linprog(lp):
+    assert_colwise_like_scipy(lp)
     new, ref = _outcome(lpcore.solve, lp), _outcome(_linprog_solve, lp)
     assert (new is None) == (ref is None)
     if new is None:
@@ -104,11 +125,31 @@ def test_primal_lps_solve_like_linprog():
         assert_solves_like_linprog(lp)
 
 
+def test_primal_colwise_layout_on_sweep_shapes():
+    # every shape of the benchmark's sweep (J 3-8, N 2-6, at most 24
+    # cells), both variants, on random lattices and masses
+    rng = np.random.default_rng(20)
+    for J in range(3, 9):
+        for N in range(2, 7):
+            if J * N > 24:
+                continue
+            for extended in (False, True):
+                states = np.concatenate([[0.0],
+                                         np.cumsum(rng.uniform(0.5, 20.0, J))])
+                M = J + 2 if extended else J + 1
+                p_hat = rng.dirichlet(np.ones(M), size=N).T
+                a_vals = rng.uniform(0.0, 50.0, (J + 1, N))
+                tail = rng.uniform(0.0, 1.0, N) if extended else None
+                lp, _ = bound._build_primal(states, p_hat, a_vals, tail,
+                                            extended)
+                assert_colwise_like_scipy(lp)
+
+
 def test_small_lps_and_their_duals_solve_like_linprog():
     # criterion 9's rational LPs, test_dual_of_value_matches' LPs, and the
     # hand-written ones, each with its mechanical dual
     lps = [lp_max_x_le_3(), lp_infeasible(), lp_unbounded(),
-           LinearProgram("max", 0, [], [])]
+           LinearProgram.from_rows("max", 0, [], [])]
     for seed, count in ((1357924680, 200), (7, 25)):
         rng = np.random.default_rng(seed)
         lps += [_random_bounded_lp(rng) for _ in range(count)]
@@ -135,8 +176,8 @@ def random_lps(draw):
                         draw(coef)))
     objective = [draw(coef) for _ in range(n)]
     free = [draw(st.booleans()) for _ in range(n)]
-    return LinearProgram(draw(st.sampled_from(("max", "min"))), n, objective,
-                         rows, free)
+    return LinearProgram.from_rows(draw(st.sampled_from(("max", "min"))), n,
+                                   objective, rows, free)
 
 
 @given(lp=random_lps())
