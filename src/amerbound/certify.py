@@ -8,11 +8,11 @@ the bounded variant the top-strike tail calls ``beta`` — whose terminal
 value is evaluated over batches of paths, one table of values per exercise
 date, on the lattice, on the interval [0, x_J], on the whole half-line, and
 for exercise times between maturities.  Each price column is placed on the
-lattice by one search, and every leg and hedge ratio is then read from
-per-interval tables.  Verification never trusts the LP: it replays the
-certificates against their defining inequalities (one broadcast over all
-steps) and against sampled or enumerated paths, and the replay pays exactly
-the tail calls that the hedge states.
+lattice by one search, and every leg, hedge ratio and payoff slope is then
+read from per-interval tables.  Verification never trusts the LP: it
+replays the certificates against their defining inequalities (one broadcast
+over all steps) and against sampled or enumerated paths, and the replay pays
+exactly the tail calls that the hedge states.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ BALANCE_TOL = 1e-8
 # inverse-CDF lookup (a power of two, so floor(u * B) is exact)
 SIMULATION_BLOCK = 2 ** 16
 LOOKUP_BUCKETS = 4096
+# the lattice-exhaustive replay is skipped above this many paths
+ENUMERATION_CAP = 10 ** 6
 
 
 class CertifyError(Exception):
@@ -415,32 +417,6 @@ def _interval_ratio(xs, d, h, j):
     return np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
 
 
-def _mixed_inf(xs, d_row, h_row):
-    """Exact infimum of the (piecewise constant) mixed interpolation of the
-    ratios d_row: d_j at the knots, ``_interval_ratio`` between them."""
-    interval = _interval_ratio(xs, d_row, h_row, np.arange(len(xs) - 1))
-    return float(min(d_row.min(), interval.min()))
-
-
-def _regime_rows(hedge: HedgeStrategy, delta):
-    """Ratio columns and the static columns whose secants bound them, one
-    column per step, in regime delta: (D1, E1) while holding, (D2, E1 - V)
-    once exercised.  Both keep the tail row of the extended variant."""
-    if delta == 1:
-        return hedge.D1, hedge.E1[:, :-1]
-    return hedge.D2, hedge.E1[:, :-1] - hedge.V[:, :-1]
-
-
-def tail_hedge_ratio(hedge: HedgeStrategy, n, delta):
-    """Constant hedge ratio above the top strike in the extended variant:
-    the lattice-edge ratio capped by the static rows' tail slopes."""
-    if not hedge.extended:
-        raise CertifyError("tail ratios need an extended-variant hedge")
-    J = hedge.num_lattice - 1
-    d, h = _regime_rows(hedge, delta)
-    return min(d[J, n - 1], h[J + 1, n - 1])
-
-
 def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
     """Free top-strike calls that close the hedge on unbounded paths.
 
@@ -450,23 +426,13 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
     """
     if hedge.extended:
         raise CertifyError("tail calls apply to the zero-tail variant only")
-    xs = hedge.states
-    J = len(xs) - 1
-    N = len(hedge.maturities)
-    beta = np.zeros(N)
-    regimes = [_regime_rows(hedge, delta) for delta in (1, 2)]
-    for n in range(1, N + 1):
-        b = 0.0
-        if n >= 2:
-            i1, i2 = (_mixed_inf(xs, d[:, n - 2], h[:, n - 2])
-                      for d, h in regimes)
-            b += max(-i1, 0.0) + max(-(i2 + R), 0.0)
-        if n <= N - 1:
-            # falls from above the top strike: only positive carried ratios
-            # lose money on the way down, so negative ones need no cover
-            b += (max(hedge.D1[J, n - 1], 0.0)
-                  + max(hedge.D2[J, n - 1] + R, 0.0))
-        beta[n - 1] = b
+    J = hedge.num_lattice - 1
+    inf1, inf2 = (_ratio_table(hedge, delta).min(axis=1) for delta in (1, 2))
+    beta = np.zeros(len(hedge.maturities))
+    beta[1:] += np.maximum(-inf1, 0.0) + np.maximum(-(inf2 + R), 0.0)
+    # falls from above the top strike: only positive carried ratios lose
+    # money on the way down, so negative ones need no cover
+    beta[:-1] += np.maximum(hedge.D1[J], 0.0) + np.maximum(hedge.D2[J] + R, 0.0)
     return beta
 
 
@@ -547,18 +513,21 @@ def _leg(tables, at, n):
 
 
 def _ratio_table(hedge: HedgeStrategy, delta):
-    """Hedge ratio in regime delta by step (rows) and bracket code: the knot
-    ratio d_j at code 2j, ``_interval_ratio`` inside (x_j, x_{j+1}) and, above
-    the top strike, the tail ratio (the extended variant) or d_J."""
+    """Hedge ratio in regime delta by step (rows) and bracket code.
+
+    The ratios d and the static rows h whose secants bound them are (D1, E1)
+    while holding and (D2, E1 - V) once exercised.  The table holds the knot
+    ratio d_j at code 2j, ``_interval_ratio`` inside (x_j, x_{j+1}) and,
+    above the top strike, d_J, capped in the extended variant by the tail
+    slope of h (a tie of zeros keeps d_J's sign)."""
     xs = hedge.states
     K = len(xs)
-    d, h = (r[:K].T for r in _regime_rows(hedge, delta))
-    table = np.empty((len(d), 2 * K))
-    table[:, 0::2] = d
-    table[:, 1:-1:2] = _interval_ratio(xs, d, h, np.arange(K - 1))
-    table[:, -1] = ([tail_hedge_ratio(hedge, n, delta)
-                     for n in range(1, len(d) + 1)]
-                    if hedge.extended else d[:, -1])
+    E1 = hedge.E1[:, :-1]
+    d, h = (hedge.D1, E1) if delta == 1 else (hedge.D2, E1 - hedge.V[:, :-1])
+    table = np.empty((d.shape[1], 2 * K))
+    table[:, 0::2] = d[:K].T
+    table[:, 1:-1:2] = _interval_ratio(xs, d[:K].T, h[:K].T, np.arange(K - 1))
+    table[:, -1] = np.minimum(h[K], d[K - 1]) if hedge.extended else d[K - 1]
     return table
 
 
@@ -618,9 +587,7 @@ class VerificationReport:
 def _slack_over_exercise(hedge, a, Y):
     """Min over on-grid exercise dates of hedge value minus payoff, and the
     1-based date that attains it (the earliest one on ties).  The payoff is
-    read at the hedge's brackets, so it must share the hedge's lattice."""
-    if not np.array_equal(a.states, hedge.states):
-        raise CertifyError("payoff and hedge are on different lattices")
+    read at the hedge's brackets, on the hedge's lattice."""
     at = _brackets(hedge.states, Y)
     slack = _exercise_values(hedge, Y, at)
     pay = _leg_tables(a.states, a.values, a.tail_slopes)
@@ -632,8 +599,7 @@ def _slack_over_exercise(hedge, a, Y):
 
 def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
                             mode="interval-random", trials=10000, seed=0,
-                            payoff_fn=None, s0=None,
-                            enumeration_cap=10 ** 6) -> VerificationReport:
+                            payoff_fn=None, s0=None) -> VerificationReport:
     """Replay the hedge against paths and exercise rules.
 
     Modes: lattice-exhaustive (every lattice path, every exercise date),
@@ -641,8 +607,12 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     with excursions beyond x_J), continuous-exercise-random (random paths
     with exercise times between maturities).  The worst grid-inequality
     residual is folded into the reported slack so that certificates broken
-    at nodes the paths cannot see still fail.
+    at nodes the paths cannot see still fail.  Every mode reads the payoff
+    at the hedge's brackets, so the two must share one lattice; the
+    exhaustive mode enumerates at most ENUMERATION_CAP paths.
     """
+    if not np.array_equal(a.states, hedge.states):
+        raise CertifyError("payoff and hedge are on different lattices")
     xs = hedge.states
     N = len(hedge.maturities)
     K = len(xs)
@@ -653,7 +623,7 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     gslack = grid_feasibility(hedge, a)
 
     if mode == "lattice-exhaustive":
-        if K ** N > enumeration_cap:
+        if K ** N > ENUMERATION_CAP:
             return VerificationReport(mode, 0, np.nan, gslack, None, None,
                                       skipped=True)
         idx = np.stack(np.unravel_index(np.arange(K ** N), (K,) * N), axis=1)
@@ -701,9 +671,10 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
 
     The path holds its previous maturity's value until the exercise time;
     the hedge adds a short position of the payoff's right slope there,
-    unwound at the next maturity.
+    unwound at the next maturity.  Prices are bracketed once, and the
+    payoff's slope and value are read from its leg tables.
     """
-    P, N = Y.shape
+    P = len(Y)
     mats = hedge.maturities
     rho = rng.uniform(0.0, mats[-1], size=P)
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
@@ -711,22 +682,25 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
 
     m0 = np.searchsorted(mats, rho, side="left")    # rho in (t_m0, t_{m0+1}]
     rows = np.arange(P)
-    g = _exercise_values(hedge, Y, _brackets(hedge.states, Y))[rows, m0]
+    at = _brackets(hedge.states, Y)
+    g = _exercise_values(hedge, Y, at)[rows, m0]
 
-    y_prev = np.where(m0 == 0, s0, Y[rows, np.maximum(m0 - 1, 0)])
-    on_grid = rho == mats[np.minimum(m0, N - 1)]
-    slack = np.empty(P)
-    for n in range(N):
-        sel = m0 == n
-        if not np.any(sel):
-            continue
-        slope = a.right_subgradient(y_prev[sel], n)
-        extra = np.where(on_grid[sel], 0.0,
-                         -slope * (Y[sel, n] - y_prev[sel]))
-        x_ex = np.where(on_grid[sel], Y[sel, n], y_prev[sel])
-        if payoff_fn is not None:
-            pay = evaluate(payoff_fn, x_ex, rho[sel])
-        else:
-            pay = a.interp(x_ex, n)
-        slack[sel] = g[sel] + extra - pay
-    return slack, rho
+    # prices, bracket codes and offsets with s0 in front: column m0 holds
+    # the previous price, column m0 + 1 the price at maturity m0
+    [(c0, o0)] = _brackets(hedge.states, np.array([[s0]]))
+    codes, offs = zip(*at)
+    y = np.column_stack([np.full(P, s0), Y])
+    code = np.column_stack([np.repeat(c0, P), *codes])
+    off = np.column_stack([np.repeat(o0, P), *offs])
+    on_grid = rho == mats[m0]
+    ex = m0 + on_grid                       # column of the exercise price
+    slope, value = _leg_tables(a.states, a.values, a.tail_slopes)
+    y_prev = y[rows, m0]
+    extra = np.where(on_grid, 0.0, -slope[m0, code[rows, m0] | 1]
+                     * (Y[rows, m0] - y_prev))
+    if payoff_fn is not None:
+        pay = evaluate(payoff_fn, y[rows, ex], rho)
+    else:
+        c = code[rows, ex]
+        pay = slope[m0, c] * off[rows, ex] + value[m0, c]
+    return g + extra - pay, rho

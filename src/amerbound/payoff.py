@@ -130,6 +130,8 @@ class AmericanPayoffGrid:
             self.tail_slopes = np.zeros(len(self.maturities))
         else:
             self.tail_slopes = np.asarray(self.tail_slopes, dtype=float)
+        if self.tail_slopes.shape != (len(self.maturities),):
+            raise PayoffError("tail_slopes must hold one slope per maturity")
         if not (np.isfinite(self.values).all()
                 and np.isfinite(self.tail_slopes).all()):
             raise PayoffError("payoff values and tail slopes must be finite")
@@ -150,18 +152,6 @@ class AmericanPayoffGrid:
         """Extended linear interpolation of column n at price(s) x."""
         return extended_interp(self.states, self.values[:, n], x,
                                self.tail_slopes[n])
-
-    def right_subgradient(self, x, n):
-        """Exact right slope of the piecewise-linear column n at price(s) x."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        j = np.clip(np.searchsorted(self.states, x, side="right") - 1,
-                    0, len(self.states) - 2)
-        seg = ((self.values[j + 1, n] - self.values[j, n])
-               / (self.states[j + 1] - self.states[j]))
-        out = np.where(x >= self.states[-1], self.tail_slopes[n], seg)
-        return float(out[0]) if scalar else out
 
 
 def discounted_put(strike, rate, horizon=None, x_hint=None) -> PayoffFunction:

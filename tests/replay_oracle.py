@@ -1,11 +1,13 @@
 """The hedge replay leg by leg, kept as the oracle for certify's bracketed
 kernel: every static leg is its own ``np.interp`` (through
-``extended_interp``) and every hedge ratio its own search of the lattice."""
+``extended_interp``), every hedge ratio and payoff slope its own search of
+the lattice, the tail calls a loop over steps and the continuous-exercise
+replay a loop over maturities."""
 
 import numpy as np
 
-from amerbound.certify import CertifyError, tail_hedge_ratio
-from amerbound.payoff import extended_interp
+from amerbound.certify import CertifyError
+from amerbound.payoff import evaluate, extended_interp
 
 
 def interval_ratio(xs, d, h, j):
@@ -36,6 +38,56 @@ def mixed_interp(xs, d_row, h_row, x):
     out = np.where(x == xs[j], d[j], interval_ratio(xs, d, h, j))
     out = np.where(x == xs[-1], d[-1], out)
     return float(out[0]) if scalar else out
+
+
+def mixed_inf(xs, d_row, h_row):
+    """Exact infimum of the (piecewise constant) mixed interpolation of the
+    ratios d_row: d_j at the knots, ``interval_ratio`` between them."""
+    interval = interval_ratio(xs, d_row, h_row, np.arange(len(xs) - 1))
+    return float(min(d_row.min(), interval.min()))
+
+
+def regime_rows(hedge, delta):
+    """Ratio columns and the static columns whose secants bound them, one
+    column per step, in regime delta: (D1, E1) while holding, (D2, E1 - V)
+    once exercised.  Both keep the tail row of the extended variant."""
+    if delta == 1:
+        return hedge.D1, hedge.E1[:, :-1]
+    return hedge.D2, hedge.E1[:, :-1] - hedge.V[:, :-1]
+
+
+def tail_hedge_ratio(hedge, n, delta):
+    """Constant hedge ratio above the top strike in the extended variant:
+    the lattice-edge ratio capped by the static rows' tail slopes."""
+    if not hedge.extended:
+        raise CertifyError("tail ratios need an extended-variant hedge")
+    J = hedge.num_lattice - 1
+    d, h = regime_rows(hedge, delta)
+    return min(d[J, n - 1], h[J + 1, n - 1])
+
+
+def tail_calls(hedge, R):
+    """Free top-strike calls of a bounded hedge, one maturity at a time:
+    the negative parts of the previous step's worst ratios plus the carried
+    ratio budget at the top state for the current step."""
+    if hedge.extended:
+        raise CertifyError("tail calls apply to the zero-tail variant only")
+    xs = hedge.states
+    J = len(xs) - 1
+    N = len(hedge.maturities)
+    beta = np.zeros(N)
+    regimes = [regime_rows(hedge, delta) for delta in (1, 2)]
+    for n in range(1, N + 1):
+        b = 0.0
+        if n >= 2:
+            i1, i2 = (mixed_inf(xs, d[:, n - 2], h[:, n - 2])
+                      for d, h in regimes)
+            b += max(-i1, 0.0) + max(-(i2 + R), 0.0)
+        if n <= N - 1:
+            b += (max(hedge.D1[J, n - 1], 0.0)
+                  + max(hedge.D2[J, n - 1] + R, 0.0))
+        beta[n - 1] = b
+    return beta
 
 
 def ratio(hedge, delta, n, y):
@@ -89,3 +141,51 @@ def payoff_values(a, Y):
     """The (paths x N) table of the lattice payoff a along the paths Y."""
     return np.stack([a.interp(Y[:, n], n) for n in range(Y.shape[1])],
                     axis=1)
+
+
+def right_subgradient(a, x, n):
+    """Exact right slope of the payoff's piecewise-linear column n at
+    price(s) x."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    j = np.clip(np.searchsorted(a.states, x, side="right") - 1,
+                0, len(a.states) - 2)
+    seg = ((a.values[j + 1, n] - a.values[j, n])
+           / (a.states[j + 1] - a.states[j]))
+    out = np.where(x >= a.states[-1], a.tail_slopes[n], seg)
+    return float(out[0]) if scalar else out
+
+
+def continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
+    """The continuous-exercise replay one maturity at a time: the payoff's
+    right slope at the previous price from ``right_subgradient`` and its
+    value from ``a.interp`` (or payoff_fn), for the paths whose exercise
+    time falls after that maturity."""
+    P, N = Y.shape
+    mats = hedge.maturities
+    rho = rng.uniform(0.0, mats[-1], size=P)
+    rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
+    s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
+
+    m0 = np.searchsorted(mats, rho, side="left")
+    rows = np.arange(P)
+    g = exercise_values(hedge, Y)[rows, m0]
+
+    y_prev = np.where(m0 == 0, s0, Y[rows, np.maximum(m0 - 1, 0)])
+    on_grid = rho == mats[np.minimum(m0, N - 1)]
+    slack = np.empty(P)
+    for n in range(N):
+        sel = m0 == n
+        if not np.any(sel):
+            continue
+        slope = right_subgradient(a, y_prev[sel], n)
+        extra = np.where(on_grid[sel], 0.0,
+                         -slope * (Y[sel, n] - y_prev[sel]))
+        x_ex = np.where(on_grid[sel], Y[sel, n], y_prev[sel])
+        if payoff_fn is not None:
+            pay = evaluate(payoff_fn, x_ex, rho[sel])
+        else:
+            pay = a.interp(x_ex, n)
+        slack[sel] = g[sel] + extra - pay
+    return slack, rho

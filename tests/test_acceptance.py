@@ -298,8 +298,7 @@ def test_criterion_7_certificates(demo_results, headline, fig4_rows,
                                                             res.phi, se)
 
         # (iii) exhaustive lattice super-replication where enumerable
-        rep = certify.verify_superreplication(hedge, a, "lattice-exhaustive",
-                                              enumeration_cap=10 ** 6)
+        rep = certify.verify_superreplication(hedge, a, "lattice-exhaustive")
         if not rep.skipped:
             assert rep.min_slack >= -1e-9, (name, rep.min_slack)
 

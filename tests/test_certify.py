@@ -10,7 +10,9 @@ from amerbound import bench, bound, certify, instances, market
 from amerbound.certify import HedgeStrategy, RegimeModel
 from amerbound.payoff import AmericanPayoffGrid
 
-from replay_oracle import exercise_values, mixed_interp, payoff_values
+from replay_oracle import (continuous_slack, exercise_values, mixed_inf,
+                           mixed_interp, payoff_values, tail_calls,
+                           tail_hedge_ratio)
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +127,12 @@ def test_mixed_interp_infimum_matches_sampling():
     xs = np.sort(np.concatenate([[0.0], rng.uniform(0.5, 10, 4)]))
     d = rng.normal(size=5)
     h = rng.normal(size=5)
-    inf_exact = certify._mixed_inf(xs, d, h)
+    inf_exact = mixed_inf(xs, d, h)
+    # the replay's holding-ratio table of a hedge with D1 = d, E1 = h
+    hedge = HedgeStrategy(xs, np.array([1.0, 2.0]), np.column_stack([h, h]),
+                          np.zeros((5, 2)), np.zeros((5, 2)), d[:, None],
+                          np.zeros((5, 1)))
+    assert certify._ratio_table(hedge, 1).min(axis=1)[0] == inf_exact
     samples = mixed_interp(xs, d, h, rng.uniform(0, xs[-1], 4000))
     assert samples.min() >= inf_exact - 1e-12
     # the infimum is attained at a knot or in the interior of some interval
@@ -185,11 +192,24 @@ def test_continuous_replay_accepts_scalar_only_payoff():
     assert reps[1].min_slack == pytest.approx(reps[0].min_slack, abs=1e-12)
 
 
-def test_lattice_enumeration_cap(sec26, sec26_result):
+def test_lattice_enumeration_cap(sec26, sec26_result, monkeypatch):
+    monkeypatch.setattr(certify, "ENUMERATION_CAP", 10)
     rep = certify.verify_superreplication(sec26_result.hedge, sec26.payoff,
-                                          "lattice-exhaustive",
-                                          enumeration_cap=10)
+                                          "lattice-exhaustive")
     assert rep.skipped
+
+
+@pytest.mark.parametrize("mode", ["lattice-exhaustive", "interval-random",
+                                  "full-line-random",
+                                  "continuous-exercise-random"])
+def test_replay_refuses_a_payoff_on_another_lattice(sec26, sec26_result,
+                                                     mode):
+    a = sec26.payoff
+    moved = AmericanPayoffGrid(a.values, 1.01 * a.states, a.maturities,
+                               a.tail_slopes)
+    with pytest.raises(certify.CertifyError, match="different lattices"):
+        certify.verify_superreplication(sec26_result.hedge, moved, mode,
+                                        trials=100, s0=sec26.surface.s0)
 
 
 def test_realized_weak_duality(sec26, sec26_result):
@@ -249,7 +269,7 @@ def _row_values(hedge, y):
     def ratio(delta, n, x):
         D = hedge.D1 if delta == 1 else hedge.D2
         if x > xJ:
-            return (certify.tail_hedge_ratio(hedge, n, delta)
+            return (tail_hedge_ratio(hedge, n, delta)
                     if hedge.extended else D[J, n - 1])
         h = hedge.E1[:J + 1, n - 1] - (delta == 2) * hedge.V[:J + 1, n - 1]
         return mixed_interp(xs, D[:J + 1, n - 1], h, x)
@@ -370,6 +390,61 @@ def test_bracketed_replay_matches_leg_by_leg_oracle(case):
             exercise_values(hedge, Y)
 
 
+def _same_bits(got, want):
+    """Equal arrays, down to the sign of each zero."""
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@given(case=replay_inputs(), R=st.sampled_from([0.0, 0.5, 1.0]))
+def test_tail_calls_match_step_loop(case, R):
+    hedge = case[0]
+    if hedge.extended:      # tail calls close zero-tail hedges: drop the row
+        hedge = dataclasses.replace(
+            hedge, extended=False, beta=None,
+            **{name: getattr(hedge, name)[:-1]
+               for name in ("E1", "E2", "V", "D1", "D2")})
+    assert _same_bits(certify.tail_calls(hedge, R), tail_calls(hedge, R))
+    assert _same_bits(hedge.beta, tail_calls(hedge, hedge.growth_rate))
+
+
+class _MaturityDraws:
+    """A stand-in generator whose uniform draws are the maturities
+    themselves, so that every exercise time falls on the grid."""
+
+    def __init__(self, maturities):
+        self.maturities = maturities
+
+    def uniform(self, low, high, size):
+        return np.resize(self.maturities, size)
+
+
+def _put_fn(x, t):
+    return np.maximum(7.0 * np.exp(-0.05 * t) - x, 0.0)
+
+
+@given(case=replay_inputs(), start=st.sampled_from(["knot", "inside", "above",
+                                                    None]),
+       on_grid=st.booleans(), payoff_fn=st.sampled_from([None, _put_fn]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_continuous_slack_matches_per_maturity_oracle(case, start, on_grid,
+                                                      payoff_fn, seed):
+    hedge, a, Y = case
+    xs = hedge.states
+    j = seed % (len(xs) - 1)
+    s0 = {"knot": xs[j + 1], "inside": 0.5 * (xs[j] + xs[j + 1]),
+          "above": 1.5 * xs[-1], None: None}[start]
+
+    def rng():
+        return (_MaturityDraws(hedge.maturities) if on_grid
+                else np.random.default_rng(np.random.Philox(seed)))
+
+    slack, rho = certify._continuous_slack(hedge, a, Y, rng(), payoff_fn, s0)
+    ref, ref_rho = continuous_slack(hedge, a, Y, rng(), payoff_fn, s0)
+    assert np.array_equal(slack, ref) and _same_bits(slack, ref)
+    assert np.array_equal(rho, ref_rho) and _same_bits(rho, ref_rho)
+
+
 def test_v_mutation_detected(sec26, sec26_result):
     model, hedge = sec26_result.model, sec26_result.hedge
     scale = certify.hedge_scale(hedge)
@@ -396,10 +471,14 @@ def test_tail_hedge_ratio_extended():
     res = bound.robust_bound(surface, a, variant="extended")
     h = res.hedge
     J = h.num_lattice - 1
-    assert certify.tail_hedge_ratio(h, 1, 1) == pytest.approx(
+    assert tail_hedge_ratio(h, 1, 1) == pytest.approx(
         min(h.D1[J, 0], h.E1[J + 1, 0]))
-    assert certify.tail_hedge_ratio(h, 1, 2) == pytest.approx(
+    assert tail_hedge_ratio(h, 1, 2) == pytest.approx(
         min(h.D2[J, 0], h.E1[J + 1, 0] - h.V[J + 1, 0]))
+    # the replay reads the same ratio from the top code of its tables
+    for delta in (1, 2):
+        assert certify._ratio_table(h, delta)[0, -1] == \
+            tail_hedge_ratio(h, 1, delta)
 
 
 def test_tail_calls_zero_hedge():

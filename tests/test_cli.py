@@ -280,6 +280,35 @@ def test_infinite_grid_payoff_exit_2(runner, tmp_path):
     assert "bad payoff spec" in res.stderr and "finite" in res.stderr
 
 
+@pytest.mark.parametrize("tail_slopes", [[0.5], 0.5])
+@pytest.mark.parametrize("variant", ["bounded", "extended"])
+def test_grid_payoff_tail_slopes_per_maturity_exit_2(runner, tmp_path,
+                                                     variant, tail_slopes):
+    # a 3-strike, 2-maturity surface: sec26's zero-tail quotes, or
+    # Black-Scholes quotes, which need the extended variant
+    from amerbound import bench
+    if variant == "bounded":
+        def mangle(doc):
+            doc["maturities"] = doc["maturities"][:2]
+            doc["calls"] = [row[:2] for row in doc["calls"]]
+        path = _surface_file(tmp_path, mangle=mangle)
+    else:
+        s = bench.bs_surface(bench.BenchConfig(num_maturities=2,
+                                               strikes=(80, 100, 120)))
+        path = tmp_path / "bs.json"
+        path.write_text(json.dumps({
+            "s0": s.s0, "strikes": list(s.strikes),
+            "maturities": list(s.maturities), "calls": s.prices.tolist()}))
+    spec = json.dumps({"type": "grid",
+                       "values": [[100, 100], [20, 20], [5, 5], [0, 0]],
+                       "tail_slopes": tail_slopes})
+    res = runner.invoke(cli.main, ["bound", "--input", str(path),
+                                   "--payoff", spec])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec" in res.stderr
+    assert "one slope per maturity" in res.stderr
+
+
 @pytest.mark.parametrize("doc", [
     {"marginals": [[0.5], [0.5]], "states": [0, 1]},
     {"marginals": [[0.5], ["half"]], "states": [0, 1], "maturities": [1]},

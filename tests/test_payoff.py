@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from amerbound import instances, payoff
+from amerbound import certify, instances, payoff
+
+from replay_oracle import right_subgradient
 
 
 STRIKES = [50.0, 100.0, 150.0]
@@ -120,9 +122,14 @@ def test_interp_and_subgradient():
                                   [1.0], tail_slopes=[0.5])
     assert g.interp(25.0, 0) == pytest.approx(7.0)
     assert g.interp(120.0, 0) == pytest.approx(1.0 + 0.5 * 20.0)
-    assert g.right_subgradient(25.0, 0) == pytest.approx(-6.0 / 50.0)
-    assert g.right_subgradient(100.0, 0) == pytest.approx(0.5)
+    assert right_subgradient(g, 25.0, 0) == pytest.approx(-6.0 / 50.0)
+    assert right_subgradient(g, 100.0, 0) == pytest.approx(0.5)
     assert g.growth_rate == pytest.approx(0.5)
+    # the replay reads the right slope at the odd code of a price's bracket
+    slope, _ = certify._leg_tables(g.states, g.values, g.tail_slopes)
+    for x in (25.0, 50.0, 100.0, 120.0):
+        [(code, _)] = certify._brackets(g.states, np.array([[x]]))
+        assert slope[0, code | 1] == right_subgradient(g, x, 0), x
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -134,3 +141,11 @@ def test_grid_rejects_non_finite_values_and_tail_slopes(bad):
         payoff.AmericanPayoffGrid(values, states, mats)
     with pytest.raises(payoff.PayoffError, match="finite"):
         payoff.AmericanPayoffGrid(np.ones((4, 2)), states, mats, [0.0, bad])
+
+
+@pytest.mark.parametrize("slopes", [[0.5], 0.5, [0.5, 0.5, 0.5],
+                                    [[0.5, 0.5]]])
+def test_grid_needs_one_tail_slope_per_maturity(slopes):
+    with pytest.raises(payoff.PayoffError, match="one slope per maturity"):
+        payoff.AmericanPayoffGrid(np.ones((4, 2)), [0.0] + STRIKES, [1.0, 2.0],
+                                  slopes)
