@@ -89,10 +89,12 @@ def _norm_row(terms, relation, rhs):
     return lpcore.Row([(c, v / scale) for c, v in terms], relation, rhs / scale)
 
 
-def _check_grids(states, a: AmericanPayoffGrid):
+def _check_grids(m, a: AmericanPayoffGrid):
     # exactly: the hedge's replay reads the payoff at the surface's brackets
-    if not np.array_equal(a.states, states):
+    if not np.array_equal(a.states, m.states):
         raise BoundError("payoff lattice does not match the surface lattice")
+    if not np.array_equal(a.maturities, m.maturities):
+        raise BoundError("payoff maturities do not match the surface's")
 
 
 def _build_primal(states, p_hat, a_vals, tail_rates, extended):
@@ -251,22 +253,22 @@ def _build_dual(states, p_hat, a_vals, tail_rates, extended):
 
 
 def build_primal_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m.states, a)
+    _check_grids(m, a)
     return _build_primal(m.states, m.probs, a.values, None, extended=False)
 
 
 def build_dual_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m.states, a)
+    _check_grids(m, a)
     return _build_dual(m.states, m.probs, a.values, None, extended=False)
 
 
 def build_primal_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m.states, a)
+    _check_grids(m, a)
     return _build_primal(m.states, m.rows, a.values, a.tail_slopes, extended=True)
 
 
 def build_dual_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m.states, a)
+    _check_grids(m, a)
     return _build_dual(m.states, m.rows, a.values, a.tail_slopes, extended=True)
 
 

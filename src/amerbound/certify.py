@@ -7,7 +7,7 @@ HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2, and in
 the bounded variant the top-strike tail calls ``beta`` — whose terminal
 value is evaluated over batches of paths, one table of values per exercise
 date, on the lattice, on the interval [0, x_J], on the whole half-line, and
-for exercise times between maturities.  Each price column is placed on the
+for exercise times between maturities.  A batch of prices is placed on the
 lattice by one search, and every leg, hedge ratio and payoff slope is then
 read from per-interval tables.  Verification never trusts the LP: it
 replays the certificates against their defining inequalities (one broadcast
@@ -83,7 +83,9 @@ class RegimeModel:
 @dataclass
 class PathBatch:
     """Simulated paths: state_idx[p, n] into ``states`` at maturity n+1;
-    1-based exercise index.  Prices are looked up only when asked for."""
+    1-based exercise index.  Both hold narrow integers, and state_idx is
+    the transpose of maturity-major storage.  Prices are looked up only
+    when asked for."""
 
     states: np.ndarray
     state_idx: np.ndarray
@@ -261,19 +263,34 @@ def _martingale_transport(x, mu, nu):
     return _clip_mass(np.asarray(sol.x).reshape(M, M))
 
 
+def _bucket_lut(table):
+    """Bucket table of inverse-CDF lookups into the cumulative rows of table.
+
+    A draw u in row r maps to min(#{k : table[r, k] < u}, K - 1).  Entry
+    r * B + b is that state for every u in [b/B, (b+1)/B) when one state
+    serves the whole bucket, and -1 otherwise; rows that are not
+    nondecreasing are -1 throughout.  Entries are narrow signed integers.
+    """
+    K = table.shape[1]
+    edges = np.arange(LOOKUP_BUCKETS + 1) / LOOKUP_BUCKETS     # exact dyadics
+    # on a nondecreasing row, the count below u lies between the counts
+    # below the edges of u's bucket; clipping to K - 1 keeps that order
+    cnt = np.stack([np.searchsorted(row, edges, side="left")
+                    for row in table]).clip(max=K - 1)
+    lut = np.where(cnt[:, :-1] == cnt[:, 1:], cnt[:, :-1], -1)
+    lut[~(np.diff(table, axis=1) >= 0).all(axis=1)] = -1
+    return lut.astype(np.min_scalar_type(-K)).ravel()
+
+
 def _step_tables(model: RegimeModel):
     """Per-step inverse-CDF tables of the conditional kernels.
 
     cum[n] is (2K, K): row s holds the cumulative regime-1 kernel out of
     state s between maturities n and n+1, row K + s the regime-2 kernel.
-    The next state of a path in row r with uniform draw u is
-    min(#{k : cum[n][r, k] < u}, K - 1).  lut[n][r, b] is that state for
-    every u in [b/B, (b+1)/B) when one state serves the whole bucket, and
-    -1 otherwise; rows that are not nondecreasing are -1 throughout.
+    lut[n] is ``_bucket_lut(cum[n])``.
     """
     K, N = model.num_states, model.num_maturities
-    edges = np.arange(LOOKUP_BUCKETS + 1) / LOOKUP_BUCKETS     # exact dyadics
-    cum, lut = [], []
+    cum = []
     for n in range(N - 1):
         table = np.empty((2 * K, K))
         for r, G in enumerate((model.G1, model.G2)):
@@ -282,15 +299,8 @@ def _step_tables(model: RegimeModel):
                             out=np.zeros_like(G[:, :, n]),
                             where=rowsum > MASS_TOL)
             table[r * K:(r + 1) * K] = np.cumsum(ker, axis=1)
-        # on a nondecreasing row, the count below u lies between the counts
-        # below the edges of u's bucket; clipping to K - 1 keeps that order
-        cnt = np.stack([np.searchsorted(row, edges, side="left")
-                        for row in table]).clip(max=K - 1)
-        step = np.where(cnt[:, :-1] == cnt[:, 1:], cnt[:, :-1], -1)
-        step[~(np.diff(table, axis=1) >= 0).all(axis=1)] = -1
         cum.append(table)
-        lut.append(step.astype(np.int32))
-    return cum, lut
+    return cum, [_bucket_lut(table) for table in cum]
 
 
 def simulate(model: RegimeModel, paths, seed) -> PathBatch:
@@ -302,42 +312,54 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
     n+1 (regime 2 once switched).  The rows are drawn SIMULATION_BLOCK at a
     time into preallocated outputs, which consumes the stream exactly as
     one (paths, 2N) draw does, so the paths depend only on (model, paths,
-    seed).  Moves are inverse-CDF lookups: a bucket table answers most
-    draws, and the few that fall in a bucket containing a kernel step
-    compare against their own kernel row.  No temporary grows with
-    paths x states.
+    seed).  The first state and every move are inverse-CDF lookups: a
+    bucket table answers most draws, and the few that fall in a bucket
+    containing a step of the CDF are searched for on their own row.  States
+    are stored maturity-major in the narrowest signed integer type that
+    holds them, and no temporary grows with paths x states.
     """
     K, N = model.num_states, model.num_maturities
+    B = LOOKUP_BUCKETS
     rng = np.random.default_rng(np.random.Philox(seed))
     cum, lut = _step_tables(model)
     init = np.cumsum(model.marginals[:, 0])
+    init_lut = _bucket_lut(init[None, :])
+    q = np.ascontiguousarray(model.switch_prob.T)
 
-    state_idx = np.empty((paths, N), dtype=np.int64)
-    ex_idx = np.empty(paths, dtype=np.int64)
+    states = np.empty((N, paths), dtype=np.min_scalar_type(-K))
+    # safety net; switch_prob forces exercise at N
+    ex_idx = np.full(paths, N, dtype=np.min_scalar_type(-N - 1))
     u = np.empty((min(paths, SIMULATION_BLOCK), 2 * N))
     for lo in range(0, paths, SIMULATION_BLOCK):
         hi = min(lo + SIMULATION_BLOCK, paths)
         ub = u[:hi - lo]
         rng.random(out=ub)
-        s = np.searchsorted(init, ub[:, 0], side="left").clip(0, K - 1)
+        s = init_lut.take((ub[:, 0] * B).astype(np.intp))
+        amb = np.flatnonzero(s < 0)
+        if amb.size:
+            s[amb] = np.searchsorted(init, ub[amb, 0],
+                                     side="left").clip(0, K - 1)
         exercised = np.zeros(hi - lo, dtype=bool)
         ex = ex_idx[lo:hi]
-        ex[:] = N       # safety net; switch_prob forces exercise at N
         for n in range(N):
-            state_idx[lo:hi, n] = s
-            switch = ~exercised & (ub[:, 2 * n + 1] < model.switch_prob[s, n])
-            ex[switch] = n + 1
+            states[n, lo:hi] = s
+            switch = ub[:, 2 * n + 1] < q[n].take(s)
+            switch &= ~exercised
+            np.putmask(ex, switch, n + 1)
             exercised |= switch
             if n == N - 1:
                 break
-            row = s + K * exercised
             draw = ub[:, 2 * n + 2]
-            s = lut[n][row, (draw * LOOKUP_BUCKETS).astype(np.intp)]
+            row = s.astype(np.intp)
+            np.add(row, K, out=row, where=exercised)
+            key = row * B
+            key += (draw * B).astype(np.intp)
+            s = lut[n].take(key)
             amb = np.flatnonzero(s < 0)
             if amb.size:
                 below = cum[n][row[amb]] < draw[amb, None]
                 s[amb] = np.minimum(below.sum(axis=1), K - 1)
-    return PathBatch(model.states, state_idx, ex_idx)
+    return PathBatch(model.states, states.T, ex_idx)
 
 
 def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
@@ -346,12 +368,17 @@ def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
         raise CertifyError("a Monte Carlo stderr needs at least 2 paths, "
                            "got %d" % paths)
     batch = simulate(model, paths, seed)
-    pay = np.stack([a.interp(model.states, n)
-                    for n in range(model.num_maturities)], axis=1)
-    cols = batch.exercise_index - 1
-    vals = pay[batch.state_idx[np.arange(len(batch)), cols], cols]
+    pay = [a.interp(model.states, n) for n in range(model.num_maturities)]
+    states, ex = batch.state_idx.T, batch.exercise_index
+    vals = np.empty(paths)
+    # a block at a time, so that the index arrays stay small
+    for lo in range(0, paths, SIMULATION_BLOCK):
+        out = vals[lo:lo + SIMULATION_BLOCK]
+        for n, s in enumerate(states[:, lo:lo + SIMULATION_BLOCK]):
+            at = np.flatnonzero(ex[lo:lo + SIMULATION_BLOCK] == n + 1)
+            out[at] = pay[n].take(s.take(at))
     est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(len(batch)))
+    stderr = float(vals.std(ddof=1) / np.sqrt(paths))
     return est, stderr
 
 
@@ -479,18 +506,15 @@ def grid_feasibility(hedge: HedgeStrategy, a: AmericanPayoffGrid) -> float:
 
 def _brackets(xs, Y):
     """Where each price of Y (paths x N) sits on the lattice xs, found by
-    one search per column.  Returns per column the pair (code, offset): code
-    2j for a price at the knot x_j and 2j + 1 for one inside (x_j, x_{j+1})
-    or, for j = J, above x_J; offset y - x_j.  The leg and ratio tables of
-    the replay are indexed by these codes."""
+    one search.  Returns the pair (code, offset) of N x paths arrays, one
+    row per maturity: code 2j for a price at the knot x_j and 2j + 1 for one
+    inside (x_j, x_{j+1}) or, for j = J, above x_J; offset y - x_j.  The leg
+    and ratio tables of the replay are indexed by these codes."""
     if Y.min() < 0:
         raise CertifyError("hedge replay at a negative price")
-    at = []
-    for y in Y.T:
-        j = np.searchsorted(xs, y, side="right") - 1
-        off = y - xs[j]
-        at.append((2 * j + (off != 0), off))
-    return at
+    j = np.searchsorted(xs, Y.T, side="right") - 1
+    off = Y.T - xs[j]
+    return 2 * j + (off != 0), off
 
 
 def _leg_tables(xs, values, tail_slopes):
@@ -507,9 +531,9 @@ def _leg_tables(xs, values, tail_slopes):
 
 def _leg(tables, at, n):
     """Column n of the legs in ``tables`` at the prices ``at`` brackets."""
-    code, off = at[n]
+    code, off = at
     slope, value = tables
-    return slope[n][code] * off + value[n][code]
+    return slope[n][code[n]] * off[n] + value[n][code[n]]
 
 
 def _ratio_table(hedge: HedgeStrategy, delta):
@@ -564,8 +588,9 @@ def _exercise_values(hedge: HedgeStrategy, Y, at):
     # and of the exercised ratios from it on, summed in np.cumsum's order
     dy = [Y[:, n + 1] - Y[:, n] for n in range(N - 1)]
     r1, r2 = _ratio_table(hedge, 1), _ratio_table(hedge, 2)
-    pre1 = [0.0, *accumulate(d * r1[n][at[n][0]] for n, d in enumerate(dy))]
-    suf2 = [*accumulate(dy[n] * r2[n][at[n][0]]
+    code = at[0]
+    pre1 = [0.0, *accumulate(d * r1[n][code[n]] for n, d in enumerate(dy))]
+    suf2 = [*accumulate(dy[n] * r2[n][code[n]]
                         for n in reversed(range(N - 1)))][::-1] + [0.0]
     values = np.empty((P, N))
     for m in range(N):
@@ -608,11 +633,14 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     with exercise times between maturities).  The worst grid-inequality
     residual is folded into the reported slack so that certificates broken
     at nodes the paths cannot see still fail.  Every mode reads the payoff
-    at the hedge's brackets, so the two must share one lattice; the
-    exhaustive mode enumerates at most ENUMERATION_CAP paths.
+    at the hedge's brackets, so the two must share one lattice and one set
+    of maturities; the exhaustive mode enumerates at most ENUMERATION_CAP
+    paths.
     """
     if not np.array_equal(a.states, hedge.states):
         raise CertifyError("payoff and hedge are on different lattices")
+    if not np.array_equal(a.maturities, hedge.maturities):
+        raise CertifyError("payoff and hedge have different maturities")
     xs = hedge.states
     N = len(hedge.maturities)
     K = len(xs)
@@ -655,14 +683,20 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
 def _full_line_paths(rng, trials, N, xJ, s0):
     """Multiplicative walks from s0; one path in ten gets excursions above
     the top strike so tail legs are actually exercised."""
-    steps = rng.normal(size=(trials, N))
+    Y = rng.normal(size=(trials, N))
     sig = 0.7
-    Y = s0 * np.exp(np.cumsum(sig * steps - 0.5 * sig ** 2, axis=1))
-    Y = np.minimum(Y, 50.0 * xJ)
+    Y *= sig
+    Y -= 0.5 * sig ** 2
+    for n in range(1, N):           # np.cumsum's order, one column at a time
+        Y[:, n] += Y[:, n - 1]
+    np.exp(Y, out=Y)
+    Y *= s0
+    np.minimum(Y, 50.0 * xJ, out=Y)
     burst = rng.random(trials) < 0.1
     where = rng.random((trials, N)) < 0.5
     scale = 1.0 + rng.exponential(size=(trials, N))
-    Y = np.where((burst[:, None] & where), xJ * scale, Y)
+    where &= burst[:, None]
+    Y[where] = xJ * scale[where]
     return Y
 
 
@@ -674,33 +708,34 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
     unwound at the next maturity.  Prices are bracketed once, and the
     payoff's slope and value are read from its leg tables.
     """
-    P = len(Y)
+    P, N = Y.shape
     mats = hedge.maturities
     rho = rng.uniform(0.0, mats[-1], size=P)
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
     s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
 
     m0 = np.searchsorted(mats, rho, side="left")    # rho in (t_m0, t_{m0+1}]
-    rows = np.arange(P)
     at = _brackets(hedge.states, Y)
-    g = _exercise_values(hedge, Y, at)[rows, m0]
+    # flat indices of (path, m0) in Y and of (m0, path) in the maturity-major
+    # brackets; one step back is the previous maturity, or s0 at the first
+    iy = np.arange(0, P * N, N) + m0
+    ic = m0 * P + np.arange(P)
+    g = _exercise_values(hedge, Y, at).take(iy)
 
-    # prices, bracket codes and offsets with s0 in front: column m0 holds
-    # the previous price, column m0 + 1 the price at maturity m0
-    [(c0, o0)] = _brackets(hedge.states, np.array([[s0]]))
-    codes, offs = zip(*at)
-    y = np.column_stack([np.full(P, s0), Y])
-    code = np.column_stack([np.repeat(c0, P), *codes])
-    off = np.column_stack([np.repeat(o0, P), *offs])
+    code, off = at
+    (c0,), (o0,) = _brackets(hedge.states, np.array([[s0]]))
+    first = m0 == 0
+    y1, c1, o1 = Y.take(iy), code.take(ic), off.take(ic)
+    y0 = np.where(first, s0, Y.take(iy - 1))
+    c_prev = np.where(first, c0, code.take(ic - P))
+    o_prev = np.where(first, o0, off.take(ic - P))
     on_grid = rho == mats[m0]
-    ex = m0 + on_grid                       # column of the exercise price
     slope, value = _leg_tables(a.states, a.values, a.tail_slopes)
-    y_prev = y[rows, m0]
-    extra = np.where(on_grid, 0.0, -slope[m0, code[rows, m0] | 1]
-                     * (Y[rows, m0] - y_prev))
+    row = m0 * slope.shape[1]
+    extra = np.where(on_grid, 0.0, -slope.take(row + (c_prev | 1)) * (y1 - y0))
     if payoff_fn is not None:
-        pay = evaluate(payoff_fn, y[rows, ex], rho)
+        pay = evaluate(payoff_fn, np.where(on_grid, y1, y0), rho)
     else:
-        c = code[rows, ex]
-        pay = slope[m0, c] * off[rows, ex] + value[m0, c]
+        c = row + np.where(on_grid, c1, c_prev)
+        pay = slope.take(c) * np.where(on_grid, o1, o_prev) + value.take(c)
     return g + extra - pay, rho

@@ -102,8 +102,13 @@ def payoff_from_config(doc, surface):
                                          doc.get("tail_slopes"))
         return grid, None
     if kind == "example":
-        inst = instances.get(doc["name"])
-        return inst.payoff, None
+        grid = instances.get(doc["name"]).payoff
+        if not (np.array_equal(grid.states, surface.states)
+                and np.array_equal(grid.maturities, surface.maturities)):
+            raise payoff.PayoffError(
+                "example %r is on another lattice or other maturities than "
+                "the surface" % doc["name"])
+        return grid, None
     raise market.MarketError("unknown payoff type %r" % kind)
 
 
@@ -159,6 +164,8 @@ INPUT = click.option("--input", "input_path", required=True,
                      type=click.Path(exists=True, dir_okay=False))
 # at least two paths: the Monte Carlo standard error needs a sample variance
 TRIALS = click.option("--trials", default=100000, type=click.IntRange(min=2))
+# Philox takes only nonnegative seeds
+SEED = click.option("--seed", default=0, type=click.IntRange(min=0))
 
 
 @main.command()
@@ -206,7 +213,7 @@ def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
 @main.command(name="certify")
 @_common_options
 @TRIALS
-@click.option("--seed", default=0)
+@SEED
 @click.option("--tol-feas", default=1e-6)
 def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
                 seed, tol_feas):
@@ -242,7 +249,7 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
 @main.command()
 @_common_options
 @TRIALS
-@click.option("--seed", default=0)
+@SEED
 def simulate(input_path, payoff_spec, variant, tol_gap, out, fmt, trials, seed):
     """Monte-Carlo price the extremal model against the LP value."""
     _, grid, _, res = _bound_input(input_path, payoff_spec, variant, tol_gap)
@@ -254,7 +261,8 @@ def simulate(input_path, payoff_spec, variant, tol_gap, out, fmt, trials, seed):
 @main.command(name="bench-table")
 @click.option("--sweep", type=click.Choice(["moneyness", "maturities"]),
               default="moneyness")
-@click.option("--steps", default=2000)
+# BenchConfig's floor for the binomial tree
+@click.option("--steps", default=2000, type=click.IntRange(min=100))
 @click.option("--out", default=None)
 def bench_table(sweep, steps, out):
     """Premium-capture table (CSV), plus a JSON sidecar when --out is set."""
@@ -281,7 +289,7 @@ def bench_table(sweep, steps, out):
 
 @main.command()
 @click.argument("name", type=click.Choice(sorted(instances.BUILTIN)))
-@click.option("--seed", default=42)
+@click.option("--seed", default=42, type=click.IntRange(min=0))
 def demo(name, seed):
     """Run a built-in instance end to end and assert its known value."""
     inst = instances.get(name)

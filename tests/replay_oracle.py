@@ -2,7 +2,8 @@
 kernel: every static leg is its own ``np.interp`` (through
 ``extended_interp``), every hedge ratio and payoff slope its own search of
 the lattice, the tail calls a loop over steps and the continuous-exercise
-replay a loop over maturities."""
+replay a loop over maturities.  The full-line walks are drawn with whole-array
+``np.cumsum`` and ``np.where``."""
 
 import numpy as np
 
@@ -189,3 +190,17 @@ def continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
             pay = a.interp(x_ex, n)
         slack[sel] = g[sel] + extra - pay
     return slack, rho
+
+
+def full_line_paths(rng, trials, N, xJ, s0):
+    """Multiplicative walks from s0; one path in ten gets excursions above
+    the top strike."""
+    steps = rng.normal(size=(trials, N))
+    sig = 0.7
+    Y = s0 * np.exp(np.cumsum(sig * steps - 0.5 * sig ** 2, axis=1))
+    Y = np.minimum(Y, 50.0 * xJ)
+    burst = rng.random(trials) < 0.1
+    where = rng.random((trials, N)) < 0.5
+    scale = 1.0 + rng.exponential(size=(trials, N))
+    Y = np.where((burst[:, None] & where), xJ * scale, Y)
+    return Y

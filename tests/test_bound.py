@@ -341,6 +341,17 @@ def test_mismatched_grids_rejected(sec26):
         bound.robust_bound(sec26.surface, a)
 
 
+@pytest.mark.parametrize("variant", ["bounded", "extended"])
+def test_payoff_on_other_maturities_rejected(sec26, variant):
+    # eg11's payoff has sec26's states but only two of its three maturities;
+    # the second grid has all three, each half a year late
+    a = sec26.payoff
+    for other in (instances.get("eg11").payoff,
+                  AmericanPayoffGrid(a.values, a.states, a.maturities + 0.5)):
+        with pytest.raises(bound.BoundError, match="maturities do not match"):
+            bound.robust_bound(sec26.surface, other, variant=variant)
+
+
 def _assert_gap_closed(res):
     assert abs(res.phi - res.psi) <= 1e-6 * (1.0 + abs(res.phi))
 

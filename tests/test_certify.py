@@ -10,9 +10,9 @@ from amerbound import bench, bound, certify, instances, market
 from amerbound.certify import HedgeStrategy, RegimeModel
 from amerbound.payoff import AmericanPayoffGrid
 
-from replay_oracle import (continuous_slack, exercise_values, mixed_inf,
-                           mixed_interp, payoff_values, tail_calls,
-                           tail_hedge_ratio)
+from replay_oracle import (continuous_slack, exercise_values,
+                           full_line_paths, mixed_inf, mixed_interp,
+                           payoff_values, tail_calls, tail_hedge_ratio)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,8 @@ def test_mixed_interp_three_cases():
         hedge = HedgeStrategy(xs, np.array([1.0, 2.0]),
                               np.column_stack([h, h]), zero, zero,
                               d[:, None], np.zeros((3, 1)))
-        code, _ = certify._brackets(xs, np.array([[y, y]]))[0]
-        return certify._ratio_table(hedge, 1)[0][code][0]
+        code, _ = certify._brackets(xs, np.array([[y, y]]))
+        return certify._ratio_table(hedge, 1)[0][code[0, 0]]
 
     # knots return the knot ratio; d_j below the secant: keep d_j; d_j
     # above, d_{j+1} below the secant: fall back to the secant itself; d_j
@@ -210,6 +210,22 @@ def test_replay_refuses_a_payoff_on_another_lattice(sec26, sec26_result,
     with pytest.raises(certify.CertifyError, match="different lattices"):
         certify.verify_superreplication(sec26_result.hedge, moved, mode,
                                         trials=100, s0=sec26.surface.s0)
+
+
+@pytest.mark.parametrize("mode", ["lattice-exhaustive", "interval-random",
+                                  "full-line-random",
+                                  "continuous-exercise-random"])
+def test_replay_refuses_a_payoff_on_other_maturities(sec26, sec26_result,
+                                                     mode):
+    # eg11's payoff has sec26's states but only two of its three maturities;
+    # the second grid has all three, each half a year late
+    a = sec26.payoff
+    for other in (instances.get("eg11").payoff,
+                  AmericanPayoffGrid(a.values, a.states, a.maturities + 0.5,
+                                     a.tail_slopes)):
+        with pytest.raises(certify.CertifyError, match="different maturities"):
+            certify.verify_superreplication(sec26_result.hedge, other, mode,
+                                            trials=100, s0=sec26.surface.s0)
 
 
 def test_realized_weak_duality(sec26, sec26_result):
@@ -693,6 +709,10 @@ def _assert_kernel_matches_gather(model, a, seed):
     for paths in ORACLE_PATHS:
         got = certify.simulate(model, paths, seed)
         ref = _gather_simulate(model, paths, seed)
+        # the kernel stores states and exercise dates in one byte each up to
+        # 128 states and 127 maturities; the oracle's are int64
+        if model.num_states <= 128:
+            assert got.state_idx.dtype == got.exercise_index.dtype == np.int8
         for name in ("values", "state_idx", "exercise_index"):
             assert np.array_equal(getattr(got, name), getattr(ref, name)), \
                 (paths, name)
@@ -715,10 +735,15 @@ def _grid_for(model, rng):
 
 
 @pytest.fixture(scope="module")
-def headline_model():
+def headline_bound():
     cfg = bench.BenchConfig()
     a = bench.linearized_grid(cfg)
-    res = bound.robust_bound(bench.bs_surface(cfg), a, variant="extended")
+    return bound.robust_bound(bench.bs_surface(cfg), a, variant="extended"), a
+
+
+@pytest.fixture(scope="module")
+def headline_model(headline_bound):
+    res, a = headline_bound
     return res.model, a
 
 
@@ -789,15 +814,62 @@ def test_kernel_matches_gather_on_random_chains(K, N, seed, zeros, dyadic):
     _assert_kernel_matches_gather(model, _grid_for(model, rng), seed=seed)
 
 
-def test_mc_price_memory_does_not_grow_with_paths_times_states(headline_model):
-    model, a = headline_model
+def test_kernel_matches_gather_past_one_byte_states():
+    # 130 states need two bytes per stored state
+    rng = np.random.default_rng(46)
+    K = 130
+    G = rng.exponential(size=(2, K, K, 1))
+    q = rng.random((K, 2))
+    q[:, -1] = 1.0
+    model = _chain(np.arange(K, dtype=float), G[0], G[1],
+                   rng.dirichlet(np.ones(K)), q)
+    assert certify.simulate(model, 10, 46).state_idx.dtype == np.int16
+    _assert_kernel_matches_gather(model, _grid_for(model, rng), seed=46)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak of the memory that fn allocates, as tracemalloc counts it."""
     tracemalloc.start()
     try:
-        certify.mc_price(model, a, 10 ** 6, 7)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 80 * 10 ** 6, peak / 10 ** 6      # MB
+
+
+def test_mc_price_memory_does_not_grow_with_paths_times_states(headline_model):
+    model, a = headline_model
+    peak = _traced_peak(certify.mc_price, model, a, 10 ** 6, 7)
+    assert peak < 32 * 10 ** 6, peak / 10 ** 6      # MB
+
+
+@pytest.mark.parametrize("mode", ["full-line-random",
+                                  "continuous-exercise-random"])
+def test_path_replay_memory_stays_small(headline_bound, mode):
+    res, a = headline_bound
+    peak = _traced_peak(certify.verify_superreplication, res.hedge, a, mode,
+                        trials=10 ** 5, seed=7, s0=100.0)
+    assert peak < 40 * 10 ** 6, peak / 10 ** 6      # MB
+
+
+def _state_bytes(rng):
+    """A generator's state with its arrays as bytes, for an exact compare."""
+    def flat(v):
+        if isinstance(v, dict):
+            return {k: flat(x) for k, x in v.items()}
+        return v.tobytes() if isinstance(v, np.ndarray) else v
+    return flat(rng.bit_generator.state)
+
+
+@given(trials=st.sampled_from([1, 7, 10 ** 4]), N=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       xJ=st.sampled_from([1.0, 140.0, 3e5]), s0=st.floats(0.5, 200.0))
+def test_full_line_paths_match_cumsum_oracle(trials, N, seed, xJ, s0):
+    rngs = [np.random.default_rng(np.random.Philox(seed)) for _ in range(2)]
+    got = certify._full_line_paths(rngs[0], trials, N, xJ, s0)
+    want = full_line_paths(rngs[1], trials, N, xJ, s0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert _state_bytes(rngs[0]) == _state_bytes(rngs[1])
 
 
 @pytest.mark.parametrize("block", ["E1", "E2", "V", "D1", "D2", "beta"])

@@ -84,6 +84,35 @@ def test_too_few_trials_exit_2(runner, tmp_path, command, trials):
     assert "--trials" in res.stderr
 
 
+@pytest.mark.parametrize("args, option", [
+    (["certify", "--seed", "-1"], "--seed"),
+    (["simulate", "--seed", "-1"], "--seed"),
+    (["demo", "eg11", "--seed", "-1"], "--seed"),
+    (["bench-table", "--steps", "50"], "--steps"),
+    (["bench-table", "--steps", "99"], "--steps")])
+def test_out_of_range_seed_or_steps_exit_2(runner, tmp_path, args, option):
+    if args[0] in ("certify", "simulate"):
+        args = args + ["--input", _surface_file(tmp_path), "--payoff", PAYOFF]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 2, res.output
+    assert option in res.stderr
+
+
+@pytest.mark.parametrize("command", ["bound", "certify", "simulate"])
+@pytest.mark.parametrize("surface, example", [("sec26", "eg11"),
+                                              ("sec52", "sec26")])
+def test_example_payoff_on_another_grid_exit_2(runner, tmp_path, command,
+                                               surface, example):
+    # eg11's payoff has sec26's states but only two of its three maturities;
+    # sec26's payoff is on another lattice than sec52's surface
+    res = runner.invoke(cli.main, [
+        command, "--input", _surface_file(tmp_path, surface), "--payoff",
+        '{"type": "example", "name": "%s"}' % example])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec" in res.stderr
+    assert "another lattice or other maturities" in res.stderr
+
+
 @pytest.mark.parametrize("command", ["validate", "bound", "certify",
                                      "simulate"])
 def test_missing_input_file_exit_2(runner, tmp_path, command):

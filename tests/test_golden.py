@@ -1,0 +1,71 @@
+"""Golden reports: the CLI's bytes for fixed inputs, seeds and path counts.
+
+``bound``, ``certify --trials 100000 --seed 7`` and ``simulate --trials
+1000000 --seed 7`` run on sec26 (its example payoff) and on the headline
+Black-Scholes quotes (a 5% discounted put struck at 100), and each report
+must equal the file under ``tests/golden/`` byte for byte.  The bytes are
+tied to the numpy and scipy the files were made with (numpy 2.4.6, scipy
+1.17.1): another HiGHS build may pick another optimal vertex, and another
+numpy may round a reduction differently.  A change that moves a report on
+purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import difflib
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+
+from amerbound import bench, cli, instances
+
+HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+INPUTS = {"sec26": '{"type": "example", "name": "sec26"}',
+          "headline": '{"type": "put", "K": 100, "r": 0.05}'}
+COMMANDS = {"bound": [],
+            "certify": ["--trials", "100000", "--seed", "7"],
+            "simulate": ["--trials", "1000000", "--seed", "7"]}
+CASES = [(c, i) for c in COMMANDS for i in INPUTS]
+
+
+def _surface_doc(name):
+    s = (instances.get("sec26").surface if name == "sec26"
+         else bench.bs_surface(bench.BenchConfig()))
+    return {"s0": s.s0, "strikes": s.strikes.tolist(),
+            "maturities": s.maturities.tolist(), "calls": s.prices.tolist()}
+
+
+def _report(command, name):
+    res = CliRunner().invoke(cli.main, [
+        command, "--input", os.path.join(HERE, name + ".json"),
+        "--payoff", INPUTS[name], *COMMANDS[command]])
+    assert res.exit_code == 0, res.output
+    return res.stdout
+
+
+def _golden_path(command, name):
+    return os.path.join(HERE, "%s_%s.json" % (command, name))
+
+
+@pytest.mark.parametrize("command, name", CASES)
+def test_report_matches_golden_bytes(command, name):
+    with open(_golden_path(command, name)) as fh:
+        want = fh.read()
+    got = _report(command, name)
+    assert got == want, "".join(difflib.unified_diff(
+        want.splitlines(True), got.splitlines(True),
+        "golden/%s_%s.json" % (command, name), "now"))
+
+
+if __name__ == "__main__":
+    for name in INPUTS:
+        with open(os.path.join(HERE, name + ".json"), "w") as fh:
+            json.dump(_surface_doc(name), fh, indent=1)
+            fh.write("\n")
+    for command, name in CASES:
+        with open(_golden_path(command, name), "w") as fh:
+            fh.write(_report(command, name))

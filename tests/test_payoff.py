@@ -128,7 +128,7 @@ def test_interp_and_subgradient():
     # the replay reads the right slope at the odd code of a price's bracket
     slope, _ = certify._leg_tables(g.states, g.values, g.tail_slopes)
     for x in (25.0, 50.0, 100.0, 120.0):
-        [(code, _)] = certify._brackets(g.states, np.array([[x]]))
+        [[code]], _ = certify._brackets(g.states, np.array([[x]]))
         assert slope[0, code | 1] == right_subgradient(g, x, 0), x
 
 
