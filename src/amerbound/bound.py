@@ -275,9 +275,14 @@ def build_dual_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid)
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6) -> BoundResult:
     """Solve the primal LP, read both certificates off its optimum, and
-    enforce the gap tolerance and the hedge's grid inequalities."""
+    enforce the gap tolerance on the hedge's cost, the model's exact value
+    and the hedge's grid inequalities."""
     if variant not in ("auto", "bounded", "extended"):
         raise BoundError("variant must be auto, bounded, or extended")
+    # written so that NaN fails too: a NaN tolerance would pass every gate
+    if not 0.0 <= tol_gap < np.inf:
+        raise BoundError("tol_gap must be finite and nonnegative, got %r"
+                         % tol_gap)
     report = market.validate(surface, mode="weak")
     if not report.valid:
         raise ArbitrageError("surface fails validation: %r"
@@ -309,6 +314,11 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         raise GapError(phi, psi, tol_gap)
 
     model = certify.model_from_primal(sol, idx, surface, p_hat)
+    value = certify.model_value(model, a)
+    if abs(value - phi) > tol_gap * (1.0 + abs(phi)):
+        raise certify.CertifyError(
+            "model read off the primal LP is worth %.12g, not phi = %.12g: "
+            "gap exceeds %.3g" % (value, phi, tol_gap))
     slack = certify.grid_feasibility(hedge, a)
     tol = tol_gap * certify.hedge_scale(hedge)
     if slack < -tol:
@@ -321,5 +331,6 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         "dual_residual": sol.dual_residual,
         "num_primal_vars": lp.num_vars,
         "hedge_grid_slack": slack,
+        "model_value_exact": value,
     }
     return BoundResult(variant, phi, psi, gap, model, hedge, diagnostics)

@@ -25,7 +25,6 @@ import numpy as np
 from . import market
 from .payoff import AmericanPayoffGrid, evaluate
 
-MASS_TOL = 1e-12
 # an LP mass may be negative by up to CLIP_TOL before it is clipped to 0; a
 # model's outflows and inflows may miss its marginals by up to BALANCE_TOL
 CLIP_TOL = 1e-7
@@ -51,13 +50,13 @@ class RegimeModel:
     """Simulable price/regime chain on a genuine state lattice.
 
     F[j, n] is the mass of paths that exercise at state j at maturity n
-    (regime-1 inflow times switch_prob); G1/G2[j, k, n] are joint masses
-    of moves j -> k between maturities n and n+1 while holding / after
+    (the regime-1 inflow that does not move on); G1/G2[j, k, n] are joint
+    masses of moves j -> k between maturities n and n+1 while holding / after
     exercising; switch_prob[j, n] is the conditional probability that a
     still-holding path arriving at state j exercises there.  marginals[:, n]
     is the law of the price at each maturity.  For surfaces without a
-    zero-price top call the lattice gains one far state (``xi``) that
-    carries the tail mass.
+    zero-price top call the lattice gains one far state that carries the
+    tail mass.
     """
 
     states: np.ndarray
@@ -69,7 +68,6 @@ class RegimeModel:
     marginals: np.ndarray
     switch_prob: np.ndarray
     extended: bool = False
-    xi: float = None
 
     @property
     def num_states(self):
@@ -108,11 +106,14 @@ def _clip_mass(arr):
 
 
 def _conservation_switch_prob(G1, marginals):
-    """switch_prob[j, n] = (regime-1 inflow minus regime-1 outflow) / inflow,
-    and the inflow itself.
+    """The pair (switch_prob, F): F[j, n] is the regime-1 inflow at state j,
+    maturity n, that does not move on (inflow minus regime-1 outflow,
+    clipped at 0), and switch_prob is F / inflow wherever the inflow is
+    positive.
 
     Inflow at the first maturity is the whole marginal (paths start in
-    regime 1).  At the last maturity every surviving path exercises.
+    regime 1).  Nothing moves on from the last maturity, so every surviving
+    path exercises there.
     """
     M, N = marginals.shape
     in1 = np.concatenate([marginals[:, :1], G1.sum(axis=0)], axis=1)
@@ -120,11 +121,8 @@ def _conservation_switch_prob(G1, marginals):
     # changes the last bits of the outflow
     out1 = np.stack([G1[:, :, n].sum(axis=1) for n in range(N - 1)]
                     + [np.zeros(M)], axis=1)
-    switch = np.clip(in1 - out1, 0.0, None)
-    q = np.clip(np.where(in1 > MASS_TOL,
-                         switch / np.maximum(in1, MASS_TOL), 0.0), 0.0, 1.0)
-    q[:, -1] = np.where(in1[:, -1] > MASS_TOL, 1.0, 0.0)
-    return q, in1
+    F = np.clip(in1 - out1, 0.0, None)
+    return np.divide(F, in1, out=np.zeros_like(F), where=in1 > 0), F
 
 
 def _check_model(model: RegimeModel):
@@ -198,7 +196,8 @@ def model_from_primal(solution, index, surface: market.CallSurface,
     states = surface.states
     if index.extended:
         # far enough out that the fold-in corrections (~1/xi) drop below the
-        # mass tolerance even where the top strike received no direct mass
+        # clip and balance tolerances even where the top strike received no
+        # direct mass
         xi = max(1e9 * states[-1], 1.5 * companion_threshold(surface))
         G1, G2, p = _companion_from_extended(G1, G2, p_hat, states, xi)
         G1, G2 = _clip_mass(G1), _clip_mass(G2)
@@ -209,14 +208,12 @@ def model_from_primal(solution, index, surface: market.CallSurface,
         states = np.concatenate([states, [xi]])
     else:
         p = p_hat
-        xi = None
-    q, in1 = _conservation_switch_prob(G1, p)
     # The LP's own F depends on the optimal vertex: where row (e) is slack
-    # it can omit exercised paths.  Regime-1 inflow times the switch
-    # probability records every one of them.
-    F = in1 * q
+    # it can omit exercised paths.  The regime-1 inflow that does not move
+    # on records every one of them.
+    q, F = _conservation_switch_prob(G1, p)
     model = RegimeModel(states, surface.maturities.copy(), surface.s0,
-                        F, G1, G2, p, q, extended=index.extended, xi=xi)
+                        F, G1, G2, p, q, extended=index.extended)
     _check_model(model)
     return model
 
@@ -230,9 +227,7 @@ def seed_model(m: market.MarginalSystem) -> RegimeModel:
     for n in range(N - 1):
         G2[:, :, n] = _martingale_transport(x, p[:, n], p[:, n + 1])
     G1 = np.zeros_like(G2)
-    F = np.zeros((M, N))
-    F[:, 0] = p[:, 0]
-    q, _ = _conservation_switch_prob(G1, p)
+    q, F = _conservation_switch_prob(G1, p)
     model = RegimeModel(x.copy(), m.maturities.copy(), m.s0, F, G1, G2,
                         p.copy(), q)
     _check_model(model)
@@ -295,9 +290,8 @@ def _step_tables(model: RegimeModel):
         table = np.empty((2 * K, K))
         for r, G in enumerate((model.G1, model.G2)):
             rowsum = G[:, :, n].sum(axis=1, keepdims=True)
-            ker = np.divide(G[:, :, n], np.maximum(rowsum, MASS_TOL),
-                            out=np.zeros_like(G[:, :, n]),
-                            where=rowsum > MASS_TOL)
+            ker = np.divide(G[:, :, n], rowsum, out=np.zeros_like(G[:, :, n]),
+                            where=rowsum > 0)
             table[r * K:(r + 1) * K] = np.cumsum(ker, axis=1)
         cum.append(table)
     return cum, [_bucket_lut(table) for table in cum]
@@ -362,13 +356,26 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
     return PathBatch(model.states, states.T, ex_idx)
 
 
+def _payoff_table(model: RegimeModel, a: AmericanPayoffGrid):
+    """The payoff at each of the model's states, one array per maturity."""
+    return [a.interp(model.states, n) for n in range(model.num_maturities)]
+
+
+def model_value(model: RegimeModel, a: AmericanPayoffGrid) -> float:
+    """Exact American value of the model, the expectation that ``mc_price``
+    estimates: each maturity's exercise masses F priced by the payoff at
+    the model's states, the far state included."""
+    return float(sum(model.F[:, n] @ pay
+                     for n, pay in enumerate(_payoff_table(model, a))))
+
+
 def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
     """Monte Carlo estimate of the model's American value and its stderr."""
     if paths < 2:
         raise CertifyError("a Monte Carlo stderr needs at least 2 paths, "
                            "got %d" % paths)
     batch = simulate(model, paths, seed)
-    pay = [a.interp(model.states, n) for n in range(model.num_maturities)]
+    pay = _payoff_table(model, a)
     states, ex = batch.state_idx.T, batch.exercise_index
     vals = np.empty(paths)
     # a block at a time, so that the index arrays stay small

@@ -81,9 +81,14 @@ def _payoff_doc(spec):
         if not spec.lstrip().startswith("{"):
             with open(spec) as fh:
                 text = fh.read()
-        return json.loads(text)
+        doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_PARSE, "cannot read payoff spec: %s" % exc)
+    # a payoff file may hold any JSON value
+    if not isinstance(doc, dict):
+        _fail(EXIT_PARSE, "payoff spec must be a JSON object, not %s"
+              % type(doc).__name__)
+    return doc
 
 
 def payoff_from_config(doc, surface):
@@ -134,7 +139,8 @@ def _bound_input(input_path, payoff_spec, variant, tol_gap):
     surface = _load_surface(input_path)
     try:
         grid, fn = payoff_from_config(_payoff_doc(payoff_spec), surface)
-    except (market.MarketError, payoff.PayoffError, KeyError, ValueError) as exc:
+    except (market.MarketError, payoff.PayoffError, KeyError, TypeError,
+            ValueError) as exc:
         _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
     return surface, grid, fn, _bound_or_fail(surface, grid, variant, tol_gap)
 
@@ -168,6 +174,14 @@ TRIALS = click.option("--trials", default=100000, type=click.IntRange(min=2))
 SEED = click.option("--seed", default=0, type=click.IntRange(min=0))
 
 
+def _tolerance(ctx, param, value):
+    # click.FloatRange lets NaN through, and a NaN tolerance passes every gate
+    if not 0.0 <= value < float("inf"):
+        raise click.BadParameter("must be finite and nonnegative, got %r"
+                                 % value)
+    return value
+
+
 @main.command()
 @INPUT
 @click.option("--mode", type=click.Choice(["weak", "strict"]), default="weak")
@@ -183,7 +197,7 @@ def validate(input_path, mode, out, fmt):
                           for c, i, m in rep.violations]}
     emit_report(doc, fmt, out)
     if rep.status == "invalid":
-        sys.exit(EXIT_VALIDATION)
+        _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
 
 
 def _common_options(fn):
@@ -193,7 +207,7 @@ def _common_options(fn):
         click.option("--variant",
                      type=click.Choice(["auto", "bounded", "extended"]),
                      default="auto"),
-        click.option("--tol-gap", default=1e-6),
+        click.option("--tol-gap", default=1e-6, callback=_tolerance),
         click.option("--out", default=None),
         click.option("--format", "fmt",
                      type=click.Choice(["json", "pretty"]), default="json"),
@@ -214,7 +228,7 @@ def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
 @_common_options
 @TRIALS
 @SEED
-@click.option("--tol-feas", default=1e-6)
+@click.option("--tol-feas", default=1e-6, callback=_tolerance)
 def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
                 seed, tol_feas):
     """Compute the bound, then independently verify both certificates."""
@@ -226,7 +240,11 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
     if fn is not None:
         modes.append("continuous-exercise-random")
     scale = certify.hedge_scale(res.hedge)
-    ok = abs(est - res.phi) <= 4.0 * max(se, 1e-12) + 1e-8 * (1 + abs(res.phi))
+    failed = []
+    # comparisons written so that a NaN estimate or slack fails too
+    if not (abs(est - res.phi)
+            <= 4.0 * max(se, 1e-12) + 1e-8 * (1 + abs(res.phi))):
+        failed.append("monte-carlo")
     for mode in modes:
         rep = certify.verify_superreplication(
             res.hedge, grid, mode, trials=trials, seed=seed,
@@ -234,16 +252,15 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
         # no wall-clock fields: identical runs give byte-identical reports
         reports[mode] = {"trials": rep.trials, "min_slack": rep.min_slack,
                          "grid_slack": rep.grid_slack, "skipped": rep.skipped}
-        # written so that a NaN slack fails too
         if not (rep.skipped or rep.min_slack >= -tol_feas * scale):
-            ok = False
+            failed.append(mode)
     doc = {"phi": res.phi, "psi": res.psi, "gap": res.gap,
            "variant": res.variant, "mc_estimate": est, "mc_stderr": se,
            "hedge_scale": scale, "verification": reports,
-           "certified": bool(ok)}
+           "certified": not failed}
     emit_report(doc, fmt, out)
-    if not ok:
-        sys.exit(EXIT_CERTIFY)
+    if failed:
+        _fail(EXIT_CERTIFY, "certificates fail: %s" % ", ".join(failed))
 
 
 @main.command()

@@ -135,16 +135,18 @@ def load_surface(source) -> CallSurface:
         strikes = np.asarray(doc["strikes"], dtype=float)
         maturities = np.asarray(doc["maturities"], dtype=float)
         calls = np.asarray(doc["calls"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        if calls.ndim != 2:
+            raise MarketError("calls must be a [strike][maturity] matrix")
+        if calls.shape == (len(strikes), len(maturities)):
+            prices = np.vstack([np.full(len(maturities), s0), calls])
+        elif calls.shape == (len(strikes) + 1, len(maturities)):
+            prices = calls  # strike-0 row supplied explicitly
+        else:
+            raise MarketError("calls shape %s does not match grids"
+                              % (calls.shape,))
+    # a scalar or empty grid has no len() or no first entry
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise MarketError("malformed surface document: %s" % exc)
-    if calls.ndim != 2:
-        raise MarketError("calls must be a [strike][maturity] matrix")
-    if calls.shape == (len(strikes), len(maturities)):
-        prices = np.vstack([np.full(len(maturities), s0), calls])
-    elif calls.shape == (len(strikes) + 1, len(maturities)):
-        prices = calls  # strike-0 row supplied explicitly
-    else:
-        raise MarketError("calls shape %s does not match grids" % (calls.shape,))
     return CallSurface(s0, strikes, maturities, prices)
 
 

@@ -291,6 +291,9 @@ def test_criterion_7_certificates(demo_results, headline, fig4_rows,
         _check_model_martingale(model)
         assert np.all(model.switch_prob >= -1e-9), name
         assert np.all(model.switch_prob <= 1.0 + 1e-9), name
+        # the exact value of what the Monte Carlo below estimates
+        assert abs(certify.model_value(model, a) - res.phi) <= 1e-6 * (
+            1.0 + abs(res.phi)), name
 
         # (ii) Monte Carlo reprices the bound
         est, se = certify.mc_price(model, a, 10 ** 6, seed)

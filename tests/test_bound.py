@@ -309,6 +309,77 @@ def test_seed_model_prices_below_bound():
     assert est <= 34.0 + 1e-9
 
 
+def _chain_value(model, a):
+    """The model chain's exact American value, worked out the way the
+    simulation runs: the still-holding mass exercises with probability
+    switch_prob and moves on by the normalised regime-1 kernel."""
+    hold, value = model.marginals[:, 0], 0.0
+    for n in range(model.num_maturities):
+        q = model.switch_prob[:, n]
+        value += float((hold * q) @ a.interp(model.states, n))
+        if n < model.num_maturities - 1:
+            G = model.G1[:, :, n]
+            rowsum = G.sum(axis=1, keepdims=True)
+            ker = np.divide(G, rowsum, out=np.zeros_like(G), where=rowsum > 0)
+            hold = (hold * (1.0 - q)) @ ker
+    return value
+
+
+def _assert_model_worth_phi(res, a, tol_gap=1e-6):
+    value = certify.model_value(res.model, a)
+    assert res.diagnostics["model_value_exact"] == value
+    for v in (value, _chain_value(res.model, a)):
+        assert abs(v - res.phi) <= tol_gap * (1.0 + abs(res.phi)), (v, res.phi)
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.25, 1.0])
+def test_extended_model_keeps_far_state_exercise(slope):
+    # the headline quotes and the call payoff (x - 100)+ continued above the
+    # top strike with the given slope: the far state carries 1e-14 to 1e-12
+    # of mass worth about 1e11 per unit, and the model must exercise it
+    s = bench.bs_surface(bench.BenchConfig())
+    x = s.states
+    a = AmericanPayoffGrid(np.maximum(x[:, None] - 100.0, 0.0) * np.ones((1, 4)),
+                           x, s.maturities, np.full(4, slope))
+    res = bound.robust_bound(s, a)
+    assert res.variant == "extended"
+    _assert_model_worth_phi(res, a, tol_gap=1e-9)
+
+
+@given(J=st.integers(3, 8), N=st.integers(2, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5), data=st.data())
+def test_extended_model_is_worth_phi(J, N, vol, lo, hi, data):
+    strikes = tuple(np.linspace(lo, hi, J) * 100.0)
+    s = bench.bs_surface(bench.BenchConfig(vol=vol, strikes=strikes,
+                                           num_maturities=N))
+    values = data.draw(st.lists(st.floats(0.0, 50.0), min_size=(J + 1) * N,
+                                max_size=(J + 1) * N))
+    slopes = data.draw(st.lists(st.floats(0.0, 1.0), min_size=N, max_size=N))
+    a = AmericanPayoffGrid(np.reshape(values, (J + 1, N)), s.states,
+                           s.maturities, slopes)
+    _assert_model_worth_phi(bound.robust_bound(s, a), a)
+
+
+def test_model_off_phi_raises(sec26, monkeypatch):
+    # a model that exercises only half its mass is worth half of phi
+    unpack = certify.model_from_primal
+
+    def halved(*args):
+        model = unpack(*args)
+        model.F = 0.5 * model.F
+        return model
+
+    monkeypatch.setattr(certify, "model_from_primal", halved)
+    with pytest.raises(certify.CertifyError, match="not phi = 35.625"):
+        bound.robust_bound(sec26.surface, sec26.payoff)
+
+
+@pytest.mark.parametrize("tol_gap", [float("nan"), -1.0, float("inf")])
+def test_bad_gap_tolerance_rejected(sec26, tol_gap):
+    with pytest.raises(bound.BoundError, match="tol_gap must be finite"):
+        bound.robust_bound(sec26.surface, sec26.payoff, tol_gap=tol_gap)
+
+
 def test_variant_auto_selection(sec26):
     # zero top-strike calls -> bounded; positive tail -> extended
     assert bound.robust_bound(sec26.surface, sec26.payoff).variant == "bounded"

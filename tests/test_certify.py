@@ -581,31 +581,27 @@ def _loop_grid_feasibility(hedge, a):
 
 def _loop_switch_prob(G1, marginals):
     """The switch probabilities' previous form, kept as the oracle: regime-1
-    inflow carried forward one step at a time."""
+    inflow carried forward one step at a time.  Returns (q, F)."""
     M, N = marginals.shape
     q = np.zeros((M, N))
-    inflow = np.zeros((M, N))
+    F = np.zeros((M, N))
     in1 = marginals[:, 0].copy()
     for n in range(N):
-        inflow[:, n] = in1
         out1 = G1[:, :, n].sum(axis=1) if n < N - 1 else np.zeros(M)
-        switch = np.clip(in1 - out1, 0.0, None)
-        q[:, n] = np.where(in1 > certify.MASS_TOL,
-                           switch / np.maximum(in1, certify.MASS_TOL), 0.0)
-        q[:, n] = np.clip(q[:, n], 0.0, 1.0)
-        if n == N - 1:
-            q[:, n] = np.where(in1 > certify.MASS_TOL, 1.0, 0.0)
-        else:
+        F[:, n] = np.clip(in1 - out1, 0.0, None)
+        live = in1 > 0
+        q[live, n] = F[live, n] / in1[live]
+        if n < N - 1:
             in1 = G1[:, :, n].sum(axis=0)
-    return q, inflow
+    return q, F
 
 
 def _assert_audits_match_loops(hedge, a, model=None):
     assert certify.grid_feasibility(hedge, a) == _loop_grid_feasibility(hedge, a)
     if model is not None:
-        q, in1 = certify._conservation_switch_prob(model.G1, model.marginals)
-        ref_q, ref_in1 = _loop_switch_prob(model.G1, model.marginals)
-        assert np.array_equal(q, ref_q) and np.array_equal(in1, ref_in1)
+        q, F = certify._conservation_switch_prob(model.G1, model.marginals)
+        ref_q, ref_F = _loop_switch_prob(model.G1, model.marginals)
+        assert np.array_equal(q, ref_q) and np.array_equal(F, ref_F)
         assert np.array_equal(q, model.switch_prob)
 
 
@@ -665,9 +661,8 @@ def _gather_simulate(model, paths, seed):
     for n in range(N - 1):
         for G, cum in ((model.G1, cum1), (model.G2, cum2)):
             rowsum = G[:, :, n].sum(axis=1, keepdims=True)
-            ker = np.divide(G[:, :, n], np.maximum(rowsum, certify.MASS_TOL),
-                            out=np.zeros_like(G[:, :, n]),
-                            where=rowsum > certify.MASS_TOL)
+            ker = np.divide(G[:, :, n], rowsum, out=np.zeros_like(G[:, :, n]),
+                            where=rowsum > 0)
             cum[:, :, n] = np.cumsum(ker, axis=1)
     init = np.cumsum(model.marginals[:, 0])
     s = np.searchsorted(init, u[:, 0], side="left").clip(0, K - 1)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from amerbound import bound, certify, cli, instances, lpcore
 
@@ -43,7 +44,8 @@ def test_validate_invalid_exit_3(runner, tmp_path):
     res = runner.invoke(cli.main, ["validate", "--input",
                                    _surface_file(tmp_path, mangle=_arbitrage)])
     assert res.exit_code == 3
-    assert json.loads(res.output)["status"] == "invalid"
+    assert json.loads(res.stdout)["status"] == "invalid"
+    assert "error: surface is not arbitrage-free" in res.stderr
 
 
 def test_parse_error_exit_2(runner, tmp_path):
@@ -72,6 +74,41 @@ def test_input_errors_exit_codes(runner, tmp_path, command):
                                    "--payoff", PAYOFF])
     assert res.exit_code == 3, res.output
     assert "not arbitrage-free" in res.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    '{"type": "put", "K": null}',
+    '{"type": "put", "K": [100]}',
+    '{"type": "grid", "values": {}}',
+    '{"type": "example", "name": ["sec26"]}',
+    '{"type": "grid", "values": [[130, 80, 40], [30, 20, 10], [0, 0, 0], '
+    '[0, 0, 0]], "tail_slopes": {}}'])
+def test_payoff_field_of_wrong_json_type_exit_2(runner, tmp_path, spec):
+    res = runner.invoke(cli.main, ["bound", "--input", _surface_file(tmp_path),
+                                   "--payoff", spec])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec" in res.stderr
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null"])
+def test_payoff_file_of_another_json_value_exit_2(runner, tmp_path, text):
+    spec = tmp_path / "payoff.json"
+    spec.write_text(text)
+    res = runner.invoke(cli.main, ["bound", "--input", _surface_file(tmp_path),
+                                   "--payoff", str(spec)])
+    assert res.exit_code == 2, res.output
+    assert "payoff spec must be a JSON object" in res.stderr
+
+
+@pytest.mark.parametrize("command, option", [
+    ("bound", "--tol-gap"), ("certify", "--tol-gap"), ("simulate", "--tol-gap"),
+    ("certify", "--tol-feas")])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_tolerance_exit_2(runner, tmp_path, command, option, value):
+    res = runner.invoke(cli.main, [command, "--input", _surface_file(tmp_path),
+                                   "--payoff", PAYOFF, option, value])
+    assert res.exit_code == 2, res.output
+    assert option in res.stderr and "finite and nonnegative" in res.stderr
 
 
 @pytest.mark.parametrize("command, trials", [
@@ -154,6 +191,22 @@ def test_gap_failure_exit_5(runner, tmp_path, monkeypatch):
                                    _surface_file(tmp_path),
                                    "--payoff", PAYOFF])
     assert res.exit_code == 5
+
+
+def test_model_off_phi_exit_5(runner, tmp_path, monkeypatch):
+    unpack = certify.model_from_primal
+
+    def halved(*args):
+        model = unpack(*args)
+        model.F = 0.5 * model.F
+        return model
+
+    monkeypatch.setattr(certify, "model_from_primal", halved)
+    res = runner.invoke(cli.main, ["bound", "--input",
+                                   _surface_file(tmp_path),
+                                   "--payoff", PAYOFF])
+    assert res.exit_code == 5
+    assert "not phi = 35.625" in res.stderr
 
 
 def test_hedge_grid_violation_exit_5(runner, tmp_path, monkeypatch):
@@ -341,6 +394,9 @@ def test_grid_payoff_tail_slopes_per_maturity_exit_2(runner, tmp_path,
 @pytest.mark.parametrize("doc", [
     {"marginals": [[0.5], [0.5]], "states": [0, 1]},
     {"marginals": [[0.5], ["half"]], "states": [0, 1], "maturities": [1]},
+    {"marginals": [[0.5], [0.5]], "states": [], "maturities": [1]},
+    {"marginals": [[0.5], [0.5]], "states": None, "maturities": [1]},
+    {"s0": 100, "strikes": 50, "maturities": [1], "calls": [[1]]},
 ])
 def test_malformed_marginals_document_exit_2(runner, tmp_path, doc):
     path = tmp_path / "marginals.json"
@@ -364,4 +420,170 @@ def test_nan_replay_slack_fails_certification(runner, tmp_path, monkeypatch):
                                    _surface_file(tmp_path),
                                    "--payoff", PAYOFF, "--trials", "2000"])
     assert res.exit_code == 5, res.output
-    assert json.loads(res.output)["certified"] is False
+    assert json.loads(res.stdout)["certified"] is False
+    assert "error: certificates fail: lattice-exhaustive, interval-random, " \
+        "full-line-random" in res.stderr
+
+
+# ---------------------------------------------------------------------------
+# every command-line input ends in a documented exit code with a message
+
+NAN, INF = float("nan"), float("inf")
+JUNK = [None, "x", [], {}, 5, -1.0, [1.0], [[1.0]], ["a"], [[None]], NAN, True]
+
+
+def _mostly(draw, good, bad):
+    """A draw from good about seven times in eight, else from bad, so that
+    many command lines get past every field."""
+    return draw(st.sampled_from(good if draw(st.integers(0, 7)) else bad))
+
+
+def _docs():
+    """Valid input documents: sec26's zero-tail quotes, Black-Scholes
+    quotes that need the extended variant, and sec26's implied marginals."""
+    from amerbound import bench, market
+    docs = []
+    for s in (instances.get("sec26").surface,
+              bench.bs_surface(bench.BenchConfig(strikes=(80, 100, 120),
+                                                 num_maturities=2))):
+        docs.append({"s0": s.s0, "strikes": s.strikes.tolist(),
+                     "maturities": s.maturities.tolist(),
+                     "calls": s.prices[1:].tolist()})
+    m = market.implied_marginals(instances.get("sec26").surface)
+    docs.append({"marginals": m.probs.tolist(), "states": m.states.tolist(),
+                 "maturities": m.maturities.tolist()})
+    return docs
+
+
+DOCS = _docs()
+
+
+@st.composite
+def surface_texts(draw):
+    """A surface file's text and its lattice shape (None when malformed)."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    shape = (len(doc.get("strikes", doc.get("states", [0])[1:])) + 1,
+             len(doc["maturities"]))
+    how = _mostly(draw, ["keep"], ["drop", "junk", "short", "entry", "text"])
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "drop":
+        del doc[key]
+    elif how == "junk":
+        doc[key] = draw(st.sampled_from(JUNK))
+    elif how == "short":        # one entry short; s0 turns negative
+        doc[key] = (doc[key][:-1] if isinstance(doc[key], list)
+                    else -doc[key])
+    elif how == "entry":
+        value = draw(st.sampled_from([NAN, INF, -1.0, 0.0, 1e3, "1", None]))
+        if isinstance(doc[key], list):
+            i = draw(st.integers(0, len(doc[key]) - 1))
+            if isinstance(doc[key][i], list):
+                doc[key][i][draw(st.integers(0, len(doc[key][i]) - 1))] = value
+            else:
+                doc[key][i] = value
+        else:
+            doc[key] = value
+    elif how == "text":
+        return draw(st.sampled_from(["", "{not json", "[1, 2]", "{}",
+                                     "0,1\n0,100\n", "1,2\n3,4\n",
+                                     "x\n0,1,2\n"])), None
+    return json.dumps(doc), shape if how == "keep" else None
+
+
+@st.composite
+def payoff_specs(draw, shape):
+    """An inline payoff spec of each type, its fields of right or wrong JSON
+    types; a grid has the surface's shape when it is known."""
+    kind = draw(st.sampled_from(["put", "grid", "example", "other"]))
+    M, N = shape or (4, 3)
+    if kind == "put":
+        spec = {"type": "put",
+                "K": _mostly(draw, [100, 90.5, "100"], [0, -5] + JUNK)}
+        if draw(st.booleans()):
+            spec["r"] = _mostly(draw, [0.05, 0], JUNK)
+    elif kind == "grid":
+        good = draw(st.lists(st.lists(st.floats(0, 150), min_size=N,
+                                      max_size=N), min_size=M, max_size=M))
+        spec = {"type": "grid", "values": _mostly(draw, [good],
+                                                  [good[:-1]] + JUNK)}
+        if draw(st.booleans()):
+            spec["tail_slopes"] = _mostly(draw, [[0.5] * N, [0.0] * N],
+                                          [[0.5] * (N + 1), [-1.0] * N, 0.5]
+                                          + JUNK)
+    elif kind == "example":
+        spec = {"type": "example",
+                "name": _mostly(draw, ["sec26"],
+                                ["sec52", "eg11", "nope"] + JUNK)}
+    else:
+        spec = draw(st.sampled_from([{}, {"type": "call"}, {"type": None},
+                                     {"type": ["put"]}]))
+    return json.dumps(spec)
+
+
+@st.composite
+def options(draw, name, low, high=None):
+    """An option and its value, and whether the value is in the option's
+    range: a tolerance, finite and nonnegative, when high is None; else a
+    count of trials or steps or a seed, an integer in [low, high]."""
+    ok = draw(st.integers(0, 7)) > 0
+    if high is None:
+        value = (repr(draw(st.floats(1e-12, 1.0))) if ok else
+                 draw(st.sampled_from(["nan", "inf", "-inf", "-1", "x"])))
+    else:
+        value = str(draw(st.integers(low, high) if ok
+                         else st.integers(-3, low - 1)))
+    return [name, value], ok
+
+
+@st.composite
+def command_lines(draw, path):
+    """A command line, and whether every option value is in its range."""
+    command = draw(st.sampled_from(["validate", "bound", "certify", "simulate",
+                                    "bench-table", "demo"]))
+    if command == "bench-table":
+        steps, ok = draw(options("--steps", 100, 120))
+        return [command, "--sweep", draw(st.sampled_from(
+            ["moneyness", "maturities"]))] + steps, ok
+    if command == "demo":
+        seed, ok = draw(options("--seed", 0, 2 ** 64))
+        return [command, draw(st.sampled_from(sorted(instances.BUILTIN)))] \
+            + seed, ok
+    text, shape = draw(surface_texts())
+    with open(path, "w") as fh:
+        fh.write(text)
+    args = [command, "--input", path]
+    if command == "validate":
+        return args + ["--mode", draw(st.sampled_from(["weak", "strict"]))], True
+    spec = draw(payoff_specs(shape))
+    if not draw(st.integers(0, 7)):         # a payoff file, of any JSON value
+        with open(path + ".payoff", "w") as fh:
+            fh.write(draw(st.sampled_from([spec, "[1, 2]", "3", "null", "{"])))
+        spec = path + ".payoff"
+    args += ["--payoff", spec,
+             "--variant", draw(st.sampled_from(["auto", "bounded", "extended"]))]
+    drawn = [options("--tol-gap", 0.0)]
+    if command != "bound":
+        drawn += [options("--trials", 2, 2000), options("--seed", 0, 2 ** 64)]
+    if command == "certify":
+        drawn.append(options("--tol-feas", 0.0))
+    ok = True
+    for option in drawn:
+        pair, in_range = draw(option)
+        args += pair
+        ok &= in_range
+    return args, ok
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_input_ends_in_a_documented_exit(tmp_path_factory, data):
+    # an option out of its range is malformed input, refused before any work
+    path = str(tmp_path_factory.getbasetemp() / "surface.json")
+    args, options_ok = data.draw(command_lines(path))
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code in (0, 2, 3, 4, 5), (res.exit_code, res.exception)
+    assert options_ok or res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    if res.exit_code:
+        assert any(line.lower().startswith("error:")
+                   for line in res.stderr.splitlines()), res.output

@@ -3,7 +3,8 @@
 ``bound``, ``certify --trials 100000 --seed 7`` and ``simulate --trials
 1000000 --seed 7`` run on sec26 (its example payoff) and on the headline
 Black-Scholes quotes (a 5% discounted put struck at 100), and each report
-must equal the file under ``tests/golden/`` byte for byte.  The bytes are
+must equal the file under ``tests/golden/`` byte for byte; so must the CSV
+table and the JSON sidecar of ``bench-table --sweep moneyness``.  The bytes are
 tied to the numpy and scipy the files were made with (numpy 2.4.6, scipy
 1.17.1): another HiGHS build may pick another optimal vertex, and another
 numpy may round a reduction differently.  A change that moves a report on
@@ -30,6 +31,7 @@ COMMANDS = {"bound": [],
             "certify": ["--trials", "100000", "--seed", "7"],
             "simulate": ["--trials", "1000000", "--seed", "7"]}
 CASES = [(c, i) for c in COMMANDS for i in INPUTS]
+TABLE = "bench_table_moneyness.csv"
 
 
 def _surface_doc(name):
@@ -51,17 +53,36 @@ def _golden_path(command, name):
     return os.path.join(HERE, "%s_%s.json" % (command, name))
 
 
+def _table(out):
+    """The CSV table and its JSON sidecar, written under the path out."""
+    res = CliRunner().invoke(cli.main, ["bench-table", "--sweep", "moneyness",
+                                        "--out", out])
+    assert res.exit_code == 0, res.output
+    with open(out) as csv, open(out + ".json") as sidecar:
+        return {TABLE: csv.read(), TABLE + ".json": sidecar.read()}
+
+
+def _assert_golden(file, got):
+    with open(os.path.join(HERE, file)) as fh:
+        want = fh.read()
+    assert got == want, "".join(difflib.unified_diff(
+        want.splitlines(True), got.splitlines(True), "golden/" + file, "now"))
+
+
 @pytest.mark.parametrize("command, name", CASES)
 def test_report_matches_golden_bytes(command, name):
-    with open(_golden_path(command, name)) as fh:
-        want = fh.read()
-    got = _report(command, name)
-    assert got == want, "".join(difflib.unified_diff(
-        want.splitlines(True), got.splitlines(True),
-        "golden/%s_%s.json" % (command, name), "now"))
+    _assert_golden(os.path.basename(_golden_path(command, name)),
+                   _report(command, name))
+
+
+def test_bench_table_matches_golden_bytes(tmp_path):
+    for file, got in _table(str(tmp_path / TABLE)).items():
+        _assert_golden(file, got)
 
 
 if __name__ == "__main__":
+    import tempfile
+
     for name in INPUTS:
         with open(os.path.join(HERE, name + ".json"), "w") as fh:
             json.dump(_surface_doc(name), fh, indent=1)
@@ -69,3 +90,7 @@ if __name__ == "__main__":
     for command, name in CASES:
         with open(_golden_path(command, name), "w") as fh:
             fh.write(_report(command, name))
+    with tempfile.TemporaryDirectory() as tmp:
+        for file, text in _table(os.path.join(tmp, TABLE)).items():
+            with open(os.path.join(HERE, file), "w") as fh:
+                fh.write(text)
