@@ -30,6 +30,10 @@ class ArbitrageError(BoundError):
     """The surface fails the static no-arbitrage checks."""
 
 
+class VariantError(BoundError):
+    """The input cannot take the requested LP variant."""
+
+
 class GapError(BoundError):
     def __init__(self, phi, psi, tol):
         self.phi, self.psi = phi, psi
@@ -278,7 +282,7 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
     enforce the gap tolerance on the hedge's cost, the model's exact value
     and the hedge's grid inequalities."""
     if variant not in ("auto", "bounded", "extended"):
-        raise BoundError("variant must be auto, bounded, or extended")
+        raise VariantError("variant must be auto, bounded, or extended")
     # written so that NaN fails too: a NaN tolerance would pass every gate
     if not 0.0 <= tol_gap < np.inf:
         raise BoundError("tol_gap must be finite and nonnegative, got %r"
@@ -290,7 +294,7 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
     if variant == "auto":
         variant = "bounded" if report.zero_tail else "extended"
     if variant == "bounded" and not report.zero_tail:
-        raise BoundError("bounded variant needs a zero-price top call")
+        raise VariantError("bounded variant needs a zero-price top call")
 
     if variant == "bounded":
         m = market.implied_marginals(surface)

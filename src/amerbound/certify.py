@@ -17,6 +17,9 @@ exactly the tail calls that the hedge states.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -29,9 +32,12 @@ from .payoff import AmericanPayoffGrid, evaluate
 # model's outflows and inflows may miss its marginals by up to BALANCE_TOL
 CLIP_TOL = 1e-7
 BALANCE_TOL = 1e-8
-# Monte Carlo kernel: paths simulated per block, and uniform buckets of the
-# inverse-CDF lookup (a power of two, so floor(u * B) is exact)
-SIMULATION_BLOCK = 2 ** 16
+# Monte Carlo kernel and replays: paths per block of work, and uniform
+# buckets of the inverse-CDF lookup (a power of two, so floor(u * B) is
+# exact).  Blocks run on several threads, and glibc keeps each thread's
+# freed blocks in its own arena: 2**16-path blocks raised the process's
+# peak memory by a fifth, 2**14-path blocks do not, and run as fast.
+SIMULATION_BLOCK = 2 ** 14
 LOOKUP_BUCKETS = 4096
 # the lattice-exhaustive replay is skipped above this many paths
 ENUMERATION_CAP = 10 ** 6
@@ -297,24 +303,63 @@ def _step_tables(model: RegimeModel):
     return cum, [_bucket_lut(table) for table in cum]
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_blocks(work, rows):
+    """Call work(lo, hi) on every SIMULATION_BLOCK-row block [lo, hi) of
+    range(rows); work writes only its own rows.
+
+    The calling thread and min(CPUs, blocks) - 1 helper threads take block
+    starts from one shared iterator, so the result does not depend on how
+    many threads run.  The helpers are joined before this returns, and an
+    error raised in one of them is raised here.
+    """
+    starts = iter(range(0, rows, SIMULATION_BLOCK))
+    lock = threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            work(lo, min(lo + SIMULATION_BLOCK, rows))
+
+    helpers = min(_cpu_count(), -(-rows // SIMULATION_BLOCK)) - 1
+    if helpers < 1:
+        return run()
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(run) for _ in range(helpers)]
+        run()
+    for future in futures:
+        future.result()
+
+
 def simulate(model: RegimeModel, paths, seed) -> PathBatch:
     """Exact-marginal simulation; exercise at the first regime switch.
 
     Path i uses row i of one Philox(seed) stream of uniforms of width 2N:
     column 0 picks the first state from the first marginal, column 2n+1
     decides the switch at maturity n, and column 2n+2 the move from n to
-    n+1 (regime 2 once switched).  The rows are drawn SIMULATION_BLOCK at a
-    time into preallocated outputs, which consumes the stream exactly as
-    one (paths, 2N) draw does, so the paths depend only on (model, paths,
-    seed).  The first state and every move are inverse-CDF lookups: a
-    bucket table answers most draws, and the few that fall in a bucket
-    containing a step of the CDF are searched for on their own row.  States
-    are stored maturity-major in the narrowest signed integer type that
-    holds them, and no temporary grows with paths x states.
+    n+1 (regime 2 once switched).  The rows are walked SIMULATION_BLOCK at
+    a time, in parallel: Philox is counter-based, and each counter gives
+    four of the stream's 64-bit words, one per uniform, so the block that
+    starts at row lo draws its rows from a Philox(seed) advanced by
+    lo * 2N / 4 counters.  Those are exactly the rows of one (paths, 2N)
+    draw, and the paths depend only on (model, paths, seed).  The first
+    state and every move are inverse-CDF lookups: a bucket table answers
+    most draws, and the few that fall in a bucket containing a step of the
+    CDF are searched for on their own row.  States are stored
+    maturity-major in the narrowest signed integer type that holds them,
+    and no temporary grows with paths x states.
     """
     K, N = model.num_states, model.num_maturities
     B = LOOKUP_BUCKETS
-    rng = np.random.default_rng(np.random.Philox(seed))
     cum, lut = _step_tables(model)
     init = np.cumsum(model.marginals[:, 0])
     init_lut = _bucket_lut(init[None, :])
@@ -323,11 +368,11 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
     states = np.empty((N, paths), dtype=np.min_scalar_type(-K))
     # safety net; switch_prob forces exercise at N
     ex_idx = np.full(paths, N, dtype=np.min_scalar_type(-N - 1))
-    u = np.empty((min(paths, SIMULATION_BLOCK), 2 * N))
-    for lo in range(0, paths, SIMULATION_BLOCK):
-        hi = min(lo + SIMULATION_BLOCK, paths)
-        ub = u[:hi - lo]
-        rng.random(out=ub)
+
+    def walk(lo, hi):
+        # lo * 2N is a multiple of 4, as SIMULATION_BLOCK * 2 is
+        bits = np.random.Philox(seed).advance(lo * 2 * N // 4)
+        ub = np.random.Generator(bits).random((hi - lo, 2 * N))
         s = init_lut.take((ub[:, 0] * B).astype(np.intp))
         amb = np.flatnonzero(s < 0)
         if amb.size:
@@ -337,15 +382,15 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
         ex = ex_idx[lo:hi]
         for n in range(N):
             states[n, lo:hi] = s
-            switch = ub[:, 2 * n + 1] < q[n].take(s)
+            row = s.astype(np.intp)
+            switch = ub[:, 2 * n + 1] < q[n].take(row)
             switch &= ~exercised
             np.putmask(ex, switch, n + 1)
             exercised |= switch
             if n == N - 1:
                 break
             draw = ub[:, 2 * n + 2]
-            row = s.astype(np.intp)
-            np.add(row, K, out=row, where=exercised)
+            row += K * exercised        # a masked add is four times slower
             key = row * B
             key += (draw * B).astype(np.intp)
             s = lut[n].take(key)
@@ -353,6 +398,8 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
             if amb.size:
                 below = cum[n][row[amb]] < draw[amb, None]
                 s[amb] = np.minimum(below.sum(axis=1), K - 1)
+
+    _in_blocks(walk, paths)
     return PathBatch(model.states, states.T, ex_idx)
 
 
@@ -378,12 +425,14 @@ def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
     pay = _payoff_table(model, a)
     states, ex = batch.state_idx.T, batch.exercise_index
     vals = np.empty(paths)
-    # a block at a time, so that the index arrays stay small
-    for lo in range(0, paths, SIMULATION_BLOCK):
-        out = vals[lo:lo + SIMULATION_BLOCK]
-        for n, s in enumerate(states[:, lo:lo + SIMULATION_BLOCK]):
-            at = np.flatnonzero(ex[lo:lo + SIMULATION_BLOCK] == n + 1)
+
+    def read(lo, hi):       # a block at a time: the index arrays stay small
+        out = vals[lo:hi]
+        for n, s in enumerate(states[:, lo:hi]):
+            at = np.flatnonzero(ex[lo:hi] == n + 1)
             out[at] = pay[n].take(s.take(at))
+
+    _in_blocks(read, paths)
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(paths))
     return est, stderr
@@ -619,14 +668,24 @@ class VerificationReport:
 def _slack_over_exercise(hedge, a, Y):
     """Min over on-grid exercise dates of hedge value minus payoff, and the
     1-based date that attains it (the earliest one on ties).  The payoff is
-    read at the hedge's brackets, on the hedge's lattice."""
-    at = _brackets(hedge.states, Y)
-    slack = _exercise_values(hedge, Y, at)
+    read at the hedge's brackets, on the hedge's lattice; the paths are
+    replayed in blocks, in parallel."""
     pay = _leg_tables(a.states, a.values, a.tail_slopes)
-    for n in range(Y.shape[1]):
-        slack[:, n] -= _leg(pay, at, n)
-    best_m = np.argmin(slack, axis=1)
-    return slack[np.arange(len(slack)), best_m], best_m + 1
+    best = np.empty(len(Y))
+    best_m = np.empty(len(Y), dtype=np.intp)
+
+    def replay(lo, hi):
+        y = Y[lo:hi]
+        at = _brackets(hedge.states, y)
+        slack = _exercise_values(hedge, y, at)
+        for n in range(Y.shape[1]):
+            slack[:, n] -= _leg(pay, at, n)
+        m = np.argmin(slack, axis=1)
+        best[lo:hi] = slack[np.arange(hi - lo), m]
+        best_m[lo:hi] = m + 1
+
+    _in_blocks(replay, len(Y))
+    return best, best_m
 
 
 def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
@@ -712,37 +771,52 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
 
     The path holds its previous maturity's value until the exercise time;
     the hedge adds a short position of the payoff's right slope there,
-    unwound at the next maturity.  Prices are bracketed once, and the
-    payoff's slope and value are read from its leg tables.
+    unwound at the next maturity.  The exercise times are drawn from rng
+    first; the paths are then replayed in blocks, in parallel.  Prices are
+    bracketed once, and the payoff's slope and value are read from its leg
+    tables; a payoff_fn, if given, is called once, on all paths.
     """
     P, N = Y.shape
     mats = hedge.maturities
     rho = rng.uniform(0.0, mats[-1], size=P)
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
     s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
-
-    m0 = np.searchsorted(mats, rho, side="left")    # rho in (t_m0, t_{m0+1}]
-    at = _brackets(hedge.states, Y)
-    # flat indices of (path, m0) in Y and of (m0, path) in the maturity-major
-    # brackets; one step back is the previous maturity, or s0 at the first
-    iy = np.arange(0, P * N, N) + m0
-    ic = m0 * P + np.arange(P)
-    g = _exercise_values(hedge, Y, at).take(iy)
-
-    code, off = at
     (c0,), (o0,) = _brackets(hedge.states, np.array([[s0]]))
-    first = m0 == 0
-    y1, c1, o1 = Y.take(iy), code.take(ic), off.take(ic)
-    y0 = np.where(first, s0, Y.take(iy - 1))
-    c_prev = np.where(first, c0, code.take(ic - P))
-    o_prev = np.where(first, o0, off.take(ic - P))
-    on_grid = rho == mats[m0]
     slope, value = _leg_tables(a.states, a.values, a.tail_slopes)
-    row = m0 * slope.shape[1]
-    extra = np.where(on_grid, 0.0, -slope.take(row + (c_prev | 1)) * (y1 - y0))
+    slack = np.empty(P)
+    # the price at which payoff_fn is read
+    x_pay = np.empty(P) if payoff_fn is not None else None
+
+    def replay(lo, hi):
+        y, t = Y[lo:hi], rho[lo:hi]
+        p = hi - lo
+        m0 = np.searchsorted(mats, t, side="left")  # t in (t_m0, t_{m0+1}]
+        at = _brackets(hedge.states, y)
+        # flat indices of (path, m0) in y and of (m0, path) in the
+        # maturity-major brackets; one step back is the previous maturity,
+        # or s0 at the first
+        iy = np.arange(0, p * N, N) + m0
+        ic = m0 * p + np.arange(p)
+        g = _exercise_values(hedge, y, at).take(iy)
+
+        code, off = at
+        first = m0 == 0
+        y1, c1, o1 = y.take(iy), code.take(ic), off.take(ic)
+        y0 = np.where(first, s0, y.take(iy - 1))
+        c_prev = np.where(first, c0, code.take(ic - p))
+        o_prev = np.where(first, o0, off.take(ic - p))
+        on_grid = t == mats[m0]
+        row = m0 * slope.shape[1]
+        extra = np.where(on_grid, 0.0,
+                         -slope.take(row + (c_prev | 1)) * (y1 - y0))
+        out = np.add(g, extra, out=slack[lo:hi])
+        if payoff_fn is not None:
+            x_pay[lo:hi] = np.where(on_grid, y1, y0)
+        else:
+            c = row + np.where(on_grid, c1, c_prev)
+            out -= slope.take(c) * np.where(on_grid, o1, o_prev) + value.take(c)
+
+    _in_blocks(replay, P)
     if payoff_fn is not None:
-        pay = evaluate(payoff_fn, np.where(on_grid, y1, y0), rho)
-    else:
-        c = row + np.where(on_grid, c1, c_prev)
-        pay = slope.take(c) * np.where(on_grid, o1, o_prev) + value.take(c)
-    return g + extra - pay, rho
+        slack -= evaluate(payoff_fn, x_pay, rho)
+    return slack, rho

@@ -125,6 +125,8 @@ def _bound_or_fail(surface, grid, variant, tol_gap):
         _fail(EXIT_CERTIFY, str(exc))
     except bound.ArbitrageError:
         _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
+    except bound.VariantError as exc:
+        _fail(EXIT_PARSE, str(exc))
     except (bound.BoundError, lpcore.LPError) as exc:
         _fail(EXIT_SOLVER, str(exc))
     except certify.CertifyError as exc:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -820,6 +822,152 @@ def test_kernel_matches_gather_past_one_byte_states():
                    rng.dirichlet(np.ones(K)), q)
     assert certify.simulate(model, 10, 46).state_idx.dtype == np.int16
     _assert_kernel_matches_gather(model, _grid_for(model, rng), seed=46)
+
+
+# ---------------------------------------------------------------------------
+# blocks of paths on several threads
+
+MODES = ("lattice-exhaustive", "interval-random", "full-line-random",
+         "continuous-exercise-random")
+
+
+def _by_workers(monkeypatch, run):
+    """run()'s result with all paths in one block on one thread, and with
+    SIMULATION_BLOCK-path blocks on 1, 2 and 3 threads."""
+    out = []
+    for block, cpus in ((2 ** 40, 1), (BLOCK, 1), (BLOCK, 2), (BLOCK, 3)):
+        monkeypatch.setattr(certify, "SIMULATION_BLOCK", block)
+        monkeypatch.setattr(certify, "_cpu_count", lambda cpus=cpus: cpus)
+        out.append(run())
+    return out
+
+
+def test_blocks_start_on_a_philox_counter():
+    # each counter gives four 64-bit words, one per uniform, and a path
+    # draws 2N of them: a block of SIMULATION_BLOCK paths ends on a counter
+    assert BLOCK * 2 % 4 == 0
+
+
+@pytest.mark.parametrize("paths", [2, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 17])
+def test_simulation_bits_do_not_depend_on_blocks_or_threads(
+        headline_model, monkeypatch, paths):
+    model, a = headline_model
+
+    def run():
+        batch = certify.simulate(model, paths, 48)
+        est, se = certify.mc_price(model, a, paths, 48)
+        return (batch.state_idx.tobytes(), batch.exercise_index.tobytes(),
+                est.hex(), se.hex())
+
+    first, *rest = _by_workers(monkeypatch, run)
+    assert all(r == first for r in rest)
+
+
+@pytest.fixture(scope="module")
+def replay_bounds(sec26):
+    """A zero-tail bound (tail calls paid) and an extended one on 13 states
+    and 4 maturities, whose 13**4 lattice paths fill two blocks; each with
+    the payoff function the continuous replay reads, and s0."""
+    cfg = bench.BenchConfig(strikes=tuple(range(70, 181, 10)))
+    a = bench.linearized_grid(cfg)
+    assert 13 ** 4 > BLOCK
+    return [(bound.robust_bound(sec26.surface, sec26.payoff), sec26.payoff,
+             None, None),
+            (bound.robust_bound(bench.bs_surface(cfg), a), a,
+             bench.put_payoff(cfg), cfg.s0)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("trials", [1, BLOCK + 1, 10 ** 5])
+def test_replay_bits_do_not_depend_on_blocks_or_threads(
+        replay_bounds, monkeypatch, mode, trials):
+    for res, a, fn, s0 in replay_bounds:
+        hedge = res.hedge
+        Y = certify._full_line_paths(np.random.default_rng(np.random.Philox(3)),
+                                     trials, len(hedge.maturities),
+                                     hedge.states[-1], s0 or 50.0)
+
+        def run():
+            rep = certify.verify_superreplication(
+                hedge, a, mode, trials=trials, seed=49, payoff_fn=fn, s0=s0)
+            if mode == "continuous-exercise-random":
+                rng = np.random.default_rng(np.random.Philox(4))
+                rows = certify._continuous_slack(hedge, a, Y, rng, fn, s0)
+            else:
+                rows = certify._slack_over_exercise(hedge, a, Y)
+            return (float(rep.min_slack).hex(), rep.trials,
+                    rep.worst_path.tobytes(), int(rep.worst_exercise),
+                    *(r.tobytes() for r in rows))
+
+        first, *rest = _by_workers(monkeypatch, run)
+        assert all(r == first for r in rest)
+
+
+def test_helper_error_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(certify, "_cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    helper_done = threading.Event()
+
+    def work(lo, hi):
+        # the caller holds its block until the helper has run the other
+        if threading.current_thread() is caller:
+            assert helper_done.wait(10)
+            return
+        try:
+            raise certify.CertifyError("from a helper")
+        finally:
+            helper_done.set()
+
+    before = threading.active_count()
+    with pytest.raises(certify.CertifyError, match="from a helper"):
+        certify._in_blocks(work, 2 * BLOCK)
+    assert threading.active_count() == before
+
+
+def test_every_block_runs_once_on_more_threads_than_cpus(monkeypatch):
+    monkeypatch.setattr(certify, "_cpu_count", lambda: 8)
+    rows = 40 * BLOCK + 3
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        certify._in_blocks(lambda lo, hi: seen.append((lo, hi)), rows)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == [(lo, min(lo + BLOCK, rows))
+                            for lo in range(0, rows, BLOCK)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_negative_price_in_the_last_block_fails_the_replay(
+        sec26, sec26_result, monkeypatch, cpus):
+    monkeypatch.setattr(certify, "_cpu_count", lambda: cpus)
+    hedge = sec26_result.hedge
+    Y = np.full((3 * BLOCK + 17, len(hedge.maturities)), 50.0)
+    Y[-1, -1] = -1.0
+    before = threading.active_count()
+    with pytest.raises(certify.CertifyError,
+                       match="hedge replay at a negative price"):
+        certify._slack_over_exercise(hedge, sec26.payoff, Y)
+    with pytest.raises(certify.CertifyError,
+                       match="hedge replay at a negative price"):
+        certify._continuous_slack(hedge, sec26.payoff, Y,
+                                  np.random.default_rng(5), None, None)
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_call(headline_bound, monkeypatch):
+    monkeypatch.setattr(certify, "_cpu_count", lambda: 3)
+    res, a = headline_bound
+    paths = 3 * BLOCK + 17
+    before = threading.active_count()
+    certify.mc_price(res.model, a, paths, 50)
+    assert threading.active_count() == before
+    for mode in MODES:
+        certify.verify_superreplication(res.hedge, a, mode, trials=paths,
+                                        seed=50, s0=100.0)
+        assert threading.active_count() == before, mode
 
 
 def _traced_peak(fn, *args, **kwargs):

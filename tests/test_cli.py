@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ def _surface_file(tmp_path, name="sec26", mangle=None):
 
 
 PAYOFF = '{"type": "example", "name": "sec26"}'
+# Black-Scholes quotes whose top call is worth more than zero
+HEADLINE = str(pathlib.Path(__file__).parent / "golden" / "headline.json")
 
 
 def _arbitrage(doc):
@@ -148,6 +151,17 @@ def test_example_payoff_on_another_grid_exit_2(runner, tmp_path, command,
     assert res.exit_code == 2, res.output
     assert "bad payoff spec" in res.stderr
     assert "another lattice or other maturities" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["bound", "certify", "simulate"])
+def test_bounded_variant_on_quotes_with_a_tail_exit_2(runner, command):
+    # the headline quotes price the top call above zero: the option is one
+    # the input cannot take, refused before any solve
+    res = runner.invoke(cli.main, [
+        command, "--input", HEADLINE, "--payoff",
+        '{"type": "put", "K": 100, "r": 0.05}', "--variant", "bounded"])
+    assert res.exit_code == 2, res.output
+    assert "error: bounded variant needs a zero-price top call" in res.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "bound", "certify",
@@ -440,7 +454,8 @@ def _mostly(draw, good, bad):
 
 def _docs():
     """Valid input documents: sec26's zero-tail quotes, Black-Scholes
-    quotes that need the extended variant, and sec26's implied marginals."""
+    quotes that need the extended variant, and sec26's implied marginals;
+    each with whether its top call is worth more than zero."""
     from amerbound import bench, market
     docs = []
     for s in (instances.get("sec26").surface,
@@ -452,7 +467,8 @@ def _docs():
     m = market.implied_marginals(instances.get("sec26").surface)
     docs.append({"marginals": m.probs.tolist(), "states": m.states.tolist(),
                  "maturities": m.maturities.tolist()})
-    return docs
+    return [(doc, not market.validate(market.load_surface(json.dumps(doc)),
+                                      mode="weak").zero_tail) for doc in docs]
 
 
 DOCS = _docs()
@@ -460,8 +476,10 @@ DOCS = _docs()
 
 @st.composite
 def surface_texts(draw):
-    """A surface file's text and its lattice shape (None when malformed)."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(DOCS))))
+    """A surface file's text, its lattice shape (None when malformed) and
+    whether it is kept whole with a top call worth more than zero."""
+    doc, tail = draw(st.sampled_from(DOCS))
+    doc = json.loads(json.dumps(doc))
     shape = (len(doc.get("strikes", doc.get("states", [0])[1:])) + 1,
              len(doc["maturities"]))
     how = _mostly(draw, ["keep"], ["drop", "junk", "short", "entry", "text"])
@@ -486,8 +504,9 @@ def surface_texts(draw):
     elif how == "text":
         return draw(st.sampled_from(["", "{not json", "[1, 2]", "{}",
                                      "0,1\n0,100\n", "1,2\n3,4\n",
-                                     "x\n0,1,2\n"])), None
-    return json.dumps(doc), shape if how == "keep" else None
+                                     "x\n0,1,2\n"])), None, False
+    keep = how == "keep"
+    return json.dumps(doc), shape if keep else None, tail and keep
 
 
 @st.composite
@@ -537,7 +556,8 @@ def options(draw, name, low, high=None):
 
 @st.composite
 def command_lines(draw, path):
-    """A command line, and whether every option value is in its range."""
+    """A command line, and whether every option value is in its range and
+    one that the input can take."""
     command = draw(st.sampled_from(["validate", "bound", "certify", "simulate",
                                     "bench-table", "demo"]))
     if command == "bench-table":
@@ -548,7 +568,7 @@ def command_lines(draw, path):
         seed, ok = draw(options("--seed", 0, 2 ** 64))
         return [command, draw(st.sampled_from(sorted(instances.BUILTIN)))] \
             + seed, ok
-    text, shape = draw(surface_texts())
+    text, shape, tail = draw(surface_texts())
     with open(path, "w") as fh:
         fh.write(text)
     args = [command, "--input", path]
@@ -559,14 +579,15 @@ def command_lines(draw, path):
         with open(path + ".payoff", "w") as fh:
             fh.write(draw(st.sampled_from([spec, "[1, 2]", "3", "null", "{"])))
         spec = path + ".payoff"
-    args += ["--payoff", spec,
-             "--variant", draw(st.sampled_from(["auto", "bounded", "extended"]))]
+    variant = draw(st.sampled_from(["auto", "bounded", "extended"]))
+    args += ["--payoff", spec, "--variant", variant]
     drawn = [options("--tol-gap", 0.0)]
     if command != "bound":
         drawn += [options("--trials", 2, 2000), options("--seed", 0, 2 ** 64)]
     if command == "certify":
         drawn.append(options("--tol-feas", 0.0))
-    ok = True
+    # the bounded variant needs a top call worth zero
+    ok = not (tail and variant == "bounded")
     for option in drawn:
         pair, in_range = draw(option)
         args += pair
@@ -577,7 +598,8 @@ def command_lines(draw, path):
 @settings(max_examples=200)
 @given(data=st.data())
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, data):
-    # an option out of its range is malformed input, refused before any work
+    # an option out of its range, or one the input cannot take, is malformed
+    # input, refused before any work
     path = str(tmp_path_factory.getbasetemp() / "surface.json")
     args, options_ok = data.draw(command_lines(path))
     res = CliRunner().invoke(cli.main, args)
