@@ -8,8 +8,11 @@ and dynamic holdings D1/D2, minimizing the cost of super-replication.
 ``robust_bound`` solves the primal only: by LP duality its optimal row
 multipliers are a cheapest hedge, read off row block by row block.  The
 hand-built dual stays as a reference for checking that mapping.
-The extended variants append a virtual top row that carries the mass priced
-by the last traded call when no zero-price call exists.
+Every builder takes a mass matrix from ``market`` and reads the variant off
+its rows: the extended variant's matrix appends a virtual top row, which
+carries the mass priced by the last traded call when no zero-price call
+exists.  This module solves every LP of the package, the seed model's
+transports included, and hands ``certify`` plain arrays.
 """
 
 from __future__ import annotations
@@ -77,13 +80,20 @@ class VariableIndex:
 
 @dataclass
 class BoundResult:
-    variant: str                    # bounded | extended
     phi: float                      # primal (model) value
     psi: float                      # dual (hedge) value
-    gap: float
     model: object                   # certify.RegimeModel
     hedge: object                   # certify.HedgeStrategy
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def variant(self):
+        """bounded, or extended when the hedge carries the tail row."""
+        return "extended" if self.hedge.extended else "bounded"
+
+    @property
+    def gap(self):
+        return abs(self.phi - self.psi)
 
 
 def _norm_row(terms, relation, rhs):
@@ -93,31 +103,36 @@ def _norm_row(terms, relation, rhs):
     return lpcore.Row([(c, v / scale) for c, v in terms], relation, rhs / scale)
 
 
-def _check_grids(m, a: AmericanPayoffGrid):
-    # exactly: the hedge's replay reads the payoff at the surface's brackets
-    if not np.array_equal(a.states, m.states):
-        raise BoundError("payoff lattice does not match the surface lattice")
-    if not np.array_equal(a.maturities, m.maturities):
-        raise BoundError("payoff maturities do not match the surface's")
+def _has_tail_row(p_hat, a: AmericanPayoffGrid):
+    """Whether the mass matrix carries the tail row: it has one row per
+    lattice state of the payoff, or one more, and one column per maturity;
+    any other shape is a BoundError."""
+    K, N = a.values.shape
+    if np.shape(p_hat) not in ((K, N), (K + 1, N)):
+        raise BoundError("mass matrix is %s, not %d (or %d with the tail "
+                         "row) x %d" % (np.shape(p_hat), K, K + 1, N))
+    return len(p_hat) == K + 1
 
 
-def _build_primal(states, p_hat, a_vals, tail_rates, extended):
-    """Shared builder for LP constraints (a)-(e) in both variants.
+def _build_primal(p_hat, a: AmericanPayoffGrid):
+    """The primal LP, constraints (a)-(e), and its VariableIndex.
 
-    states: the J+1 lattice values; p_hat: M x N mass matrix (M = J+1, or
-    J+2 with the virtual tail row); a_vals: payoff on the lattice;
-    tail_rates: objective rate for the tail row (extended only).
+    p_hat: M x N mass matrix (M = J+1, or J+2 with the virtual tail row,
+    which selects the extended variant); a: the payoff on the J+1 lattice
+    states, whose tail slopes are the tail row's objective rates.
     Each row block's terms come from one broadcast mask over the layout,
     in row order; the index records each row's scale in ``row_scale``.
     """
-    x = np.asarray(states, dtype=float)
+    extended = _has_tail_row(p_hat, a)
+    x = a.states
     M, N = p_hat.shape
     J = len(x) - 1
     idx = VariableIndex(M, N, extended)
     f, g = idx.f, idx.g
 
     objective = np.zeros(idx.num_vars)
-    objective[f] = (np.vstack([a_vals, tail_rates]) if extended else a_vals).T
+    objective[f] = (np.vstack([a.values, a.tail_slopes]) if extended
+                    else a.values).T
 
     # move[j, k]: whether state j's mass rows (a), (b) and (e) count the
     # move j -> k as outflow and k -> j as inflow.  A lattice state's rows
@@ -188,13 +203,14 @@ def _hedge_blocks(duals, idx):
     return E1, E2, V, D1, D2
 
 
-def _build_dual(states, p_hat, a_vals, tail_rates, extended):
-    """Shared builder for hedge LP rows (i)-(iii) in both variants.
+def _build_dual(p_hat, a: AmericanPayoffGrid):
+    """The hedge LP, rows (i)-(iii); its arguments are ``_build_primal``'s.
 
     Columns are E1[:, n<N], E2[:, n>=2], V, D1 and D2, each n-major; the
     fixed E1[:, N] and E2[:, 1] have none.  V is nonnegative, the rest free.
     """
-    x = np.asarray(states, dtype=float)
+    extended = _has_tail_row(p_hat, a)
+    x = a.states
     M, N = p_hat.shape
     J = len(x) - 1
     tail = M - 1 if extended else None
@@ -216,9 +232,10 @@ def _build_dual(states, p_hat, a_vals, tail_rates, extended):
     rows = []
     for n in range(N):                         # (i) exercise coverage
         for j in range(J + 1):
-            rows.append(_norm_row([(v[n, j], 1.0)], ">=", a_vals[j, n]))
+            rows.append(_norm_row([(v[n, j], 1.0)], ">=", a.values[j, n]))
         if extended:
-            rows.append(_norm_row([(v[n, tail], 1.0)], ">=", tail_rates[n]))
+            rows.append(_norm_row([(v[n, tail], 1.0)], ">=",
+                                  a.tail_slopes[n]))
     for n in range(N - 1):                     # (ii) holding-regime rows
         for j in range(J + 1):
             for k in range(J + 1):
@@ -256,24 +273,10 @@ def _build_dual(states, p_hat, a_vals, tail_rates, extended):
                                           free=free)
 
 
-def build_primal_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m, a)
-    return _build_primal(m.states, m.probs, a.values, None, extended=False)
-
-
-def build_dual_bounded(m: market.MarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m, a)
-    return _build_dual(m.states, m.probs, a.values, None, extended=False)
-
-
-def build_primal_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m, a)
-    return _build_primal(m.states, m.rows, a.values, a.tail_slopes, extended=True)
-
-
-def build_dual_extended(m: market.ExtendedMarginalSystem, a: AmericanPayoffGrid):
-    _check_grids(m, a)
-    return _build_dual(m.states, m.rows, a.values, a.tail_slopes, extended=True)
+# one builder per LP, taking (p_hat, a): the variant is p_hat's.  Each has
+# a name per variant, so that a profiler can tell the variants' builds apart.
+build_primal_bounded = build_primal_extended = _build_primal
+build_dual_bounded = build_dual_extended = _build_dual
 
 
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
@@ -295,29 +298,31 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         variant = "bounded" if report.zero_tail else "extended"
     if variant == "bounded" and not report.zero_tail:
         raise VariantError("bounded variant needs a zero-price top call")
+    # exactly: the hedge's replay reads the payoff at the surface's brackets
+    if not np.array_equal(a.states, surface.states):
+        raise BoundError("payoff lattice does not match the surface lattice")
+    if not np.array_equal(a.maturities, surface.maturities):
+        raise BoundError("payoff maturities do not match the surface's")
 
     if variant == "bounded":
-        m = market.implied_marginals(surface)
-        p_hat = m.probs
-        lp, idx = build_primal_bounded(m, a)
+        p_hat = market.implied_marginals(surface)
+        lp, idx = build_primal_bounded(p_hat, a)
     else:
-        m = market.extended_marginals(surface)
-        p_hat = m.rows
-        lp, idx = build_primal_extended(m, a)
+        p_hat = market.extended_marginals(surface)
+        lp, idx = build_primal_extended(p_hat, a)
 
     sol = lpcore.solve(lp)
     if sol.status != "optimal":
         raise BoundError("primal LP (%dx%d): HiGHS %s ended %s"
                          % (*lp.matrix.shape, lpcore.METHOD, sol.status))
 
-    hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a,
-                                    idx.extended)
+    hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a)
     phi, psi = sol.objective, hedge.cost(p_hat)
-    gap = abs(phi - psi)
-    if gap > tol_gap * (1.0 + abs(phi)):
+    if abs(phi - psi) > tol_gap * (1.0 + abs(phi)):
         raise GapError(phi, psi, tol_gap)
 
-    model = certify.model_from_primal(sol, idx, surface, p_hat)
+    model = certify.model_from_primal(*idx.unpack_primal(sol.x), surface,
+                                      p_hat)
     value = certify.model_value(model, a)
     if abs(value - phi) > tol_gap * (1.0 + abs(phi)):
         raise certify.CertifyError(
@@ -337,4 +342,40 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         "hedge_grid_slack": slack,
         "model_value_exact": value,
     }
-    return BoundResult(variant, phi, psi, gap, model, hedge, diagnostics)
+    return BoundResult(phi, psi, model, hedge, diagnostics)
+
+
+def seed_model(surface: market.CallSurface):
+    """Exercise-everything-at-t1 model over any martingale transport chain,
+    a certify.RegimeModel."""
+    p = market.implied_marginals(surface)
+    M, N = p.shape
+    G2 = np.zeros((M, M, max(N - 1, 0)))
+    for n in range(N - 1):
+        G2[:, :, n] = _martingale_transport(surface.states, p[:, n],
+                                            p[:, n + 1])
+    G1 = np.zeros_like(G2)
+    return certify.model_from_primal(np.zeros((M, N)), G1, G2, surface, p)
+
+
+def _martingale_transport(x, mu, nu):
+    """One feasible martingale coupling of mu into nu via a small LP."""
+    M = len(x)
+    col = lambda j, k: j * M + k
+    rows = []
+    for j in range(M):
+        rows.append(lpcore.Row([(col(j, k), 1.0) for k in range(M)], "=",
+                               float(mu[j])))
+    for k in range(M):
+        rows.append(lpcore.Row([(col(j, k), 1.0) for j in range(M)], "=",
+                               float(nu[k])))
+    for j in range(M):
+        terms = [(col(j, k), float(x[k] - x[j])) for k in range(M) if k != j]
+        if terms:
+            rows.append(lpcore.Row(terms, "=", 0.0))
+    lp = lpcore.LinearProgram.from_rows("max", M * M, np.zeros(M * M), rows)
+    sol = lpcore.solve(lp)
+    if sol.status != "optimal":
+        raise BoundError("no martingale transport: marginals not in convex "
+                         "order")
+    return np.asarray(sol.x).reshape(M, M)

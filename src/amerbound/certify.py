@@ -73,7 +73,6 @@ class RegimeModel:
     G2: np.ndarray
     marginals: np.ndarray
     switch_prob: np.ndarray
-    extended: bool = False
 
     @property
     def num_states(self):
@@ -131,12 +130,12 @@ def _conservation_switch_prob(G1, marginals):
     return np.divide(F, in1, out=np.zeros_like(F), where=in1 > 0), F
 
 
-def _check_model(model: RegimeModel):
+def _check_model(model: RegimeModel, top_strike):
     x = model.states
     p = model.marginals
     M, N = model.F.shape
     # drift tolerance scales with the traded lattice, not the far state
-    span = max(x[-2] if model.extended else x[-1], 1.0)
+    span = max(top_strike, 1.0)
     for n in range(N - 1):
         out = model.G1[:, :, n].sum(axis=1) + model.G2[:, :, n].sum(axis=1)
         if np.max(np.abs(out - p[:, n])) > BALANCE_TOL:
@@ -192,15 +191,15 @@ def companion_threshold(surface: market.CallSurface):
                         initial=0.0))
 
 
-def model_from_primal(solution, index, surface: market.CallSurface,
+def model_from_primal(F, G1, G2, surface: market.CallSurface,
                       p_hat) -> RegimeModel:
-    """Unpack a primal optimum into a checked, simulable RegimeModel;
-    p_hat is the LP's mass matrix (marginals, plus the tail row if extended).
+    """A checked, simulable RegimeModel from the primal's masses (F: M x N,
+    G1 and G2: M x M x (N-1)); p_hat is the LP's mass matrix, whose extra
+    row past the surface's lattice, if any, is the tail row.
     """
-    F, G1, G2 = index.unpack_primal(solution.x)
     F, G1, G2 = _clip_mass(F), _clip_mass(G1), _clip_mass(G2)
     states = surface.states
-    if index.extended:
+    if len(p_hat) > len(states):
         # far enough out that the fold-in corrections (~1/xi) drop below the
         # clip and balance tolerances even where the top strike received no
         # direct mass
@@ -219,49 +218,9 @@ def model_from_primal(solution, index, surface: market.CallSurface,
     # on records every one of them.
     q, F = _conservation_switch_prob(G1, p)
     model = RegimeModel(states, surface.maturities.copy(), surface.s0,
-                        F, G1, G2, p, q, extended=index.extended)
-    _check_model(model)
+                        F, G1, G2, p, q)
+    _check_model(model, surface.strikes[-1])
     return model
-
-
-def seed_model(m: market.MarginalSystem) -> RegimeModel:
-    """Exercise-everything-at-t1 model over any martingale transport chain."""
-    x = m.states
-    p = m.probs
-    M, N = p.shape
-    G2 = np.zeros((M, M, max(N - 1, 0)))
-    for n in range(N - 1):
-        G2[:, :, n] = _martingale_transport(x, p[:, n], p[:, n + 1])
-    G1 = np.zeros_like(G2)
-    q, F = _conservation_switch_prob(G1, p)
-    model = RegimeModel(x.copy(), m.maturities.copy(), m.s0, F, G1, G2,
-                        p.copy(), q)
-    _check_model(model)
-    return model
-
-
-def _martingale_transport(x, mu, nu):
-    """One feasible martingale coupling of mu into nu via a small LP."""
-    from . import lpcore
-
-    M = len(x)
-    col = lambda j, k: j * M + k
-    rows = []
-    for j in range(M):
-        rows.append(lpcore.Row([(col(j, k), 1.0) for k in range(M)], "=",
-                               float(mu[j])))
-    for k in range(M):
-        rows.append(lpcore.Row([(col(j, k), 1.0) for j in range(M)], "=",
-                               float(nu[k])))
-    for j in range(M):
-        terms = [(col(j, k), float(x[k] - x[j])) for k in range(M) if k != j]
-        if terms:
-            rows.append(lpcore.Row(terms, "=", 0.0))
-    lp = lpcore.LinearProgram.from_rows("max", M * M, np.zeros(M * M), rows)
-    sol = lpcore.solve(lp)
-    if sol.status != "optimal":
-        raise CertifyError("no martingale transport: marginals not in convex order")
-    return _clip_mass(np.asarray(sol.x).reshape(M, M))
 
 
 def _bucket_lut(table):
@@ -357,6 +316,11 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
     CDF are searched for on their own row.  States are stored
     maturity-major in the narrowest signed integer type that holds them,
     and no temporary grows with paths x states.
+
+    The walk is thousands of short numpy calls, each of which gives up the
+    GIL and waits to get it back: while another thread of the process runs
+    pure Python, 2*10**5 headline paths took 1.7-1.8 s instead of 0.03 s
+    (2 vCPUs).
     """
     K, N = model.num_states, model.num_maturities
     B = LOOKUP_BUCKETS
@@ -449,9 +413,11 @@ class HedgeStrategy:
     holdings per step (D1 holding, D2 exercised).
 
     Matrices carry one row per lattice state, plus the tail-slope row in
-    the extended variant.  ``growth_rate`` bounds the payoff's slope at
-    large prices; ``beta`` are the free top-strike calls that extend a
-    zero-tail hedge to unbounded paths.  Every block must be finite.
+    the extended variant, which those rows alone select: E1, E2 and V are
+    M x N, D1 and D2 M x (N-1), with M = J+1 or J+2.  ``growth_rate``
+    bounds the payoff's slope at large prices; ``beta`` are the N free
+    top-strike calls that extend a zero-tail hedge to unbounded paths.
+    Every block must be finite.
     """
 
     states: np.ndarray              # lattice (J+1,), no tail row
@@ -461,21 +427,32 @@ class HedgeStrategy:
     V: np.ndarray
     D1: np.ndarray
     D2: np.ndarray
-    extended: bool = False
     growth_rate: float = 0.0
     beta: np.ndarray = None         # bounded variant only, filled on creation
 
     def __post_init__(self):
-        blocks = [self.E1, self.E2, self.V, self.D1, self.D2, self.beta]
-        if not all(np.isfinite(b).all() for b in blocks if b is not None):
-            raise CertifyError("non-finite value in the hedge's E1, E2, V, "
-                               "D1, D2 or beta")
+        K, N = len(self.states), len(self.maturities)
+        M = K + 1 if np.ndim(self.E1) and len(self.E1) == K + 1 else K
+        for name, shape in (("E1", (M, N)), ("E2", (M, N)), ("V", (M, N)),
+                            ("D1", (M, N - 1)), ("D2", (M, N - 1)),
+                            ("beta", (N,))):
+            block = getattr(self, name)
+            if block is not None and np.shape(block) != shape:
+                raise CertifyError("hedge block %s has shape %s, not %s"
+                                   % (name, np.shape(block), shape))
+            if block is not None and not np.isfinite(block).all():
+                raise CertifyError("non-finite value in the hedge's %s" % name)
         if not self.extended and self.beta is None:
             self.beta = tail_calls(self, self.growth_rate)
 
     @property
     def num_lattice(self):
         return len(self.states)
+
+    @property
+    def extended(self):
+        """Whether the blocks carry the tail row past the lattice."""
+        return len(self.E1) > len(self.states)
 
     def cost(self, p_hat) -> float:
         """Static setup cost against a mass matrix (marginals, with the
@@ -520,11 +497,12 @@ def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
 
 
 def hedge_from_dual(blocks, surface: market.CallSurface,
-                    a: AmericanPayoffGrid, extended) -> HedgeStrategy:
-    """HedgeStrategy from dual values (E1, E2, V, D1, D2); the bounded
-    variant's tail calls are filled on creation."""
+                    a: AmericanPayoffGrid) -> HedgeStrategy:
+    """HedgeStrategy from dual values (E1, E2, V, D1, D2); their rows give
+    the variant, and the bounded variant's tail calls are filled on
+    creation."""
     return HedgeStrategy(surface.states, surface.maturities.copy(), *blocks,
-                         extended=extended, growth_rate=a.growth_rate)
+                         growth_rate=a.growth_rate)
 
 
 def hedge_scale(hedge: HedgeStrategy):

@@ -318,7 +318,6 @@ def demo(name, seed):
     if abs(res.phi - inst.bound_value) > 1e-8 or res.gap > 1e-8 * (1 + res.phi):
         _fail(EXIT_CERTIFY, "demo value off: %.12g" % res.phi)
 
-    m = market.implied_marginals(inst.surface)
     if "hedge" in inst.extras:
         h = inst.extras["hedge"]
         ref = certify.HedgeStrategy(inst.surface.states,
@@ -326,13 +325,13 @@ def demo(name, seed):
                                     h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                     growth_rate=inst.payoff.growth_rate)
         slack = certify.grid_feasibility(ref, inst.payoff)
-        cost = ref.cost(m.probs)
+        cost = ref.cost(market.implied_marginals(inst.surface))
         click.echo("reference hedge: cost=%.6f feasibility=%.2e"
                    % (cost, slack))
         if slack < -1e-9 or abs(cost - inst.bound_value) > 1e-8:
             _fail(EXIT_CERTIFY, "reference hedge failed certification")
     if "seed_model_price" in inst.extras:
-        sm = certify.seed_model(m)
+        sm = bound.seed_model(inst.surface)
         est, se = certify.mc_price(sm, inst.payoff, 200000, seed)
         click.echo("seed model mc=%.4f (expected %.4f)"
                    % (est, inst.extras["seed_model_price"]))

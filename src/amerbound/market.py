@@ -1,12 +1,14 @@
-"""Call-price surfaces, their validation, and the implied probability systems.
+"""Call-price surfaces, their validation, and the implied mass matrices.
 
 A surface is the matrix of European call quotes c[j][n] over a strike grid
 (strike 0 is implicit: a zero-strike call is the asset itself) and a maturity
 grid.  The call-spread slopes between neighbouring strikes are derived once
 (``_spreads``); their differences give the implied marginal law of the price
 at each maturity, and the same arrays carry the no-arbitrage margins that
-``validate`` grades.  Appending the last traded call price as an extra row
-gives the extended system used when no zero-price call exists.
+``validate`` grades.  A mass matrix is a plain array, one column per
+maturity: (J+1) rows of node probabilities, plus, in the extended matrix
+used when no zero-price call exists, a tail row that holds the top call's
+price.
 """
 
 from __future__ import annotations
@@ -85,34 +87,6 @@ class ValidationReport:
     @property
     def valid(self):
         return self.status != "invalid"
-
-
-@dataclass
-class MarginalSystem:
-    """Implied node probabilities, one column per maturity."""
-
-    probs: np.ndarray                # (J+1) x N
-    strikes: np.ndarray
-    maturities: np.ndarray
-    s0: float
-
-    @property
-    def states(self):
-        return np.concatenate([[0.0], self.strikes])
-
-
-@dataclass
-class ExtendedMarginalSystem:
-    """Marginals plus a final row carrying the unhedged tail call value."""
-
-    rows: np.ndarray                 # (J+2) x N
-    strikes: np.ndarray
-    maturities: np.ndarray
-    s0: float
-
-    @property
-    def states(self):
-        return np.concatenate([[0.0], self.strikes])
 
 
 def load_surface(source) -> CallSurface:
@@ -289,8 +263,9 @@ def validate(surface: CallSurface, mode="weak") -> ValidationReport:
     return ValidationReport(status, violations, zero_tail)
 
 
-def implied_marginals(surface: CallSurface) -> MarginalSystem:
-    """Node probabilities from call-spread second differences.
+def implied_marginals(surface: CallSurface) -> np.ndarray:
+    """The mass matrix: node probabilities from call-spread second
+    differences, (J+1) x N, one column per maturity.
 
     p[0] = 1 - (s0 - c[1])/x1; interior entries are slope differences;
     p[J] is the last call spread per unit strike.  Small negative entries
@@ -310,17 +285,13 @@ def implied_marginals(surface: CallSurface) -> MarginalSystem:
             raise MarketError("inconsistent surface: implied probability %.3e"
                               % float(np.min(law[:, n])))
         raise MarketError("implied probabilities sum to %.12g" % total[n])
-    return MarginalSystem(p / total, surface.strikes.copy(),
-                          surface.maturities.copy(), surface.s0)
+    return p / total
 
 
-def extended_marginals(surface: CallSurface) -> ExtendedMarginalSystem:
-    """Implied marginals plus the tail row equal to the last call price."""
-    m = implied_marginals(surface)
-    tail = surface.prices[-1, :].copy()
-    rows = np.vstack([m.probs, tail])
-    return ExtendedMarginalSystem(rows, surface.strikes.copy(),
-                                  surface.maturities.copy(), surface.s0)
+def extended_marginals(surface: CallSurface) -> np.ndarray:
+    """The extended mass matrix, (J+2) x N: the implied marginals plus the
+    tail row, which holds the top call's price."""
+    return np.vstack([implied_marginals(surface), surface.prices[-1, :]])
 
 
 def price_piecewise_linear(surface: CallSurface, values, tail_slopes):
@@ -331,6 +302,6 @@ def price_piecewise_linear(surface: CallSurface, values, tail_slopes):
     J, N = surface.num_strikes, surface.num_maturities
     if h.shape != (J + 1, N):
         raise MarketError("values must be (lattice states) x (maturities)")
-    rows = extended_marginals(surface).rows
+    rows = extended_marginals(surface)
     return np.array([h[:, n] @ rows[:-1, n] + tail_slopes[n] * rows[-1, n]
                      for n in range(N)])

@@ -176,16 +176,16 @@ def test_criterion_1_sec52(demo_results):
                                 h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                 growth_rate=inst.payoff.growth_rate)
     assert certify.grid_feasibility(ref, inst.payoff) >= -1e-12
-    m = market.implied_marginals(inst.surface)
-    assert ref.cost(m.probs) == pytest.approx(18.0 / 5.0, abs=1e-12)
+    p = market.implied_marginals(inst.surface)
+    assert ref.cost(p) == pytest.approx(18.0 / 5.0, abs=1e-12)
     assert elapsed < 1.0
 
 
 def test_criterion_2_example_11(demo_results):
     inst, res, elapsed = demo_results["eg11"]
     assert res.phi == pytest.approx(34.0, abs=1e-8)
-    m = market.implied_marginals(inst.surface)
-    est, _ = certify.mc_price(certify.seed_model(m), inst.payoff, 100000, 0)
+    est, _ = certify.mc_price(bound.seed_model(inst.surface), inst.payoff,
+                              100000, 0)
     assert est == pytest.approx(inst.extras["seed_model_price"], abs=1e-9)
     assert elapsed < 1.0
 
@@ -269,9 +269,9 @@ def _check_model_marginals(model, surface, tol=1e-8):
             assert abs(price - surface.prices[row, n]) <= tol * scale, (n, row)
 
 
-def _check_model_martingale(model, tol_rel=1e-8):
+def _check_model_martingale(model, surface, tol_rel=1e-8):
     x = np.asarray(model.states)
-    span = x[-2] if model.extended else x[-1]
+    span = surface.strikes[-1]          # the top traded strike
     for G in (model.G1, model.G2):
         for n in range(model.num_maturities - 1):
             drift = G[:, :, n] @ x - G[:, :, n].sum(axis=1) * x
@@ -288,7 +288,7 @@ def test_criterion_7_certificates(demo_results, headline, fig4_rows,
         model, hedge = res.model, res.hedge
         # (i) model consistency at pinned tolerances
         _check_model_marginals(model, surface)
-        _check_model_martingale(model)
+        _check_model_martingale(model, surface)
         assert np.all(model.switch_prob >= -1e-9), name
         assert np.all(model.switch_prob <= 1.0 + 1e-9), name
         # the exact value of what the Monte Carlo below estimates
@@ -333,8 +333,8 @@ def test_criterion_8_mutation_sensitivity(demo_results):
             V[j, n] -= 1e-3 * scale
             mutated = certify.HedgeStrategy(
                 hedge.states, hedge.maturities, hedge.E1, hedge.E2, V,
-                hedge.D1, hedge.D2, extended=hedge.extended,
-                growth_rate=hedge.growth_rate, beta=hedge.beta)
+                hedge.D1, hedge.D2, growth_rate=hedge.growth_rate,
+                beta=hedge.beta)
             rep = certify.verify_superreplication(mutated, inst.payoff,
                                                  "lattice-exhaustive")
             assert rep.min_slack < -1e-9, (name, j, n)

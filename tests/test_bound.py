@@ -153,11 +153,11 @@ def _reference_build_primal(states, p_hat, a_vals, tail_rates, extended):
     return lp, np.array(scales)
 
 
-def _assert_builds_like_reference(states, p_hat, a_vals, tail_rates,
-                                  extended):
-    lp, idx = bound._build_primal(states, p_hat, a_vals, tail_rates, extended)
-    ref, ref_scale = _reference_build_primal(states, p_hat, a_vals,
-                                             tail_rates, extended)
+def _assert_builds_like_reference(p_hat, a, extended):
+    lp, idx = bound._build_primal(p_hat, a)
+    assert idx.extended == extended
+    ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
+                                             a.tail_slopes, extended)
     assert lp.matrix.shape == ref.matrix.shape
     assert (lp.matrix != ref.matrix).nnz == 0
     # each row's terms in the same order, as well as the same matrix
@@ -171,10 +171,8 @@ def _assert_builds_like_reference(states, p_hat, a_vals, tail_rates,
 
 def _builder_args(surface, a, variant):
     if variant == "bounded":
-        m = market.implied_marginals(surface)
-        return m.states, m.probs, a.values, None, False
-    m = market.extended_marginals(surface)
-    return m.states, m.rows, a.values, a.tail_slopes, True
+        return market.implied_marginals(surface), a, False
+    return market.extended_marginals(surface), a, True
 
 
 def _single_maturity(inst, n):
@@ -212,9 +210,51 @@ def test_block_layout_matches_name_dict_builder_on_random_inputs(J, N,
     states = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 20.0, J))])
     M = J + 2 if extended else J + 1
     p_hat = rng.dirichlet(np.ones(M), size=N).T
-    a_vals = rng.uniform(0.0, 50.0, (J + 1, N))
-    tail_rates = rng.uniform(0.0, 1.0, N) if extended else None
-    _assert_builds_like_reference(states, p_hat, a_vals, tail_rates, extended)
+    a = AmericanPayoffGrid(rng.uniform(0.0, 50.0, (J + 1, N)), states,
+                           np.arange(1.0, N + 1.0),
+                           rng.uniform(0.0, 1.0, N) if extended else None)
+    _assert_builds_like_reference(p_hat, a, extended)
+
+
+@pytest.mark.parametrize("builder", [bound.build_primal_bounded,
+                                     bound.build_dual_bounded,
+                                     bound.build_primal_extended,
+                                     bound.build_dual_extended])
+def test_builders_reject_misshapen_mass_matrices(sec26, builder):
+    # the variant is read off the mass matrix's rows: J + 1 or J + 2 of them,
+    # and one column per maturity; anything else fits no LP
+    p_hat = market.extended_marginals(sec26.surface)
+    for bad in (p_hat[:-2], np.vstack([p_hat, p_hat[-1:]]), p_hat[:, :-1],
+                np.hstack([p_hat, p_hat[:, -1:]]), p_hat[:-1, :-1],
+                p_hat.ravel()):
+        with pytest.raises(bound.BoundError, match="mass matrix"):
+            builder(bad, sec26.payoff)
+
+
+def _headline():
+    cfg = bench.BenchConfig()
+    return bench.bs_surface(cfg), bench.linearized_grid(cfg)
+
+
+@pytest.mark.parametrize("case", ["sec26", "headline"])
+def test_model_from_primal_reads_plain_arrays(case):
+    # the model is a function of the primal's masses, the surface and the
+    # mass matrix alone: unpacked by hand, it is robust_bound's, bit for bit
+    surface, a = ((instances.get(case).surface, instances.get(case).payoff)
+                  if case == "sec26" else _headline())
+    res = bound.robust_bound(surface, a)
+    if res.variant == "bounded":
+        p_hat = market.implied_marginals(surface)
+        lp, idx = bound.build_primal_bounded(p_hat, a)
+    else:
+        p_hat = market.extended_marginals(surface)
+        lp, idx = bound.build_primal_extended(p_hat, a)
+    sol = lpcore.solve(lp)
+    model = certify.model_from_primal(*idx.unpack_primal(sol.x), surface,
+                                      p_hat)
+    for name in ("states", "F", "G1", "G2", "marginals", "switch_prob"):
+        got, want = getattr(model, name), getattr(res.model, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_single_maturity_bound_is_the_european_price():
@@ -266,9 +306,9 @@ def test_reference_hedges_feasible_at_optimal_cost():
         ref = certify.HedgeStrategy(inst.surface.states, inst.surface.maturities,
                                     h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                     growth_rate=inst.payoff.growth_rate)
-        m = market.implied_marginals(inst.surface)
+        p = market.implied_marginals(inst.surface)
         assert certify.grid_feasibility(ref, inst.payoff) >= -1e-9
-        assert ref.cost(m.probs) == pytest.approx(inst.bound_value, abs=1e-9)
+        assert ref.cost(p) == pytest.approx(inst.bound_value, abs=1e-9)
 
 
 def test_model_mass_exhausted(sec26_result):
@@ -302,8 +342,7 @@ def test_bound_dominates_every_european(sec26, sec26_result):
 
 def test_seed_model_prices_below_bound():
     inst = instances.get("eg11")
-    m = market.implied_marginals(inst.surface)
-    sm = certify.seed_model(m)
+    sm = bound.seed_model(inst.surface)
     est, _ = certify.mc_price(sm, inst.payoff, 50000, 3)
     assert est == pytest.approx(32.0, abs=1e-9)   # exact: no randomness in payoff
     assert est <= 34.0 + 1e-9

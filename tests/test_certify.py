@@ -42,8 +42,8 @@ def sec52_hedge(sec52):
 
 def test_model_consistency_checks(sec26_result):
     model = sec26_result.model
-    m = market.implied_marginals(instances.get("sec26").surface)
-    assert np.all(np.abs(model.marginals - m.probs) <= 1e-8)
+    p = market.implied_marginals(instances.get("sec26").surface)
+    assert np.all(np.abs(model.marginals - p) <= 1e-8)
     assert np.all(model.switch_prob >= -1e-9)
     assert np.all(model.switch_prob <= 1 + 1e-9)
     assert model.F.min() >= -1e-12
@@ -62,16 +62,16 @@ def test_simulation_reproducible(sec26_result):
 
 def test_simulation_is_martingale_with_right_marginals(sec26, sec26_result):
     batch = certify.simulate(sec26_result.model, 200000, seed=5)
-    m = market.implied_marginals(sec26.surface)
-    x = np.asarray(m.states)
+    p = market.implied_marginals(sec26.surface)
+    x = sec26.surface.states
     P = len(batch)
-    for n in range(len(m.maturities)):
+    for n in range(len(sec26.surface.maturities)):
         col = batch.values[:, n]
         for j, s in enumerate(x):
             freq = np.mean(np.isclose(col, s))
-            assert freq == pytest.approx(m.probs[j, n], abs=0.01)
+            assert freq == pytest.approx(p[j, n], abs=0.01)
     # one-step conditional means match the current price (martingale)
-    for n in range(len(m.maturities) - 1):
+    for n in range(len(sec26.surface.maturities) - 1):
         for s in x:
             sel = np.isclose(batch.values[:, n], s)
             if sel.sum() > 1000:
@@ -87,9 +87,10 @@ def test_mc_price_matches_lp_value(sec26_result):
 
 def test_seed_model_identity_for_constant_marginals():
     probs = np.array([[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]])
-    m = market.MarginalSystem(probs, np.array([1.0, 2.0]),
-                              np.array([1.0, 2.0]), s0=np.array([0.0, 1.0, 2.0]) @ probs[:, 0])
-    model = certify.seed_model(m)
+    surface = market.load_surface({"marginals": probs.tolist(),
+                                   "states": [0.0, 1.0, 2.0],
+                                   "maturities": [1.0, 2.0]})
+    model = bound.seed_model(surface)
     batch = certify.simulate(model, 5000, seed=2)
     assert np.array_equal(batch.values[:, 0], batch.values[:, 1])
 
@@ -163,8 +164,8 @@ def test_gains_cover_early_exercise(sec52, sec52_hedge):
 
 
 def test_paper_hedge_cost_is_optimal(sec52, sec52_hedge):
-    m = market.implied_marginals(sec52.surface)
-    assert sec52_hedge.cost(m.probs) == pytest.approx(3.6, abs=1e-12)
+    p = market.implied_marginals(sec52.surface)
+    assert sec52_hedge.cost(p) == pytest.approx(3.6, abs=1e-12)
     assert certify.grid_feasibility(sec52_hedge, sec52.payoff) >= -1e-12
 
 
@@ -373,8 +374,9 @@ def replay_inputs(draw):
 
     mats = np.arange(1.0, N + 1)
     hedge = HedgeStrategy(xs, mats, block(N), block(N), block(N),
-                          block(N - 1), block(N - 1), extended=extended,
+                          block(N - 1), block(N - 1),
                           growth_rate=float(rng.choice([0.0, 0.5, 1.0])))
+    assert hedge.extended == extended
     a = AmericanPayoffGrid(np.abs(block(N)[:K]), xs, mats,
                            rng.choice([0.0, 1.0], N) * rng.uniform(0, 2, N))
     xJ = xs[-1]
@@ -419,9 +421,9 @@ def test_tail_calls_match_step_loop(case, R):
     hedge = case[0]
     if hedge.extended:      # tail calls close zero-tail hedges: drop the row
         hedge = dataclasses.replace(
-            hedge, extended=False, beta=None,
-            **{name: getattr(hedge, name)[:-1]
-               for name in ("E1", "E2", "V", "D1", "D2")})
+            hedge, beta=None, **{name: getattr(hedge, name)[:-1]
+                                 for name in ("E1", "E2", "V", "D1", "D2")})
+        assert not hedge.extended
     assert _same_bits(certify.tail_calls(hedge, R), tail_calls(hedge, R))
     assert _same_bits(hedge.beta, tail_calls(hedge, hedge.growth_rate))
 
@@ -473,7 +475,6 @@ def test_v_mutation_detected(sec26, sec26_result):
         V[j, n] -= 1e-3 * scale
         mutated = HedgeStrategy(hedge.states, hedge.maturities, hedge.E1,
                                 hedge.E2, V, hedge.D1, hedge.D2,
-                                extended=hedge.extended,
                                 growth_rate=hedge.growth_rate,
                                 beta=hedge.beta)
         rep = certify.verify_superreplication(mutated, sec26.payoff,
@@ -638,7 +639,8 @@ def test_audits_match_loops_on_random_hedges(K, N, extended, seed):
     a = AmericanPayoffGrid(rng.integers(0, 3, (K, N)).astype(float), states,
                            np.arange(1.0, N + 1.0), rng.uniform(0, 1, N))
     hedge = HedgeStrategy(states, a.maturities, E1, E2, V, D1, D2,
-                          extended=extended, growth_rate=a.growth_rate)
+                          growth_rate=a.growth_rate)
+    assert hedge.extended == extended
     G1 = np.where(rng.random((K, K, N - 1)) < 0.3, 0.0,
                   rng.exponential(size=(K, K, N - 1)) / K ** 2)
     marginals = rng.dirichlet(np.ones(K), size=N).T
@@ -753,7 +755,7 @@ def test_kernel_matches_gather_on_demo_models(name):
 
 def test_kernel_matches_gather_on_seed_model():
     inst = instances.get("eg11")
-    model = certify.seed_model(market.implied_marginals(inst.surface))
+    model = bound.seed_model(inst.surface)
     _assert_kernel_matches_gather(model, inst.payoff, seed=42)
 
 
@@ -1024,5 +1026,59 @@ def test_non_finite_hedge_block_rejected(sec52, block):
               for name in ("E1", "E2", "V", "D1", "D2", "beta")}
     blocks[block].flat[0] = np.nan
     with pytest.raises(certify.CertifyError, match="non-finite"):
-        HedgeStrategy(hedge.states, hedge.maturities, extended=hedge.extended,
+        HedgeStrategy(hedge.states, hedge.maturities,
+                      growth_rate=hedge.growth_rate, **blocks)
+
+
+_BLOCKS = ("E1", "E2", "V", "D1", "D2")
+
+
+def _headline_blocks(headline_bound):
+    hedge = headline_bound[0].hedge
+    return hedge, {name: getattr(hedge, name) for name in _BLOCKS}
+
+
+def test_block_rows_alone_give_the_variant(headline_bound):
+    # the headline hedge carries the tail row; its lattice rows alone are a
+    # zero-tail hedge, which gets its tail calls on creation
+    hedge, blocks = _headline_blocks(headline_bound)
+    assert hedge.extended and headline_bound[0].variant == "extended"
+    again = HedgeStrategy(hedge.states, hedge.maturities,
+                          growth_rate=hedge.growth_rate, **blocks)
+    assert again.extended and again.beta is None
+    bounded = HedgeStrategy(hedge.states, hedge.maturities,
+                            growth_rate=hedge.growth_rate,
+                            **{name: b[:-1] for name, b in blocks.items()})
+    assert not bounded.extended
+    assert bounded.beta.shape == (len(hedge.maturities),)
+    assert _same_bits(bounded.beta,
+                      certify.tail_calls(bounded, hedge.growth_rate))
+
+
+def _extra_column(b):
+    return np.hstack([b, b[:, -1:]])
+
+
+@pytest.mark.parametrize("block, edit", [
+    pytest.param("V", lambda b: b[:, :-1], id="V-too-few-columns"),
+    pytest.param("E2", _extra_column, id="E2-too-many-columns"),
+    pytest.param("D1", _extra_column, id="D1-one-column-per-maturity"),
+    pytest.param("D1", lambda b: b[:-1], id="D1-no-tail-row"),
+    pytest.param("D2", lambda b: b[:-1], id="D2-no-tail-row"),
+    pytest.param("E1", lambda b: np.vstack([b, b[-1:]]), id="E1-J+3-rows"),
+    pytest.param("E1", lambda b: b[:-2], id="E1-J-rows"),
+    pytest.param("E2", np.ravel, id="E2-vector"),
+    pytest.param("beta", None, id="beta-one-call-short"),
+])
+def test_misshapen_hedge_block_rejected(headline_bound, block, edit):
+    # a block of the wrong shape would fail later as an IndexError, or be
+    # read wrongly: it is refused on construction, by name
+    hedge, blocks = _headline_blocks(headline_bound)
+    if block == "beta":       # the lattice rows alone: a zero-tail hedge
+        blocks = {name: b[:-1] for name, b in blocks.items()}
+        blocks["beta"] = np.zeros(len(hedge.maturities) - 1)
+    else:
+        blocks[block] = edit(blocks[block])
+    with pytest.raises(certify.CertifyError, match="hedge block %s " % block):
+        HedgeStrategy(hedge.states, hedge.maturities,
                       growth_rate=hedge.growth_rate, **blocks)

@@ -464,9 +464,10 @@ def _docs():
         docs.append({"s0": s.s0, "strikes": s.strikes.tolist(),
                      "maturities": s.maturities.tolist(),
                      "calls": s.prices[1:].tolist()})
-    m = market.implied_marginals(instances.get("sec26").surface)
-    docs.append({"marginals": m.probs.tolist(), "states": m.states.tolist(),
-                 "maturities": m.maturities.tolist()})
+    s = instances.get("sec26").surface
+    docs.append({"marginals": market.implied_marginals(s).tolist(),
+                 "states": s.states.tolist(),
+                 "maturities": s.maturities.tolist()})
     return [(doc, not market.validate(market.load_surface(json.dumps(doc)),
                                       mode="weak").zero_tail) for doc in docs]
 

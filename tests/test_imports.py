@@ -126,3 +126,32 @@ def test_package_public_definitions_have_callers():
     assert unreferenced_public(
         [p.read_text() for p in MODULES], [p.read_text() for p in TESTS],
         [p.read_text() for p in PERFBENCH]) == []
+
+
+def package_imports(source):
+    """Modules of the package that a source imports anywhere, inside
+    functions too: ``from . import a, b`` and ``from .a import x`` give
+    a and b."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= ({node.module.split(".")[0]} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("amerbound.")}
+    return found
+
+
+def test_package_imports_detector():
+    assert package_imports("from . import a, b\nfrom .c import d\n"
+                           "import amerbound.e\nimport numpy\n"
+                           "def f():\n    from . import g\n") == {
+        "a", "b", "c", "e", "g"}
+
+
+def test_certify_takes_arrays_not_lps():
+    # certify checks what the LP layer returns: it solves no LP and knows no
+    # LP layout, so it imports neither lpcore nor bound
+    source = (pathlib.Path(amerbound.__file__).parent / "certify.py").read_text()
+    assert package_imports(source) & {"lpcore", "bound"} == set()

@@ -107,33 +107,33 @@ def test_validate_detects_calendar_violation(sec26_surface):
 
 
 def test_implied_marginals_sec26(sec26_surface):
-    m = market.implied_marginals(sec26_surface)
+    p = market.implied_marginals(sec26_surface)
     Q = np.array([0.5, 0.75, 1.0])
     expected = np.vstack([np.zeros(3), Q / 2, 1 - Q, Q / 2])
-    assert np.allclose(m.probs, expected, atol=1e-12)
-    assert np.allclose(m.probs.sum(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(m.states @ m.probs, 100.0, atol=1e-10)
+    assert np.allclose(p, expected, atol=1e-12)
+    assert np.allclose(p.sum(axis=0), 1.0, atol=1e-12)
+    assert np.allclose(sec26_surface.states @ p, 100.0, atol=1e-10)
 
 
 def test_implied_marginals_eg11():
-    m = market.implied_marginals(instances.eg11().surface)
-    assert np.allclose(m.probs[:, 0], [0, 0, 1, 0], atol=1e-12)
-    assert np.allclose(m.probs[:, 1], [0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+    p = market.implied_marginals(instances.eg11().surface)
+    assert np.allclose(p[:, 0], [0, 0, 1, 0], atol=1e-12)
+    assert np.allclose(p[:, 1], [0, 1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
 
 def test_implied_marginals_linear_segment_gives_zero_mass():
     # calls linear in strike between x_1 and x_3 -> no mass at x_2
     surf = market.CallSurface(100.0, [50.0, 100.0, 150.0], [1.0],
                               [[100.0], [51.0], [34.0], [17.0]])
-    m = market.implied_marginals(surf)
-    assert m.probs[2, 0] == pytest.approx(0.0, abs=1e-14)
+    p = market.implied_marginals(surf)
+    assert p[2, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_extended_marginals(sec26_surface):
     ext = market.extended_marginals(sec26_surface)
-    assert ext.rows.shape == (5, 3)
-    assert np.allclose(ext.rows[-1], 0.0)
-    assert np.allclose(ext.rows[:-1].sum(axis=0), 1.0)
+    assert ext.shape == (5, 3)
+    assert np.allclose(ext[-1], 0.0)
+    assert np.allclose(ext[:-1].sum(axis=0), 1.0)
 
 
 def test_price_piecewise_linear_reproduces_quotes(sec26_surface):
@@ -299,8 +299,8 @@ def test_validate_and_marginals_match_their_loop_oracles(surface):
                                       _outcome(_loop_implied_marginals, surface))
     assert new_err == old_err
     if old_err is None:
-        assert np.array_equal(new.probs, old)
-        assert np.array_equal(np.signbit(new.probs), np.signbit(old))
+        assert np.array_equal(new, old)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
 @pytest.mark.parametrize("field", ["s0", "strikes", "maturities", "prices"])

@@ -13,6 +13,7 @@ from scipy.optimize import linprog
 from amerbound import bench, bound, instances, lpcore, market
 from amerbound.bound import build_primal_bounded, build_primal_extended
 from amerbound.lpcore import LinearProgram, Row
+from amerbound.payoff import AmericanPayoffGrid
 
 from lp_helpers import dual_of
 from test_bound import DENSE_GRIDS, dense_grid_case, presolve_trap_case
@@ -138,10 +139,11 @@ def test_primal_colwise_layout_on_sweep_shapes():
                                          np.cumsum(rng.uniform(0.5, 20.0, J))])
                 M = J + 2 if extended else J + 1
                 p_hat = rng.dirichlet(np.ones(M), size=N).T
-                a_vals = rng.uniform(0.0, 50.0, (J + 1, N))
-                tail = rng.uniform(0.0, 1.0, N) if extended else None
-                lp, _ = bound._build_primal(states, p_hat, a_vals, tail,
-                                            extended)
+                a = AmericanPayoffGrid(
+                    rng.uniform(0.0, 50.0, (J + 1, N)), states,
+                    np.arange(1.0, N + 1.0),
+                    rng.uniform(0.0, 1.0, N) if extended else None)
+                lp, _ = bound._build_primal(p_hat, a)
                 assert_colwise_like_scipy(lp)
 
 
