@@ -77,7 +77,9 @@ def chi_binomial(payoff_fn, config: BenchConfig) -> float:
     """American value in the binomial model of the driftless price.
 
     Recombining tree with up = exp(vol * sqrt(dt)); exercise allowed at
-    every node; ``payoff_fn(x, t)`` must accept numpy arrays in x.
+    every node; ``payoff_fn(x, t)`` must accept numpy arrays in x.  It is
+    called once per level, except that a payoff from
+    ``tree_payoff_from_grid`` is tabulated once per maturity column.
     """
     steps = config.tree_steps
     dt = config.horizon / steps
@@ -86,23 +88,41 @@ def chi_binomial(payoff_fn, config: BenchConfig) -> float:
     pu = (1.0 - d) / (u - d)
     # level k's prices s0 * u**(-k), s0 * u**(2-k), ..., s0 * u**k
     levels = config.s0 * u ** np.arange(-steps, steps + 1)
-    value = np.asarray(payoff_fn(levels[::2], config.horizon), dtype=float)
+    grid = getattr(payoff_fn, "grid", None)
+    if grid is None:
+        def exercise(k, t):
+            return payoff_fn(levels[steps - k:steps + k + 1:2], t)
+    else:
+        # column n serves every t in (t_{n-1}, t_n]; level k reads a strided
+        # slice of its column, and np.interp works point by point
+        mats = grid.maturities
+        times = np.arange(steps + 1) * dt
+        times[steps] = config.horizon
+        column = np.searchsorted(mats, np.minimum(times, mats[-1]),
+                                 side="left")
+        table = [grid.interp(levels, n) for n in range(len(mats))]
+
+        def exercise(k, t):
+            return table[column[k]][steps - k:steps + k + 1:2]
+
+    value = np.asarray(exercise(steps, config.horizon), dtype=float)
     for k in range(steps - 1, -1, -1):
         cont = pu * value[1:] + (1.0 - pu) * value[:-1]
-        value = np.maximum(cont, payoff_fn(levels[steps - k:steps + k + 1:2],
-                                           k * dt))
+        value = np.maximum(cont, exercise(k, k * dt))
     return float(value[0])
 
 
 def tree_payoff_from_grid(a: payoff.AmericanPayoffGrid):
     """Evaluator for the lattice payoff at arbitrary (x, t): exercise in
-    (t_{n-1}, t_n] pays column n, linearly interpolated in price."""
+    (t_{n-1}, t_n] pays column n, linearly interpolated in price.  The grid
+    rides along as ``fn.grid``, so that ``chi_binomial`` can tabulate it."""
     mats = a.maturities
 
     def fn(x, t):
         n = int(np.searchsorted(mats, min(t, mats[-1]), side="left"))
         return a.interp(x, n)
 
+    fn.grid = a
     return fn
 
 

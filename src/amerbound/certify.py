@@ -458,6 +458,11 @@ class HedgeStrategy:
         """Static setup cost against a mass matrix (marginals, with the
         top-call row appended in the extended variant)."""
         p_hat = np.asarray(p_hat, dtype=float)
+        if p_hat.shape != self.V.shape:
+            raise CertifyError(
+                "mass matrix has shape %s, the %s hedge needs %s"
+                % (p_hat.shape, "extended" if self.extended else "bounded",
+                   self.V.shape))
         N = len(self.maturities)
         total = 0.0
         for n in range(N - 1):
@@ -679,7 +684,8 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     at nodes the paths cannot see still fail.  Every mode reads the payoff
     at the hedge's brackets, so the two must share one lattice and one set
     of maturities; the exhaustive mode enumerates at most ENUMERATION_CAP
-    paths.
+    paths.  The full-line and continuous-exercise replays of one int seed
+    share one draw of the paths (``_shared_full_line_paths``).
     """
     if not np.array_equal(a.states, hedge.states):
         raise CertifyError("payoff and hedge are on different lattices")
@@ -706,13 +712,13 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
         if mode == "interval-random":
             Y = rng.uniform(0.0, xs[-1], size=(trials, N))
         else:
-            Y = _full_line_paths(rng, trials, N, xs[-1],
-                                 s0 if s0 is not None else xs[-1] / 2.0)
+            Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1],
+                                        s0 if s0 is not None else xs[-1] / 2.0)
         best, best_m = _slack_over_exercise(hedge, a, Y)
         trials_done = trials * N
     elif mode == "continuous-exercise-random":
-        Y = _full_line_paths(rng, trials, N, xs[-1],
-                             s0 if s0 is not None else xs[-1] / 2.0)
+        Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1],
+                                    s0 if s0 is not None else xs[-1] / 2.0)
         best, best_m = _continuous_slack(hedge, a, Y, rng, payoff_fn, s0)
         trials_done = trials
     else:
@@ -722,6 +728,40 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     return VerificationReport(mode, trials_done,
                               float(min(best[worst], gslack)), float(gslack),
                               Y[worst].copy(), best_m[worst])
+
+
+# The full-line and continuous-exercise replays of one int seed draw the same
+# paths: (key, read-only paths, Philox state after the draw) of the last
+# draw, taken out by the replay that reuses it.
+_full_line_slot = None
+_full_line_lock = threading.Lock()
+
+
+def _shared_full_line_paths(rng, seed, trials, N, xJ, s0):
+    """``_full_line_paths`` from rng, a fresh Philox(seed) generator, with
+    the draw shared between two replays of one int seed.
+
+    A draw is kept in one slot, read-only.  The next call that asks for the
+    same paths takes it out and leaves rng where the draw left it, so what
+    it draws next has the same bits; any other call draws its own paths.
+    """
+    global _full_line_slot
+    if not isinstance(seed, int):
+        return _full_line_paths(rng, trials, N, xJ, s0)
+    key = (seed, trials, N, float(xJ), float(s0))
+    with _full_line_lock:
+        hit = _full_line_slot is not None and _full_line_slot[0] == key
+        if hit:
+            _, Y, state = _full_line_slot
+            _full_line_slot = None
+    if hit:
+        rng.bit_generator.state = state
+        return Y
+    Y = _full_line_paths(rng, trials, N, xJ, s0)
+    Y.flags.writeable = False
+    with _full_line_lock:
+        _full_line_slot = (key, Y, rng.bit_generator.state)
+    return Y
 
 
 def _full_line_paths(rng, trials, N, xJ, s0):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 import amerbound
 from amerbound import bench, bound, lpcore, market
+from amerbound.payoff import AmericanPayoffGrid, PayoffFunction
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,42 @@ def test_chi_binomial_matches_levelwise_tree(s0, vol, K, horizon, steps, N,
           if gridded else bench.put_payoff(config))
     assert bench.chi_binomial(fn, config) == \
         _chi_binomial_levelwise(fn, config)
+
+
+def test_grid_payoff_is_tabulated_once_per_column(monkeypatch):
+    config = bench.BenchConfig(tree_steps=500)
+    calls = []
+    interp = AmericanPayoffGrid.interp
+
+    def counted(self, x, n):
+        calls.append(n)
+        return interp(self, x, n)
+
+    fn = bench.tree_payoff_from_grid(bench.linearized_grid(config))
+    monkeypatch.setattr(AmericanPayoffGrid, "interp", counted)
+    bench.chi_binomial(fn, config)
+    assert 0 < len(calls) <= config.num_maturities
+
+
+def test_other_payoffs_are_called_once_per_level(monkeypatch):
+    config = bench.BenchConfig(tree_steps=300)
+    steps = config.tree_steps
+    dt = config.horizon / steps
+    u = np.exp(config.vol * np.sqrt(dt))
+    calls = []
+    call = PayoffFunction.__call__
+
+    def recorded(self, x, t):
+        calls.append((np.array(x), t))
+        return call(self, x, t)
+
+    fn = bench.put_payoff(config)
+    monkeypatch.setattr(PayoffFunction, "__call__", recorded)
+    bench.chi_binomial(fn, config)
+    assert len(calls) == steps + 1
+    for k, (x, t) in zip(range(steps, -1, -1), calls):
+        assert np.array_equal(x, config.s0 * u ** np.arange(-k, k + 1, 2))
+        assert t == (config.horizon if k == steps else k * dt)
 
 
 def test_import_leaves_scipy_stats_out():

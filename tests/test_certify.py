@@ -1082,3 +1082,136 @@ def test_misshapen_hedge_block_rejected(headline_bound, block, edit):
     with pytest.raises(certify.CertifyError, match="hedge block %s " % block):
         HedgeStrategy(hedge.states, hedge.maturities,
                       growth_rate=hedge.growth_rate, **blocks)
+
+
+@pytest.mark.parametrize("case", ["extended-hedge-lattice-masses",
+                                  "bounded-hedge-tail-row",
+                                  "one-maturity-short"])
+def test_cost_refuses_a_mass_matrix_of_another_shape(headline_bound, case):
+    # pricing a hedge on the other variant's masses raised numpy's matmul
+    # error; it names both shapes and the hedge's variant instead
+    hedge, blocks = _headline_blocks(headline_bound)
+    surface = bench.bs_surface(bench.BenchConfig())
+    tail = market.extended_marginals(surface)
+    p = {"extended-hedge-lattice-masses": market.implied_marginals(surface),
+         "bounded-hedge-tail-row": tail,
+         "one-maturity-short": tail[:, :-1]}[case]
+    variant = "extended"
+    if case == "bounded-hedge-tail-row":
+        hedge = HedgeStrategy(hedge.states, hedge.maturities,
+                              growth_rate=hedge.growth_rate,
+                              **{name: b[:-1] for name, b in blocks.items()})
+        variant = "bounded"
+    with pytest.raises(certify.CertifyError,
+                       match=r"shape \(%d, %d\), the %s hedge needs \(%d, %d\)"
+                       % (*p.shape, variant, *hedge.V.shape)):
+        hedge.cost(p)
+
+
+# ---------------------------------------------------------------------------
+# one full-line draw shared by the two full-line replays of a seed
+
+PAIR = ("full-line-random", "continuous-exercise-random")
+
+
+def _report_bits(rep):
+    return (rep.mode, rep.trials, float(rep.min_slack).hex(),
+            float(rep.grid_slack).hex(), rep.worst_path.tobytes(),
+            np.asarray(rep.worst_exercise).tobytes())
+
+
+def _replay(headline_bound, mode, seed, trials=3000):
+    res, a = headline_bound
+    cfg = bench.BenchConfig()
+    return certify.verify_superreplication(
+        res.hedge, a, mode, trials=trials, seed=seed,
+        payoff_fn=bench.put_payoff(cfg), s0=cfg.s0)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """An empty slot, and the number of full-line draws made since."""
+    monkeypatch.setattr(certify, "_full_line_slot", None)
+    count = [0]
+    draw = certify._full_line_paths
+
+    def counted(*args):
+        count[0] += 1
+        return draw(*args)
+
+    monkeypatch.setattr(certify, "_full_line_paths", counted)
+    return count
+
+
+@pytest.mark.parametrize("order", [PAIR, PAIR[::-1]], ids=["line-first",
+                                                          "continuous-first"])
+def test_a_pair_on_one_seed_draws_once_and_empties_the_slot(
+        headline_bound, draws, order):
+    shared = [_report_bits(_replay(headline_bound, mode, 81))
+              for mode in order]
+    assert draws[0] == 1
+    assert certify._full_line_slot is None
+    # another seed in between takes the slot: the second replay draws again
+    first = _report_bits(_replay(headline_bound, order[0], 81))
+    _replay(headline_bound, order[0], 82)
+    second = _report_bits(_replay(headline_bound, order[1], 81))
+    assert draws[0] == 4
+    assert [first, second] == shared
+
+
+@pytest.mark.parametrize("field", ["trials", "N", "xJ", "s0"])
+def test_other_paths_miss_the_slot(draws, field):
+    key = {"trials": 50, "N": 4, "xJ": 140.0, "s0": 100.0}
+    other = dict(key, **{field: {"trials": 51, "N": 3, "xJ": 150.0,
+                                 "s0": 100.5}[field]})
+
+    def fresh():
+        return np.random.default_rng(np.random.Philox(83))
+
+    certify._shared_full_line_paths(fresh(), 83, **key)
+    rng = fresh()
+    got = certify._shared_full_line_paths(rng, 83, **other)
+    assert draws[0] == 2
+    want_rng = fresh()
+    want = certify._full_line_paths(want_rng, *other.values())
+    assert got.tobytes() == want.tobytes()
+    assert _state_bytes(rng) == _state_bytes(want_rng)
+
+
+def test_seed_none_draws_fresh_paths_every_time(headline_bound, draws):
+    reps = [_replay(headline_bound, mode, None) for mode in PAIR]
+    assert draws[0] == 2
+    assert certify._full_line_slot is None
+    assert reps[0].worst_path.tobytes() != reps[1].worst_path.tobytes()
+
+
+def test_shared_paths_are_read_only(draws):
+    for _ in range(2):          # the draw, then the one that takes it
+        rng = np.random.default_rng(np.random.Philox(84))
+        Y = certify._shared_full_line_paths(rng, 84, 20, 3, 140.0, 100.0)
+        with pytest.raises(ValueError, match="read-only"):
+            Y[0, 0] = 0.0
+    assert draws[0] == 1
+
+
+def test_threads_on_different_seeds_get_the_serial_results(headline_bound,
+                                                           draws):
+    seeds = (85, 86)
+    serial = {seed: [_report_bits(_replay(headline_bound, mode, seed))
+                     for mode in PAIR] for seed in seeds}
+    barrier = threading.Barrier(len(seeds))
+    got = {seed: [] for seed in seeds}
+
+    def run(seed):
+        for _ in range(4):
+            for mode in PAIR:
+                barrier.wait(10)
+                got[seed].append(_report_bits(_replay(headline_bound, mode,
+                                                      seed)))
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in seeds]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(got[seed] == 4 * serial[seed] for seed in seeds)
