@@ -11,8 +11,9 @@ hand-built dual stays as a reference for checking that mapping.
 Every builder takes a mass matrix from ``market`` and reads the variant off
 its rows: the extended variant's matrix appends a virtual top row, which
 carries the mass priced by the last traded call when no zero-price call
-exists.  This module solves every LP of the package, the seed model's
-transports included, and hands ``certify`` plain arrays.
+exists.  This module solves every LP of the package and hands ``certify``
+plain arrays; the seed model is the primal's model for a claim paid only at
+the first maturity.
 """
 
 from __future__ import annotations
@@ -311,11 +312,7 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         p_hat = market.extended_marginals(surface)
         lp, idx = build_primal_extended(p_hat, a)
 
-    sol = lpcore.solve(lp)
-    if sol.status != "optimal":
-        raise BoundError("primal LP (%dx%d): HiGHS %s ended %s"
-                         % (*lp.matrix.shape, lpcore.METHOD, sol.status))
-
+    sol = _solve_primal(lp)
     hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a)
     phi, psi = sol.objective, hedge.cost(p_hat)
     if abs(phi - psi) > tol_gap * (1.0 + abs(phi)):
@@ -346,36 +343,29 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
 
 
 def seed_model(surface: market.CallSurface):
-    """Exercise-everything-at-t1 model over any martingale transport chain,
-    a certify.RegimeModel."""
+    """The primal's model for a claim that pays 1 at the first maturity and
+    nothing later, a certify.RegimeModel.
+
+    Its optimum 1 exercises every path at t1, so rows (e) hold G1 at zero
+    and G2 chains martingale couplings of consecutive implied marginals;
+    such a chain exists exactly when they increase in convex order.
+    """
     p = market.implied_marginals(surface)
-    M, N = p.shape
-    G2 = np.zeros((M, M, max(N - 1, 0)))
-    for n in range(N - 1):
-        G2[:, :, n] = _martingale_transport(surface.states, p[:, n],
-                                            p[:, n + 1])
-    G1 = np.zeros_like(G2)
-    return certify.model_from_primal(np.zeros((M, N)), G1, G2, surface, p)
+    first = np.zeros(p.shape)
+    first[:, 0] = 1.0
+    lp, idx = build_primal_bounded(p, AmericanPayoffGrid(
+        first, surface.states, surface.maturities))
+    sol = _solve_primal(lp, "no martingale transport: marginals not in "
+                            "convex order; primal LP")
+    return certify.model_from_primal(*idx.unpack_primal(sol.x), surface, p)
 
 
-def _martingale_transport(x, mu, nu):
-    """One feasible martingale coupling of mu into nu via a small LP."""
-    M = len(x)
-    col = lambda j, k: j * M + k
-    rows = []
-    for j in range(M):
-        rows.append(lpcore.Row([(col(j, k), 1.0) for k in range(M)], "=",
-                               float(mu[j])))
-    for k in range(M):
-        rows.append(lpcore.Row([(col(j, k), 1.0) for j in range(M)], "=",
-                               float(nu[k])))
-    for j in range(M):
-        terms = [(col(j, k), float(x[k] - x[j])) for k in range(M) if k != j]
-        if terms:
-            rows.append(lpcore.Row(terms, "=", 0.0))
-    lp = lpcore.LinearProgram.from_rows("max", M * M, np.zeros(M * M), rows)
+def _solve_primal(lp, failure="primal LP"):
+    """The optimum of ``lp``; otherwise a BoundError naming the failure,
+    the LP's shape and HiGHS's status."""
     sol = lpcore.solve(lp)
     if sol.status != "optimal":
-        raise BoundError("no martingale transport: marginals not in convex "
-                         "order")
-    return np.asarray(sol.x).reshape(M, M)
+        raise BoundError("%s (%dx%d): HiGHS %s ended %s"
+                         % (failure, *lp.matrix.shape, lpcore.METHOD,
+                            sol.status))
+    return sol

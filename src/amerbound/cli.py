@@ -1,8 +1,8 @@
 """Command-line front end: validate surfaces, compute bounds, certify and
 simulate them, and emit benchmark tables — all deterministic given a seed.
 
-Exit codes: 2 malformed input, 3 validation failure, 4 solver failure,
-5 certification failure.
+Exit codes: 2 malformed input (an --out path that cannot be written
+included), 3 validation failure, 4 solver failure, 5 certification failure.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ def emit_report(result, fmt="json", out=None):
     else:
         click.echo(text, nl=False)
     return text
+
+
+def _emit(result, fmt, out):
+    """emit_report, ending in exit 2 when the report cannot be written."""
+    try:
+        return emit_report(result, fmt, out)
+    except OSError as exc:
+        _fail(EXIT_PARSE, "cannot write report: %s" % exc)
 
 
 def _load_surface(path):
@@ -197,7 +205,7 @@ def validate(input_path, mode, out, fmt):
     doc = {"status": rep.status, "zero_tail": rep.zero_tail,
            "violations": [{"constraint": c, "indices": list(i), "magnitude": m}
                           for c, i, m in rep.violations]}
-    emit_report(doc, fmt, out)
+    _emit(doc, fmt, out)
     if rep.status == "invalid":
         _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
 
@@ -223,7 +231,7 @@ def _common_options(fn):
 def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
     """Compute the bound and both certificates."""
     res = _bound_input(input_path, payoff_spec, variant, tol_gap)[3]
-    emit_report(_bound_report(res), fmt, out)
+    _emit(_bound_report(res), fmt, out)
 
 
 @main.command(name="certify")
@@ -260,7 +268,7 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
            "variant": res.variant, "mc_estimate": est, "mc_stderr": se,
            "hedge_scale": scale, "verification": reports,
            "certified": not failed}
-    emit_report(doc, fmt, out)
+    _emit(doc, fmt, out)
     if failed:
         _fail(EXIT_CERTIFY, "certificates fail: %s" % ", ".join(failed))
 
@@ -273,8 +281,8 @@ def simulate(input_path, payoff_spec, variant, tol_gap, out, fmt, trials, seed):
     """Monte-Carlo price the extremal model against the LP value."""
     _, grid, _, res = _bound_input(input_path, payoff_spec, variant, tol_gap)
     est, se = certify.mc_price(res.model, grid, trials, seed)
-    emit_report({"phi": res.phi, "estimate": est, "stderr": se,
-                 "trials": trials, "seed": seed}, fmt, out)
+    _emit({"phi": res.phi, "estimate": est, "stderr": se,
+           "trials": trials, "seed": seed}, fmt, out)
 
 
 @main.command(name="bench-table")
@@ -299,10 +307,13 @@ def bench_table(sweep, steps, out):
         _fail(EXIT_SOLVER, str(exc))
     docs = [{"row": lab, "phi": r.phi, "chi": r.chi, "zeta": r.zeta,
              "ratio_pct": r.ratio} for lab, r in zip(labels, rows)]
-    text = emit_report(docs, "csv", out)
+    text = _emit(docs, "csv", out)
     if out:
-        with open(out + ".json", "w") as fh:
-            fh.write(json.dumps(_round12(docs), sort_keys=True, indent=2))
+        try:
+            with open(out + ".json", "w") as fh:
+                fh.write(json.dumps(_round12(docs), sort_keys=True, indent=2))
+        except OSError as exc:
+            _fail(EXIT_PARSE, "cannot write report: %s" % exc)
     return text
 
 

@@ -60,10 +60,6 @@ class Row:
     relation: str
     rhs: float
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise LPError("bad relation %r" % self.relation)
-
 
 @dataclass
 class LinearProgram:

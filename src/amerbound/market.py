@@ -151,21 +151,19 @@ def _parse_csv(text):
         raise MarketError("CSV surface needs a header and at least one strike row")
     try:
         maturities = [float(v) for v in rows[0][1:]]
-        strikes, calls = [], []
-        s0 = None
-        for r in rows[1:]:
-            k = float(r[0])
-            vals = [float(v) for v in r[1:]]
-            if k == 0.0:
-                s0 = vals[0]
-            else:
-                strikes.append(k)
-                calls.append(vals)
-        if s0 is None:
-            raise MarketError("CSV surface must include the strike-0 row (s0)")
+        table = [(float(r[0]), [float(v) for v in r[1:]]) for r in rows[1:]]
     except ValueError as exc:
         raise MarketError("bad CSV number: %s" % exc)
-    return {"s0": s0, "strikes": strikes, "maturities": maturities, "calls": calls}
+    zero = [vals for k, vals in table if k == 0.0]
+    if len(zero) != 1:
+        raise MarketError("CSV surface needs one strike-0 row (s0), not %d"
+                          % len(zero))
+    if not zero[0]:
+        raise MarketError("CSV strike-0 row holds no price")
+    # the strike-0 row goes through whole, for CallSurface to check against s0
+    return {"s0": zero[0][0], "maturities": maturities,
+            "strikes": [k for k, _ in table if k != 0.0],
+            "calls": zero + [vals for k, vals in table if k != 0.0]}
 
 
 def _surface_from_marginals(doc):

@@ -348,6 +348,50 @@ def test_seed_model_prices_below_bound():
     assert est <= 34.0 + 1e-9
 
 
+def _constant_marginals():
+    """Two maturities with one law, and a payoff on its three states."""
+    probs = [[0.2, 0.2], [0.3, 0.3], [0.5, 0.5]]
+    surface = market.load_surface({"marginals": probs,
+                                   "states": [0.0, 1.0, 2.0],
+                                   "maturities": [1.0, 2.0]})
+    return surface, AmericanPayoffGrid([[2.0, 1.0], [1.0, 3.0], [0.0, 4.0]],
+                                       surface.states, surface.maturities)
+
+
+# mc_price(seed_model(surface), payoff, 200000, seed=42), pinned bit for bit:
+# every path exercises at t1, so the price reads the first marginal alone,
+# whichever couplings G2 holds
+SEED_MODEL_MC = {"sec26": "0x1.18e9e1b089a02p+5",
+                 "sec52": "0x1.002e87d2c7b89p-1",
+                 "eg11": "0x1.0000000000000p+5",
+                 "constant": "0x1.6725c3dee7818p-1"}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_MODEL_MC))
+def test_seed_model_exercises_everything_at_t1(name):
+    # the primal's model for a claim paid only at t1: no path still holds
+    # after t1, and every state with mass at t1 exercises there
+    if name == "constant":
+        surface, a = _constant_marginals()
+    else:
+        surface, a = instances.get(name).surface, instances.get(name).payoff
+    model = bound.seed_model(surface)
+    assert not model.G1.any()
+    first = market.implied_marginals(surface)[:, 0]
+    assert (model.switch_prob[first > 0, 0] == 1.0).all()
+    est, _ = certify.mc_price(model, a, 200000, 42)
+    assert est.hex() == SEED_MODEL_MC[name]
+
+
+def test_seed_model_without_transport_names_it():
+    # Black-Scholes quotes whose top call is worth more than zero: the
+    # truncated marginals lose mean, so no martingale chain joins them
+    surface, _ = _headline()
+    with pytest.raises(bound.BoundError,
+                       match="no martingale transport.*HiGHS.*infeasible"):
+        bound.seed_model(surface)
+
+
 def _chain_value(model, a):
     """The model chain's exact American value, worked out the way the
     simulation runs: the still-holding mass exercises with probability

@@ -176,6 +176,35 @@ def test_missing_input_file_exit_2(runner, tmp_path, command):
     assert "missing.json" in res.stderr and "does not exist" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "bound", "certify",
+                                     "simulate", "bench-table"])
+def test_unwritable_out_exit_2(runner, tmp_path, command):
+    out = str(tmp_path / "missing" / "report")
+    if command == "bench-table":
+        args = [command, "--steps", "100"]
+    else:
+        args = [command, "--input", _surface_file(tmp_path)]
+        if command != "validate":
+            args += ["--payoff", PAYOFF]
+        if command in ("certify", "simulate"):
+            args += ["--trials", "1000"]
+    res = runner.invoke(cli.main, args + ["--out", out])
+    assert res.exit_code == 2, res.output
+    assert "error: cannot write report:" in res.stderr
+    assert "Traceback" not in res.output
+
+
+def test_unwritable_bench_table_sidecar_exit_2(runner, tmp_path):
+    # the table is written; its JSON sidecar's path is a directory
+    out = tmp_path / "table.csv"
+    (tmp_path / "table.csv.json").mkdir()
+    res = runner.invoke(cli.main, ["bench-table", "--steps", "100",
+                                   "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error: cannot write report:" in res.stderr
+    assert out.read_text().startswith("chi,")
+
+
 def test_solver_failure_exit_4(runner, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise bound.BoundError("forced failure")
@@ -475,6 +504,11 @@ def _docs():
 DOCS = _docs()
 
 
+# CSV quotes whose strike-0 row is empty, off s0 or repeated
+ZERO_ROW_CSV = ["x,1,2\n%s90,12,15\n100,5,8\n" % zero
+                for zero in ("0\n", "0,100,55\n", "0,100,100\n0,80,80\n")]
+
+
 @st.composite
 def surface_texts(draw):
     """A surface file's text, its lattice shape (None when malformed) and
@@ -503,9 +537,9 @@ def surface_texts(draw):
         else:
             doc[key] = value
     elif how == "text":
-        return draw(st.sampled_from(["", "{not json", "[1, 2]", "{}",
-                                     "0,1\n0,100\n", "1,2\n3,4\n",
-                                     "x\n0,1,2\n"])), None, False
+        texts = ["", "{not json", "[1, 2]", "{}", "0,1\n0,100\n",
+                 "1,2\n3,4\n", "x\n0,1,2\n"] + ZERO_ROW_CSV
+        return draw(st.sampled_from(texts)), None, False
     keep = how == "keep"
     return json.dumps(doc), shape if keep else None, tail and keep
 
@@ -558,13 +592,16 @@ def options(draw, name, low, high=None):
 @st.composite
 def command_lines(draw, path):
     """A command line, and whether every option value is in its range and
-    one that the input can take."""
+    one that the input can take.  Now and then a report goes under a
+    directory that does not exist."""
     command = draw(st.sampled_from(["validate", "bound", "certify", "simulate",
                                     "bench-table", "demo"]))
+    out = [] if draw(st.integers(0, 7)) else [
+        "--out", str(pathlib.Path(path).parent / "missing" / "report")]
     if command == "bench-table":
         steps, ok = draw(options("--steps", 100, 120))
         return [command, "--sweep", draw(st.sampled_from(
-            ["moneyness", "maturities"]))] + steps, ok
+            ["moneyness", "maturities"]))] + steps + out, ok
     if command == "demo":
         seed, ok = draw(options("--seed", 0, 2 ** 64))
         return [command, draw(st.sampled_from(sorted(instances.BUILTIN)))] \
@@ -572,7 +609,7 @@ def command_lines(draw, path):
     text, shape, tail = draw(surface_texts())
     with open(path, "w") as fh:
         fh.write(text)
-    args = [command, "--input", path]
+    args = [command, "--input", path] + out
     if command == "validate":
         return args + ["--mode", draw(st.sampled_from(["weak", "strict"]))], True
     spec = draw(payoff_specs(shape))
@@ -606,6 +643,8 @@ def test_every_input_ends_in_a_documented_exit(tmp_path_factory, data):
     res = CliRunner().invoke(cli.main, args)
     assert res.exit_code in (0, 2, 3, 4, 5), (res.exit_code, res.exception)
     assert options_ok or res.exit_code == 2, res.output
+    # no report can be written, so no command that writes one succeeds
+    assert "--out" not in args or res.exit_code, res.output
     assert "Traceback" not in res.output
     if res.exit_code:
         assert any(line.lower().startswith("error:")

@@ -44,6 +44,19 @@ def test_load_surface_csv(sec26_surface, tmp_path):
     assert np.allclose(loaded.prices, sec26_surface.prices)
 
 
+@pytest.mark.parametrize("zero_rows, message", [
+    (["0,100,55"], "row 0 must equal s0"),
+    (["0,100,100", "0,80,80"], "one strike-0 row .s0., not 2"),
+    (["0"], "strike-0 row holds no price"),
+])
+def test_load_surface_csv_checks_the_zero_row(zero_rows, message):
+    # the strike-0 row is the zero-strike call: worth s0 at every maturity,
+    # and given once
+    text = "\n".join(["x,1,2"] + zero_rows + ["90,12,15", "100,5,8"])
+    with pytest.raises(market.MarketError, match=message):
+        market.load_surface(text + "\n")
+
+
 def test_load_surface_rejects_bad_grids():
     with pytest.raises(market.MarketError):
         market.load_surface({"s0": 100, "strikes": [100, 70],
