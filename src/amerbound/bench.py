@@ -128,7 +128,9 @@ def tree_payoff_from_grid(a: payoff.AmericanPayoffGrid):
 
 def zeta(surface: market.CallSurface, a: payoff.AmericanPayoffGrid) -> float:
     """Best static European value: the priciest single maturity of the
-    piecewise-linear payoff columns."""
+    piecewise-linear payoff columns, on the surface's own lattice and
+    maturities."""
+    bound.check_payoff_grid(surface, a)
     return float(market.price_piecewise_linear(surface, a.values,
                                                a.tail_slopes).max())
 

@@ -280,6 +280,16 @@ build_primal_bounded = build_primal_extended = _build_primal
 build_dual_bounded = build_dual_extended = _build_dual
 
 
+def check_payoff_grid(surface: market.CallSurface, a: AmericanPayoffGrid):
+    """Refuse a payoff on another lattice or on other maturities than the
+    surface's, compared exactly: the hedge's replay reads the payoff at the
+    surface's brackets."""
+    if not np.array_equal(a.states, surface.states):
+        raise BoundError("payoff lattice does not match the surface lattice")
+    if not np.array_equal(a.maturities, surface.maturities):
+        raise BoundError("payoff maturities do not match the surface's")
+
+
 def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6) -> BoundResult:
     """Solve the primal LP, read both certificates off its optimum, and
@@ -299,11 +309,7 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
         variant = "bounded" if report.zero_tail else "extended"
     if variant == "bounded" and not report.zero_tail:
         raise VariantError("bounded variant needs a zero-price top call")
-    # exactly: the hedge's replay reads the payoff at the surface's brackets
-    if not np.array_equal(a.states, surface.states):
-        raise BoundError("payoff lattice does not match the surface lattice")
-    if not np.array_equal(a.maturities, surface.maturities):
-        raise BoundError("payoff maturities do not match the surface's")
+    check_payoff_grid(surface, a)
 
     if variant == "bounded":
         p_hat = market.implied_marginals(surface)
@@ -366,6 +372,6 @@ def _solve_primal(lp, failure="primal LP"):
     sol = lpcore.solve(lp)
     if sol.status != "optimal":
         raise BoundError("%s (%dx%d): HiGHS %s ended %s"
-                         % (failure, *lp.matrix.shape, lpcore.METHOD,
+                         % (failure, len(lp.rhs), lp.num_vars, lpcore.METHOD,
                             sol.status))
     return sol

@@ -368,7 +368,10 @@ def simulate(model: RegimeModel, paths, seed) -> PathBatch:
 
 
 def _payoff_table(model: RegimeModel, a: AmericanPayoffGrid):
-    """The payoff at each of the model's states, one array per maturity."""
+    """The payoff at each of the model's states, one array per maturity;
+    the payoff must have the model's maturities."""
+    if not np.array_equal(a.maturities, model.maturities):
+        raise CertifyError("payoff and model have different maturities")
     return [a.interp(model.states, n) for n in range(model.num_maturities)]
 
 
@@ -385,8 +388,8 @@ def mc_price(model: RegimeModel, a: AmericanPayoffGrid, paths, seed):
     if paths < 2:
         raise CertifyError("a Monte Carlo stderr needs at least 2 paths, "
                            "got %d" % paths)
-    batch = simulate(model, paths, seed)
     pay = _payoff_table(model, a)
+    batch = simulate(model, paths, seed)
     states, ex = batch.state_idx.T, batch.exercise_index
     vals = np.empty(paths)
 

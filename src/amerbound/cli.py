@@ -13,7 +13,8 @@ import sys
 import click
 import numpy as np
 
-from . import bench, bound, certify, instances, lpcore, market, payoff
+from . import (__version__, bench, bound, certify, instances, lpcore,
+               market, payoff)
 
 EXIT_PARSE, EXIT_VALIDATION, EXIT_SOLVER, EXIT_CERTIFY = 2, 3, 4, 5
 
@@ -171,7 +172,7 @@ def _bound_report(res):
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main():
     """Model-free price bounds for American claims from call quotes."""
 

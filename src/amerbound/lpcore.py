@@ -4,7 +4,7 @@ A program holds its constraints as CSR arrays (a list of ``Row`` objects
 converts to them through ``LinearProgram.from_rows``) and is solved with the
 HiGHS dual revised simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018),
 driven through the HiGHS core that ships inside scipy.  Primal and dual
-residuals of each optimum are computed here from the same matrix, without
+residuals of each optimum are computed here from the same arrays, without
 trusting the solver.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 try:  # a private module of scipy; no other module of this package uses it
     from scipy.optimize._highspy import _core as highs
@@ -77,9 +76,8 @@ class LinearProgram:
     free         boolean mask; True marks a free (unbounded below) variable
 
     Construction rejects a non-finite objective, coefficient or rhs, a
-    column out of range, a column repeated within a row and a bad relation,
-    and builds ``matrix`` (scipy CSR) on the arrays; they must not change
-    afterwards.
+    malformed indptr, a column out of range or repeated within a row, and a
+    bad relation.  The arrays must not change afterwards.
     """
 
     sense: str
@@ -114,6 +112,9 @@ class LinearProgram:
         m = len(self.indptr) - 1
         if self.rhs.shape != (m,) or relations.shape != (m,):
             raise LPError("rhs and relations need one entry per row")
+        if (self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()
+                or not self.indptr[-1] == len(self.indices) == len(self.data)):
+            raise LPError("indptr must rise from 0 to the coefficient count")
         bad = (self.indices < 0) | (self.indices >= self.num_vars)
         if bad.any():
             raise LPError("column index %d out of range"
@@ -126,11 +127,8 @@ class LinearProgram:
         if bad.any():
             raise LPError("bad relation %r" % str(relations[bad][0]))
         self.relations = relations.astype("<U2")
-        self.matrix = sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                        shape=(m, self.num_vars))
-        merged = self.matrix.copy()
-        merged.sum_duplicates()
-        if merged.nnz < len(self.data):
+        cells = np.sort(_row_ids(self) * self.num_vars + self.indices)
+        if (cells[1:] == cells[:-1]).any():
             raise LPError("duplicate column in a row")
 
     @classmethod
@@ -179,7 +177,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     Statuses other than optimal, infeasible and unbounded raise LPError with
     HiGHS's own status string.
     """
-    m, n = lp.matrix.shape
+    m, n = len(lp.rhs), lp.num_vars
     eq = lp.relations == "="
     # HiGHS pivots on the row layout it is given.  This is the layout of
     # scipy.optimize's HiGHS front end: the inequality rows first, as "<="
@@ -237,30 +235,35 @@ def _colwise(lp, order, flip):
 
     Within a column the rows ascend, as in scipy's CSR-to-CSC conversion.
     """
-    m, n = lp.matrix.shape
-    new_row = np.empty(m, dtype=np.int64)
-    new_row[order] = np.arange(m)
-    rows = new_row[np.repeat(np.arange(m), np.diff(lp.indptr))]
+    rows = np.argsort(order)[_row_ids(lp)]     # new row of each coefficient
     perm = np.lexsort((rows, lp.indices))
-    start = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(lp.indices, minlength=n), out=start[1:])
+    start = np.zeros(lp.num_vars + 1, dtype=np.int32)
+    np.cumsum(np.bincount(lp.indices, minlength=lp.num_vars), out=start[1:])
     index = rows[perm]
     return start, index.astype(np.int32), lp.data[perm] * flip[index]
+
+
+def _row_ids(lp):
+    """The row of each stored coefficient, in storage order."""
+    return np.repeat(np.arange(len(lp.indptr) - 1), np.diff(lp.indptr))
 
 
 def _attach_residuals(lp, sol):
     """Primal and dual feasibility residuals."""
     x, lam = sol.x, sol.duals
     sgn = 1.0 if lp.sense == "max" else -1.0
-    # row violations: ax - b on "<=" rows, b - ax on ">=", |ax - b| on "="
-    g = lp.matrix @ x - lp.rhs
+    # Ax and A'lam add in storage order, as scipy's CSR/CSC mat-vecs do.
+    # Row violations: ax - b on "<=" rows, b - ax on ">=", |ax - b| on "="
+    rows = _row_ids(lp)
+    g = np.bincount(rows, lp.data * x[lp.indices], len(lp.rhs)) - lp.rhs
     viol = np.where(lp.relations == "<=", g,
                     np.where(lp.relations == ">=", -g, np.abs(g)))
     pres = max(float(np.max(viol, initial=0.0)),
                float(np.max(-x[~lp.free], initial=0.0)))
     # Dual feasibility: for max, A'lam - obj >= 0 on nonnegative variables
     # and == 0 on free ones (reversed for min).
-    red = (lp.matrix.T @ lam - lp.objective) * sgn
+    red = (np.bincount(lp.indices, lp.data * lam[rows], lp.num_vars)
+           - lp.objective) * sgn
     # Row multiplier sign errors count against dual feasibility too.
     v = lam * sgn
     row_sign = np.where(lp.relations == "<=", -v,

@@ -1,5 +1,6 @@
-"""LP helpers that only the tests use: point checks and the mechanical dual,
-computed from an ``lpcore.LinearProgram``'s own matrix without a solver."""
+"""LP helpers that only the tests use: the scipy matrix of a program, point
+checks and the mechanical dual, computed from an ``lpcore.LinearProgram``'s
+own arrays without a solver."""
 
 from dataclasses import dataclass
 
@@ -7,6 +8,12 @@ import numpy as np
 from scipy import sparse
 
 from amerbound.lpcore import LinearProgram, LPError, Row
+
+
+def csr(lp: LinearProgram) -> sparse.csr_matrix:
+    """The program's constraint matrix as scipy CSR, on its own arrays."""
+    return sparse.csr_matrix((lp.data, lp.indices, lp.indptr),
+                             shape=(len(lp.rhs), lp.num_vars))
 
 
 @dataclass
@@ -27,7 +34,7 @@ def check_point(lp: LinearProgram, point, tol=1e-9) -> FeasibilityReport:
     x = np.asarray(point, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LPError("point length mismatch")
-    g = lp.matrix @ x - lp.rhs
+    g = csr(lp) @ x - lp.rhs
     res = np.where(lp.relations == "<=", g,
                    np.where(lp.relations == ">=", -g, np.abs(g)))
     bviol = np.where(lp.free, 0.0, np.maximum(0.0, -x))
@@ -56,7 +63,7 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
     sign = np.where(lp.relations == negated, -1.0, 1.0)
     free = lp.relations == "="
     obj = sign * lp.rhs
-    At = (sparse.diags(sign) @ lp.matrix).T.tocsr()
+    At = (sparse.diags(sign) @ csr(lp)).T.tocsr()
     At.eliminate_zeros()
     At.sort_indices()
     rel = ">=" if lp.sense == "max" else "<="
@@ -67,4 +74,4 @@ def dual_of(lp: LinearProgram) -> LinearProgram:
         rows.append(Row(terms, "=" if lp.free[j] else rel,
                         float(lp.objective[j])))
     return LinearProgram.from_rows("min" if lp.sense == "max" else "max",
-                                   lp.matrix.shape[0], obj, rows, free)
+                                   len(lp.rhs), obj, rows, free)

@@ -147,6 +147,20 @@ def test_zeta_examples(headline):
         pytest.approx(6.89, abs=0.05)
 
 
+def test_zeta_refuses_payoff_off_the_surface(headline):
+    # zeta prices the payoff's columns at the surface's states and
+    # maturities; a payoff on others was priced as if it were on them
+    surface, a = bench.bs_surface(headline), bench.linearized_grid(headline)
+    scaled = AmericanPayoffGrid(a.values, a.states * 1.5, a.maturities,
+                                a.tail_slopes)
+    with pytest.raises(bound.BoundError, match="lattice does not match"):
+        bench.zeta(surface, scaled)
+    later = AmericanPayoffGrid(a.values, a.states, a.maturities + 0.5,
+                               a.tail_slopes)
+    with pytest.raises(bound.BoundError, match="maturities do not match"):
+        bench.zeta(surface, later)
+
+
 def test_premium_row_ordering():
     cfg = bench.BenchConfig(num_maturities=2, tree_steps=500)
     row = bench.premium_row(cfg)

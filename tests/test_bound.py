@@ -8,7 +8,7 @@ from amerbound import bench, bound, certify, instances, lpcore, market, payoff
 from amerbound.payoff import (AmericanPayoffGrid, PayoffFunction,
                               exercise_time_transform)
 
-from lp_helpers import check_point, dual_of
+from lp_helpers import check_point, csr, dual_of
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +158,8 @@ def _assert_builds_like_reference(p_hat, a, extended):
     assert idx.extended == extended
     ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
                                              a.tail_slopes, extended)
-    assert lp.matrix.shape == ref.matrix.shape
-    assert (lp.matrix != ref.matrix).nnz == 0
+    assert csr(lp).shape == csr(ref).shape
+    assert (csr(lp) != csr(ref)).nnz == 0
     # each row's terms in the same order, as well as the same matrix
     assert [r.terms for r in lp.rows] == [r.terms for r in ref.rows]
     assert np.array_equal(lp.rhs, ref.rhs)

@@ -982,6 +982,22 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+def test_payoff_on_other_maturities_refused(headline_model):
+    # two columns ran out before the model's four maturities (an IndexError);
+    # five were priced on their first four, which gave phi
+    model, a = headline_model
+    cut = AmericanPayoffGrid(a.values[:, :2], a.states, a.maturities[:2],
+                             a.tail_slopes[:2])
+    longer = AmericanPayoffGrid(np.hstack([a.values, a.values[:, -1:]]),
+                                a.states, np.append(a.maturities, 1.25),
+                                np.append(a.tail_slopes, a.tail_slopes[-1]))
+    for other in (cut, longer):
+        with pytest.raises(certify.CertifyError, match="different maturities"):
+            certify.model_value(model, other)
+        with pytest.raises(certify.CertifyError, match="different maturities"):
+            certify.mc_price(model, other, 1000, 7)
+
+
 def test_mc_price_memory_does_not_grow_with_paths_times_states(headline_model):
     model, a = headline_model
     peak = _traced_peak(certify.mc_price, model, a, 10 ** 6, 7)

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import amerbound
 from amerbound import bound, certify, cli, instances, lpcore
 
 
@@ -32,6 +33,14 @@ HEADLINE = str(pathlib.Path(__file__).parent / "golden" / "headline.json")
 
 def _arbitrage(doc):
     doc["calls"][2][2] += 1.0     # convexity violation in tight column
+
+
+def test_version(runner):
+    # the version comes from the package itself, not from the metadata of
+    # an installed distribution
+    res = runner.invoke(cli.main, ["--version"])
+    assert res.exit_code == 0, res.output
+    assert res.output.rstrip().endswith("version %s" % amerbound.__version__)
 
 
 def test_validate_ok(runner, tmp_path):

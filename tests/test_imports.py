@@ -150,6 +150,34 @@ def test_package_imports_detector():
         "a", "b", "c", "e", "g"}
 
 
+def sparse_imports(source):
+    """The modules and names that a source imports from scipy.sparse or a
+    submodule of it, inside functions too."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names += ["%s.%s" % (node.module, a.name) for a in node.names]
+    return [n for n in names
+            if n == "scipy.sparse" or n.startswith("scipy.sparse.")]
+
+
+def test_sparse_imports_detector():
+    assert sparse_imports("from scipy import sparse, optimize\n"
+                          "import scipy.sparse.linalg\nimport scipy\n"
+                          "def f():\n    from scipy.sparse import diags\n"
+                          "from . import sparse\nfrom scipy import sparsetools\n"
+                          ) == ["scipy.sparse", "scipy.sparse.linalg",
+                                "scipy.sparse.diags"]
+
+
+def test_package_does_not_import_scipy_sparse():
+    # an LP is held once, as the CSR arrays that its builder made
+    found = {p.name: sparse_imports(p.read_text()) for p in MODULES}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_certify_takes_arrays_not_lps():
     # certify checks what the LP layer returns: it solves no LP and knows no
     # LP layout, so it imports neither lpcore nor bound

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import amerbound
-from amerbound import bound, instances, lpcore, market
+from amerbound import bench, bound, instances, lpcore, market
 from amerbound.lpcore import LinearProgram, Row
+from amerbound.payoff import AmericanPayoffGrid
 
-from lp_helpers import check_point, dual_of
+from lp_helpers import check_point, csr, dual_of
 from rational_oracle import brute_force_optimum
 
 
@@ -76,11 +77,11 @@ def test_explicit_zero_coefficient_is_not_a_duplicate():
     lp = LinearProgram.from_rows("max", 2, [1.0, 1.0],
                                  [Row([(1, 0.0), (0, 1.0)], "<=", 1.0),
                                   Row([(1, 1.0)], "<=", 2.0)])
-    assert lp.matrix.nnz == 3
+    assert csr(lp).nnz == 3
     assert lpcore.solve(lp).objective == pytest.approx(3.0)
     arrays = LinearProgram("max", 2, [1.0, 1.0], [0, 2, 3], [1, 0, 1],
                            [0.0, 1.0, 1.0], [1.0, 2.0], ["<=", "<="])
-    assert arrays.matrix.nnz == 3
+    assert csr(arrays).nnz == 3
 
 
 NAN, INF = float("nan"), float("inf")
@@ -109,6 +110,19 @@ def test_array_constructor_rejects_what_rows_reject(objective, rows, message):
                       [rel for _, rel, _ in rows])
     assert str(via_arrays.value) == str(via_rows.value)
     assert message in str(via_arrays.value)
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    ([1, 2], [0], [1.0]),              # does not start at 0
+    ([0, 2, 1], [0, 1], [1.0, 1.0]),   # falls
+    ([0, 1, 1], [0, 1], [1.0, 1.0]),   # ends short of the coefficients
+    ([0, 1, 2], [0, 1], [1.0]),        # fewer values than columns
+])
+def test_array_constructor_rejects_malformed_indptr(indptr, indices, data):
+    # the CSR arrays are the program's only copy of its matrix
+    with pytest.raises(lpcore.LPError, match="indptr must rise from 0"):
+        LinearProgram("max", 2, [1.0, 1.0], indptr, indices, data,
+                      [1.0] * (len(indptr) - 1), ["<="] * (len(indptr) - 1))
 
 
 def test_rows_view_rebuilds_the_same_arrays():
@@ -203,18 +217,85 @@ def test_residual_invariants_on_random_lps():
         lp = _random_bounded_lp(rng)
         sol = lpcore.solve(lp)
         assert sol.status == "optimal"
-        parts = (lp.matrix.data, lp.rhs, lp.objective)
+        parts = (csr(lp).data, lp.rhs, lp.objective)
         s = 1.0 + max(float(np.max(np.abs(p), initial=0.0)) for p in parts)
         assert sol.primal_residual <= 1e-9 * s
         assert sol.dual_residual <= 1e-9 * s
         # complementary slackness: a slack row has no multiplier, and a
         # positive variable no reduced cost
-        gap = lp.matrix @ sol.x - lp.rhs
-        red = lp.matrix.T @ sol.duals - lp.objective
+        gap = csr(lp) @ sol.x - lp.rhs
+        red = csr(lp).T @ sol.duals - lp.objective
         assert np.max(np.abs(sol.duals * gap)) <= 1e-8 * s
         assert np.max(np.abs(red * sol.x)) <= 1e-8 * s
         # weak duality realized: dual objective equals primal objective
         assert sol.duals @ lp.rhs == pytest.approx(sol.objective, abs=1e-8 * s)
+
+
+def _scipy_dual_residual(lp, duals):
+    """lpcore's dual residual, with A'duals from scipy's mat-vec."""
+    sgn = 1.0 if lp.sense == "max" else -1.0
+    red = (csr(lp).T @ duals - lp.objective) * sgn
+    v = duals * sgn
+    row_sign = np.where(lp.relations == "<=", -v,
+                        np.where(lp.relations == ">=", v, 0.0))
+    return max(float(np.max(np.abs(red[lp.free]), initial=0.0)),
+               float(np.max(-red[~lp.free], initial=0.0)),
+               float(np.max(row_sign, initial=0.0)))
+
+
+def _spread_marginals_surface(J, N):
+    """A surface on J strikes 10 apart, priced off marginals that start as
+    a point mass and spread half of each inner state's mass to its two
+    neighbours at each maturity; no mass lies above the top strike."""
+    p = np.zeros(J + 1)
+    p[(J + 1) // 2] = 1.0
+    probs = []
+    for _ in range(N):
+        probs.append(p)
+        half = p[1:-1] / 2
+        p = p.copy()
+        p[1:-1] -= half
+        p[:-2] += half / 2
+        p[2:] += half / 2
+    return market.load_surface({
+        "marginals": np.column_stack(probs).tolist(),
+        "states": (10.0 * np.arange(J + 1)).tolist(),
+        "maturities": [float(n) for n in range(1, N + 1)]})
+
+
+def _sweep_primals():
+    """The primal of each (J, N) that the benchmark's bound sweep solves, in
+    both variants: lognormal quotes (extended) and spread marginals under a
+    put (bounded)."""
+    for J, N in [(J, N) for J in range(3, 9) for N in range(2, 7)
+                 if J * N <= 24]:
+        cfg = bench.BenchConfig(strikes=tuple(np.linspace(70.0, 140.0, J)),
+                                num_maturities=N)
+        yield bound.build_primal_extended(
+            market.extended_marginals(bench.bs_surface(cfg)),
+            bench.linearized_grid(cfg))[0]
+        surface = _spread_marginals_surface(J, N)
+        put = np.maximum(10.0 * J / 2 - surface.states, 0.0)
+        yield bound.build_primal_bounded(
+            market.implied_marginals(surface),
+            AmericanPayoffGrid(np.tile(put[:, None], N), surface.states,
+                               surface.maturities))[0]
+
+
+def test_residuals_match_scipy_matvecs_bit_for_bit():
+    # the residuals add Ax and A'lam in the order of scipy's CSR and CSC
+    # mat-vecs, so they keep the bits they had when computed with scipy
+    rng = np.random.default_rng(11)
+    lps = [_random_bounded_lp(rng) for _ in range(50)]
+    lps += list(_sweep_primals())
+    assert len(lps) == 50 + 2 * 20
+    for lp in lps:
+        sol = lpcore.solve(lp)
+        assert sol.status == "optimal"
+        want = (check_point(lp, sol.x).max_violation,
+                _scipy_dual_residual(lp, sol.duals))
+        assert (sol.primal_residual.hex(), sol.dual_residual.hex()) == \
+            tuple(w.hex() for w in want)
 
 
 def test_determinism():

@@ -15,7 +15,7 @@ from amerbound.bound import build_primal_bounded, build_primal_extended
 from amerbound.lpcore import LinearProgram, Row
 from amerbound.payoff import AmericanPayoffGrid
 
-from lp_helpers import dual_of
+from lp_helpers import csr, dual_of
 from test_bound import DENSE_GRIDS, dense_grid_case, presolve_trap_case
 from test_lpcore import (_random_bounded_lp, lp_infeasible, lp_max_x_le_3,
                          lp_unbounded)
@@ -25,7 +25,7 @@ _STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 def _linprog_solve(lp):
     """Reference: the pinned HiGHS dual simplex through linprog."""
-    A, b = lp.matrix, lp.rhs
+    A, b = csr(lp), lp.rhs
     m, n = A.shape
     eq = lp.relations == "="
     ineq = ~eq
@@ -67,7 +67,7 @@ def _scipy_colwise(lp):
     eq = lp.relations == "="
     order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
     flip = np.where(lp.relations[order] == ">=", -1.0, 1.0)
-    A = lp.matrix[order]
+    A = csr(lp)[order]
     A.data *= np.repeat(flip, np.diff(A.indptr))
     A = A.tocsc()
     return order, flip, (A.indptr, A.indices, A.data)

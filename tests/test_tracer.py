@@ -8,6 +8,8 @@ import pytest
 
 from amerbound import bench, bound, instances, market
 
+from lp_helpers import csr
+
 TRACING = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
 
 
@@ -42,6 +44,6 @@ def test_tracer_counts_the_lp_matrix(tracing):
         else:
             lp, _ = bound.build_primal_extended(
                 market.extended_marginals(surface), a)
-        assert (span.counts["rows"], span.counts["cols"]) == lp.matrix.shape
-        assert span.counts["nnz"] == lp.matrix.nnz
+        assert (span.counts["rows"], span.counts["cols"]) == csr(lp).shape
+        assert span.counts["nnz"] == csr(lp).nnz
         assert span.counts["status"] == "optimal"
