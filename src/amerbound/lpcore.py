@@ -10,16 +10,36 @@ trusting the solver.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
-try:  # a private module of scipy; no other module of this package uses it
-    from scipy.optimize._highspy import _core as highs
-except ImportError as exc:
+
+def _load_highs_core():
+    """scipy's HiGHS core, loaded from its file: importing it by name runs
+    scipy.optimize's package __init__, about 300 modules this package never
+    uses.  A core already imported (by scipy.optimize, say) is reused."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            spec = importlib.util.spec_from_file_location(name, stem + suffix)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
     raise ImportError("amerbound solves its LPs with the HiGHS core inside "
-                      "scipy>=1.15 (scipy.optimize._highspy._core), which "
-                      "this scipy lacks") from exc
+                      "scipy>=1.15 (%s), which this scipy lacks" % name)
+
+
+highs = _load_highs_core()
 
 # Pinned solver settings.  Presolve stays off: with it on, HiGHS reports
 # valid programs of this package as unbounded or infeasible.  The 1e-10

@@ -157,8 +157,8 @@ class AmericanPayoffGrid:
 def discounted_put(strike, rate, horizon=None, x_hint=None) -> PayoffFunction:
     """A(x, t) = (K exp(-r t) - x)+ stated on the discounted price x."""
     K, r = float(strike), float(rate)
-    if K <= 0 or r < 0:
-        raise PayoffError("strike must be positive and rate nonnegative")
+    if not (0 < K < np.inf and 0 <= r < np.inf):
+        raise PayoffError("need a finite strike > 0 and a finite rate >= 0")
     horizon = horizon if horizon is not None else 1.0
     x_hint = x_hint if x_hint is not None else 4.0 * K
 

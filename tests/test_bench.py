@@ -31,6 +31,13 @@ def test_black_call_limits():
     assert bench.black_call(100.0, 90.0, 0.2, 0.0) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("vol", [-0.2, 0.0, math.nan])
+def test_black_call_refuses_vol_not_positive(vol):
+    # a negative vol priced the call at -7.97; vol 0 divided by zero
+    with pytest.raises(bench.BenchError, match="vol > 0"):
+        bench.black_call(100.0, 100.0, vol, 1.0)
+
+
 def test_bs_surface_arbitrage_free(headline):
     surface = bench.bs_surface(headline)
     rep = market.validate(surface, mode="strict")

@@ -414,6 +414,16 @@ def test_infinite_grid_payoff_exit_2(runner, tmp_path):
     assert "bad payoff spec" in res.stderr and "finite" in res.stderr
 
 
+@pytest.mark.parametrize("spec", ['{"type":"put","K":100,"r":Infinity}',
+                                  '{"type":"put","K":Infinity}'])
+def test_non_finite_put_spec_exit_2(runner, tmp_path, spec):
+    # refused by discounted_put, before the payoff is sampled or evaluated
+    res = runner.invoke(cli.main, ["bound", "--input", _surface_file(tmp_path),
+                                   "--payoff", spec])
+    assert res.exit_code == 2, res.output
+    assert "bad payoff spec: need a finite strike" in res.stderr
+
+
 @pytest.mark.parametrize("tail_slopes", [[0.5], 0.5])
 @pytest.mark.parametrize("variant", ["bounded", "extended"])
 def test_grid_payoff_tail_slopes_per_maturity_exit_2(runner, tmp_path,

@@ -3,8 +3,11 @@ module-level private function or class is referenced, and every public
 function, class, method or property has a caller."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import amerbound
 
@@ -183,3 +186,19 @@ def test_certify_takes_arrays_not_lps():
     # LP layout, so it imports neither lpcore nor bound
     source = (pathlib.Path(amerbound.__file__).parent / "certify.py").read_text()
     assert package_imports(source) & {"lpcore", "bound"} == set()
+
+
+def test_import_leaves_scipy_optimize_sparse_and_special_out():
+    # scipy.optimize's package __init__ loads about 300 modules and with
+    # them scipy.sparse and scipy.special; lpcore loads the HiGHS core from
+    # its file, and bench imports ndtr when it first prices a call
+    src = os.path.dirname(os.path.dirname(amerbound.__file__))
+    code = ("import sys\n"
+            + "".join("import amerbound.%s\n" % p.stem for p in MODULES
+                      if p.stem != "__init__")
+            + "print(sorted({'scipy.optimize', 'scipy.sparse', "
+              "'scipy.special'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
+    assert out.stdout.strip() == "[]"

@@ -144,18 +144,50 @@ def test_rows_view_rebuilds_the_same_arrays():
             assert got.tobytes() == want.tobytes(), name
 
 
-def test_missing_highs_core_names_the_scipy_floor():
+def _run_fresh(code, pythonpath=()):
+    """stdout of ``code`` run in a fresh interpreter that imports this
+    package's source, with ``pythonpath`` ahead of it."""
     src = os.path.dirname(os.path.dirname(amerbound.__file__))
-    code = ("import sys\n"
-            "sys.modules['scipy.optimize._highspy'] = None\n"
-            "try:\n"
-            "    import amerbound.lpcore\n"
-            "except ImportError as exc:\n"
-            "    print(exc)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=src),
-                         check=True)
-    assert "scipy>=1.15" in out.stdout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*pythonpath, src]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+def test_missing_highs_core_names_the_scipy_floor(tmp_path):
+    # a scipy package without the core's file
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    out = _run_fresh("try:\n"
+                     "    import amerbound.lpcore\n"
+                     "except ImportError as exc:\n"
+                     "    print(exc)\n", [str(tmp_path)])
+    assert "scipy>=1.15" in out
+
+
+def test_scipy_optimize_works_after_a_bound():
+    # lpcore registered the core under its real name, so scipy.optimize
+    # imported later finds it there and its HiGHS front end still solves.
+    # The core is reached as scipy's own modules reach it, by ``import ...
+    # as``: the package scipy.optimize._highspy gets no _core attribute,
+    # since it was not loaded when the core was.
+    out = _run_fresh(
+        "from amerbound import bound, instances, lpcore\n"
+        "inst = instances.get('sec26')\n"
+        "bound.robust_bound(inst.surface, inst.payoff)\n"
+        "import scipy.optimize\n"
+        "import scipy.optimize._highspy._core as core\n"
+        "res = scipy.optimize.linprog([-1.0], A_ub=[[1.0]], b_ub=[3.0],\n"
+        "                             method='highs')\n"
+        "print(res.status, res.fun, core is lpcore.highs)\n")
+    assert out.split() == ["0", "-3.0", "True"]
+
+
+def test_lpcore_reuses_the_core_scipy_optimize_loaded():
+    out = _run_fresh("import sys, scipy.optimize\n"
+                     "core = sys.modules['scipy.optimize._highspy._core']\n"
+                     "from amerbound import lpcore\n"
+                     "print(lpcore.highs is core)\n")
+    assert out.split() == ["True"]
 
 
 def test_free_variable():

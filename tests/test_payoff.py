@@ -29,6 +29,16 @@ def test_discounted_put_flags_and_errors():
         payoff.discounted_put(100.0, -0.01)
 
 
+@pytest.mark.parametrize("strike, rate", [
+    (100.0, math.inf), (100.0, math.nan), (math.inf, 0.05), (math.nan, 0.05),
+    (-math.inf, 0.05)])
+def test_discounted_put_refuses_non_finite_strike_or_rate(strike, rate):
+    # an infinite rate gave a nan payoff at t = 0; an infinite or nan strike
+    # ended in an OverflowError from the payoff's sampling check
+    with pytest.raises(payoff.PayoffError, match="finite"):
+        payoff.discounted_put(strike, rate)
+
+
 def test_sampling_check_rejects_false_flags():
     with pytest.raises(payoff.PayoffError):
         payoff.PayoffFunction(lambda x, t: np.sqrt(x), convex_in_x=True)
