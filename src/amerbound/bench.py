@@ -31,8 +31,10 @@ class BenchConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if self.vol <= 0 or self.num_maturities < 1 or self.tree_steps < 100:
-            raise BenchError("need vol > 0, at least 1 maturity, >= 100 steps")
+        if not all(0 < v < np.inf for v in (self.s0, self.vol, self.horizon)):
+            raise BenchError("need a finite s0, vol and horizon > 0")
+        if self.num_maturities < 1 or self.tree_steps < 100:
+            raise BenchError("need at least 1 maturity and >= 100 steps")
 
     @property
     def maturities(self):
@@ -42,8 +44,10 @@ class BenchConfig:
 
 def black_call(forward, strike, vol, t):
     """Undiscounted Black price of a call on a driftless lognormal."""
-    if not vol > 0:
-        raise BenchError("need vol > 0")
+    if not (0 < forward < np.inf and 0 < strike < np.inf and 0 < vol < np.inf
+            and np.isfinite(t)):
+        raise BenchError("need a finite forward > 0, strike > 0, vol > 0 "
+                         "and a finite t")
     from scipy.special import ndtr  # imported on use: 0.2-0.3 s to load
 
     if t <= 0:
@@ -76,13 +80,13 @@ def linearized_grid(config: BenchConfig) -> payoff.AmericanPayoffGrid:
                                           config.maturities)
 
 
-def chi_binomial(payoff_fn, config: BenchConfig) -> float:
+def chi_binomial(a, config: BenchConfig) -> float:
     """American value in the binomial model of the driftless price.
 
     Recombining tree with up = exp(vol * sqrt(dt)); exercise allowed at
-    every node; ``payoff_fn(x, t)`` must accept numpy arrays in x.  It is
-    called once per level, except that a payoff from
-    ``tree_payoff_from_grid`` is tabulated once per maturity column.
+    every node.  An ``AmericanPayoffGrid`` is tabulated once per maturity
+    column; any other payoff ``a(x, t)`` is called once per level, through
+    ``payoff.evaluate``.
     """
     steps = config.tree_steps
     dt = config.horizon / steps
@@ -91,24 +95,20 @@ def chi_binomial(payoff_fn, config: BenchConfig) -> float:
     pu = (1.0 - d) / (u - d)
     # level k's prices s0 * u**(-k), s0 * u**(2-k), ..., s0 * u**k
     levels = config.s0 * u ** np.arange(-steps, steps + 1)
-    grid = getattr(payoff_fn, "grid", None)
-    if grid is None:
-        def exercise(k, t):
-            return payoff_fn(levels[steps - k:steps + k + 1:2], t)
-    else:
-        # column n serves every t in (t_{n-1}, t_n]; level k reads a strided
-        # slice of its column, and np.interp works point by point
-        mats = grid.maturities
+    if isinstance(a, payoff.AmericanPayoffGrid):
         times = np.arange(steps + 1) * dt
         times[steps] = config.horizon
-        column = np.searchsorted(mats, np.minimum(times, mats[-1]),
-                                 side="left")
-        table = [grid.interp(levels, n) for n in range(len(mats))]
+        column = a.column(times)
+        # level k reads a slice of its column; np.interp works point by point
+        table = [a.interp(levels, n) for n in range(len(a.maturities))]
 
         def exercise(k, t):
             return table[column[k]][steps - k:steps + k + 1:2]
+    else:
+        def exercise(k, t):
+            return payoff.evaluate(a, levels[steps - k:steps + k + 1:2], t)
 
-    value = np.asarray(exercise(steps, config.horizon), dtype=float)
+    value = exercise(steps, config.horizon)
     for k in range(steps - 1, -1, -1):
         cont = pu * value[1:] + (1.0 - pu) * value[:-1]
         value = np.maximum(cont, exercise(k, k * dt))
@@ -116,17 +116,8 @@ def chi_binomial(payoff_fn, config: BenchConfig) -> float:
 
 
 def tree_payoff_from_grid(a: payoff.AmericanPayoffGrid):
-    """Evaluator for the lattice payoff at arbitrary (x, t): exercise in
-    (t_{n-1}, t_n] pays column n, linearly interpolated in price.  The grid
-    rides along as ``fn.grid``, so that ``chi_binomial`` can tabulate it."""
-    mats = a.maturities
-
-    def fn(x, t):
-        n = int(np.searchsorted(mats, min(t, mats[-1]), side="left"))
-        return a.interp(x, n)
-
-    fn.grid = a
-    return fn
+    """The lattice payoff itself, which ``chi_binomial`` takes as it is."""
+    return a
 
 
 def zeta(surface: market.CallSurface, a: payoff.AmericanPayoffGrid) -> float:
@@ -159,7 +150,7 @@ def premium_row(config: BenchConfig) -> PremiumRow:
     surface = bs_surface(config)
     a = linearized_grid(config)
     res = bound.robust_bound(surface, a, variant="extended")
-    chi = chi_binomial(tree_payoff_from_grid(a), config)
+    chi = chi_binomial(a, config)
     z = zeta(surface, a)
     return PremiumRow(config, res.phi, chi, z)
 

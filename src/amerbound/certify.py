@@ -179,18 +179,6 @@ def _companion_from_extended(G1, G2, p_hat, states, xi):
     return fold(G1), fold(G2), p
 
 
-def companion_threshold(surface: market.CallSurface):
-    """Smallest admissible far-state price: beyond it the folded top-state
-    mass stays nonnegative at every maturity."""
-    c = surface.prices
-    J = surface.num_strikes
-    xJ, xJ1 = surface.states[J], surface.states[J - 1]
-    den = c[J - 1] - c[J]
-    live = den > 1e-12
-    return float(np.max((xJ * c[J - 1, live] - xJ1 * c[J, live]) / den[live],
-                        initial=0.0))
-
-
 def model_from_primal(F, G1, G2, surface: market.CallSurface,
                       p_hat) -> RegimeModel:
     """A checked, simulable RegimeModel from the primal's masses (F: M x N,
@@ -202,8 +190,10 @@ def model_from_primal(F, G1, G2, surface: market.CallSurface,
     if len(p_hat) > len(states):
         # far enough out that the fold-in corrections (~1/xi) drop below the
         # clip and balance tolerances even where the top strike received no
-        # direct mass
-        xi = max(1e9 * states[-1], 1.5 * companion_threshold(surface))
+        # direct mass, and past x_J + p_hat[T] / p_hat[J], where the folded
+        # top-state mass p_hat[J] - p_hat[T] / (xi - x_J) reaches 0
+        ratio = p_hat[-1] / np.where(p_hat[-2] > 0, p_hat[-2], np.inf)
+        xi = max(1e9 * states[-1], 1.5 * (states[-1] + ratio.max()))
         G1, G2, p = _companion_from_extended(G1, G2, p_hat, states, xi)
         G1, G2 = _clip_mass(G1), _clip_mass(G2)
         if p.min() < -1e-9:
@@ -687,8 +677,9 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     at nodes the paths cannot see still fail.  Every mode reads the payoff
     at the hedge's brackets, so the two must share one lattice and one set
     of maturities; the exhaustive mode enumerates at most ENUMERATION_CAP
-    paths.  The full-line and continuous-exercise replays of one int seed
-    share one draw of the paths (``_shared_full_line_paths``).
+    paths.  The full-line and continuous-exercise paths start at s0
+    (default x_J / 2); the replays of one int seed share one draw
+    (``_shared_full_line_paths``).
     """
     if not np.array_equal(a.states, hedge.states):
         raise CertifyError("payoff and hedge are on different lattices")
@@ -697,6 +688,9 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
     xs = hedge.states
     N = len(hedge.maturities)
     K = len(xs)
+    s0 = float(s0 if s0 is not None else xs[-1] / 2.0)
+    if not 0 <= s0 < np.inf:
+        raise CertifyError("paths need a finite start s0 >= 0, got %r" % s0)
     if mode != "lattice-exhaustive" and trials < 1:
         raise CertifyError("%s replay needs at least 1 trial, got %d"
                            % (mode, trials))
@@ -715,13 +709,11 @@ def verify_superreplication(hedge: HedgeStrategy, a: AmericanPayoffGrid,
         if mode == "interval-random":
             Y = rng.uniform(0.0, xs[-1], size=(trials, N))
         else:
-            Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1],
-                                        s0 if s0 is not None else xs[-1] / 2.0)
+            Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1], s0)
         best, best_m = _slack_over_exercise(hedge, a, Y)
         trials_done = trials * N
     elif mode == "continuous-exercise-random":
-        Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1],
-                                    s0 if s0 is not None else xs[-1] / 2.0)
+        Y = _shared_full_line_paths(rng, seed, trials, N, xs[-1], s0)
         best, best_m = _continuous_slack(hedge, a, Y, rng, payoff_fn, s0)
         trials_done = trials
     else:
@@ -790,23 +782,22 @@ def _full_line_paths(rng, trials, N, xJ, s0):
 def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
     """Vectorized slack for one random exercise time per path.
 
-    The path holds its previous maturity's value until the exercise time;
-    the hedge adds a short position of the payoff's right slope there,
-    unwound at the next maturity.  The exercise times are drawn from rng
-    first; the paths are then replayed in blocks, in parallel.  Prices are
-    bracketed once, and the payoff's slope and value are read from its leg
-    tables; a payoff_fn, if given, is called once, on all paths.
+    The path holds its previous maturity's value (s0 before the first)
+    until the exercise time; the hedge adds a short position of the
+    payoff's right slope there, unwound at the next maturity.  The exercise
+    times are drawn from rng first; the paths are then replayed in blocks,
+    in parallel.  The payoff's slope is read from its leg tables, and the
+    payoff (payoff_fn, else the grid a) is called once, on all paths.
     """
     P, N = Y.shape
     mats = hedge.maturities
     rho = rng.uniform(0.0, mats[-1], size=P)
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
     s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
-    (c0,), (o0,) = _brackets(hedge.states, np.array([[s0]]))
-    slope, value = _leg_tables(a.states, a.values, a.tail_slopes)
+    (c0,), _ = _brackets(hedge.states, np.array([[s0]]))
+    slope, _ = _leg_tables(a.states, a.values, a.tail_slopes)
     slack = np.empty(P)
-    # the price at which payoff_fn is read
-    x_pay = np.empty(P) if payoff_fn is not None else None
+    x_pay = np.empty(P)     # the price at which the payoff is read
 
     def replay(lo, hi):
         y, t = Y[lo:hi], rho[lo:hi]
@@ -820,24 +811,17 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
         ic = m0 * p + np.arange(p)
         g = _exercise_values(hedge, y, at).take(iy)
 
-        code, off = at
         first = m0 == 0
-        y1, c1, o1 = y.take(iy), code.take(ic), off.take(ic)
+        y1 = y.take(iy)
         y0 = np.where(first, s0, y.take(iy - 1))
-        c_prev = np.where(first, c0, code.take(ic - p))
-        o_prev = np.where(first, o0, off.take(ic - p))
+        c_prev = np.where(first, c0, at[0].take(ic - p))
         on_grid = t == mats[m0]
-        row = m0 * slope.shape[1]
         extra = np.where(on_grid, 0.0,
-                         -slope.take(row + (c_prev | 1)) * (y1 - y0))
-        out = np.add(g, extra, out=slack[lo:hi])
-        if payoff_fn is not None:
-            x_pay[lo:hi] = np.where(on_grid, y1, y0)
-        else:
-            c = row + np.where(on_grid, c1, c_prev)
-            out -= slope.take(c) * np.where(on_grid, o1, o_prev) + value.take(c)
+                         -slope.take(m0 * slope.shape[1] + (c_prev | 1))
+                         * (y1 - y0))
+        np.add(g, extra, out=slack[lo:hi])
+        x_pay[lo:hi] = np.where(on_grid, y1, y0)
 
     _in_blocks(replay, P)
-    if payoff_fn is not None:
-        slack -= evaluate(payoff_fn, x_pay, rho)
+    slack -= evaluate(payoff_fn if payoff_fn is not None else a, x_pay, rho)
     return slack, rho

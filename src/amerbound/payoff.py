@@ -26,20 +26,21 @@ class PayoffError(Exception):
 def evaluate(fn, x, t):
     """fn at the broadcast pairs (x, t), as a float array of their shape.
 
-    fn is called once on the float arrays.  A payoff written for scalars
-    (one that raises TypeError/ValueError on arrays or returns another
-    shape) is then called point by point instead.
+    fn is called once on the float arrays as given (a scalar time stays
+    0-d).  A payoff written for scalars (one that raises TypeError/ValueError
+    on arrays or returns another shape) is then called point by point.
     """
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(t, dtype=float))
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    shape = np.broadcast_shapes(x.shape, t.shape)
     try:
         vals = np.asarray(fn(x, t), dtype=float)
-        if vals.shape == x.shape:
+        if vals.shape == shape:
             return vals
     except (TypeError, ValueError):
         pass
+    x, t = np.broadcast_arrays(x, t)
     return np.array([float(fn(xv, tv))
-                     for xv, tv in zip(x.flat, t.flat)]).reshape(x.shape)
+                     for xv, tv in zip(x.flat, t.flat)]).reshape(shape)
 
 
 def extended_interp(xs, values, x, slope):
@@ -55,9 +56,9 @@ def extended_interp(xs, values, x, slope):
 class PayoffFunction:
     """A(x, t) with declared structure, sanity-checked by sampling.
 
-    ``fn`` is called on numpy arrays of prices and times and should return
-    an array of their broadcast shape; a scalar-only ``fn`` still works,
-    called point by point (see ``evaluate``).
+    ``fn`` is called on numpy arrays of prices and times that broadcast and
+    should return an array of their broadcast shape; a scalar-only ``fn``
+    still works, called point by point (see ``evaluate``).
 
     ``tail_slope`` is (an upper bound on) lim A(x, t)/x as x grows, uniform
     over t in [0, horizon].  ``x_hint`` bounds the price range used for the
@@ -72,8 +73,10 @@ class PayoffFunction:
     x_hint: float = 200.0
 
     def __post_init__(self):
-        if self.tail_slope < 0 or self.horizon <= 0 or self.x_hint <= 0:
-            raise PayoffError("tail_slope must be >= 0 and horizon/x_hint > 0")
+        if not (0 <= self.tail_slope < np.inf and 0 < self.horizon < np.inf
+                and 0 < self.x_hint < np.inf):
+            raise PayoffError("need a finite tail_slope >= 0 and a finite "
+                              "horizon and x_hint > 0")
         self._sampling_check()
 
     def __call__(self, x, t):
@@ -152,6 +155,22 @@ class AmericanPayoffGrid:
         """Extended linear interpolation of column n at price(s) x."""
         return extended_interp(self.states, self.values[:, n], x,
                                self.tail_slopes[n])
+
+    def column(self, t):
+        """The column paying for exercise at time(s) t: column n serves
+        (t_{n-1}, t_n], and times past t_N are paid as at t_N."""
+        mats = self.maturities
+        return np.searchsorted(mats, np.minimum(t, mats[-1]), side="left")
+
+    def __call__(self, x, t):
+        """The payoff at prices x and exercise times t, arrays that
+        broadcast: ``interp`` of each time's column."""
+        x, n = np.broadcast_arrays(np.asarray(x, dtype=float), self.column(t))
+        out = np.full(x.shape, np.nan)      # a nan time has no column
+        for c in np.unique(n[n < len(self.maturities)]):
+            at = n == c
+            out[at] = self.interp(x[at], c)
+        return out
 
 
 def discounted_put(strike, rate, horizon=None, x_hint=None) -> PayoffFunction:

@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 import subprocess
 import sys
 
@@ -46,9 +47,9 @@ def test_bs_surface_arbitrage_free(headline):
 
 
 def test_tree_convergence(headline):
-    fn = bench.tree_payoff_from_grid(bench.linearized_grid(headline))
-    coarse = bench.chi_binomial(fn, bench.BenchConfig(tree_steps=2000))
-    fine = bench.chi_binomial(fn, bench.BenchConfig(tree_steps=4000))
+    a = bench.linearized_grid(headline)
+    coarse = bench.chi_binomial(a, bench.BenchConfig(tree_steps=2000))
+    fine = bench.chi_binomial(a, bench.BenchConfig(tree_steps=4000))
     assert abs(coarse - fine) <= 0.01
 
 
@@ -77,9 +78,9 @@ def _chi_binomial_levelwise(payoff_fn, config):
 def test_chi_binomial_matches_levelwise_tree_on_figure4_rows():
     for K in (80.0, 90.0, 100.0, 110.0, 120.0):
         config = bench.BenchConfig(put_strike=K)
-        fn = bench.tree_payoff_from_grid(bench.linearized_grid(config))
-        assert bench.chi_binomial(fn, config) == \
-            _chi_binomial_levelwise(fn, config)
+        a = bench.linearized_grid(config)
+        assert bench.chi_binomial(a, config) == \
+            _chi_binomial_levelwise(a, config)
 
 
 @given(s0=st.floats(20.0, 200.0), vol=st.floats(0.05, 0.8),
@@ -92,8 +93,8 @@ def test_chi_binomial_matches_levelwise_tree(s0, vol, K, horizon, steps, N,
                                strikes=tuple(s0 * np.linspace(0.7, 1.4, 8)),
                                num_maturities=N, tree_steps=steps,
                                horizon=horizon)
-    fn = (bench.tree_payoff_from_grid(bench.linearized_grid(config))
-          if gridded else bench.put_payoff(config))
+    fn = (bench.linearized_grid(config) if gridded
+          else bench.put_payoff(config))
     assert bench.chi_binomial(fn, config) == \
         _chi_binomial_levelwise(fn, config)
 
@@ -107,9 +108,9 @@ def test_grid_payoff_is_tabulated_once_per_column(monkeypatch):
         calls.append(n)
         return interp(self, x, n)
 
-    fn = bench.tree_payoff_from_grid(bench.linearized_grid(config))
+    a = bench.linearized_grid(config)
     monkeypatch.setattr(AmericanPayoffGrid, "interp", counted)
-    bench.chi_binomial(fn, config)
+    bench.chi_binomial(a, config)
     assert 0 < len(calls) <= config.num_maturities
 
 
@@ -132,6 +133,21 @@ def test_other_payoffs_are_called_once_per_level(monkeypatch):
     for k, (x, t) in zip(range(steps, -1, -1), calls):
         assert np.array_equal(x, config.s0 * u ** np.arange(-k, k + 1, 2))
         assert t == (config.horizon if k == steps else k * dt)
+
+
+def test_chi_binomial_takes_a_scalar_only_payoff():
+    # a payoff written for scalars ended in numpy's "truth value of an
+    # array ... is ambiguous" ValueError
+    config = bench.BenchConfig(tree_steps=200)
+    K, r = config.put_strike, config.rate
+
+    def scalar_put(x, t):
+        return max(K * math.exp(-r * t) - x, 0.0)
+
+    fn = PayoffFunction(scalar_put, convex_in_x=True, decreasing_in_t=True,
+                        x_hint=4.0 * K)
+    chi = bench.chi_binomial(fn, config)
+    assert chi == bench.chi_binomial(bench.put_payoff(config), config)
 
 
 def test_import_leaves_scipy_stats_out():
@@ -199,3 +215,33 @@ def test_config_validation():
         bench.BenchConfig(vol=0.0)
     with pytest.raises(bench.BenchError):
         bench.BenchConfig(tree_steps=10)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("s0", math.nan), ("s0", math.inf), ("s0", 0.0), ("vol", math.inf),
+    ("vol", math.nan), ("horizon", math.nan), ("horizon", math.inf),
+    ("horizon", -1.0)])
+def test_config_refuses_s0_vol_horizon_not_finite_and_positive(field, bad):
+    # vol inf and s0 nan were accepted
+    with pytest.raises(bench.BenchError, match="finite"):
+        bench.BenchConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("forward, strike, vol, t", [
+    (100.0, 0.0, 0.2, 1.0), (100.0, -5.0, 0.2, 1.0), (0.0, 100.0, 0.2, 1.0),
+    (math.nan, 100.0, 0.2, 1.0), (100.0, math.inf, 0.2, 1.0),
+    (100.0, 100.0, math.inf, 1.0), (100.0, 100.0, 0.2, math.nan),
+    (100.0, 100.0, 0.2, -math.inf)])
+def test_black_call_refuses_inputs_outside_its_domain(forward, strike, vol,
+                                                      t):
+    # strike 0 divided by zero; a negative strike, forward 0 and vol inf
+    # warned in numpy; t nan priced the call at nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bench.BenchError, match="finite"):
+            bench.black_call(forward, strike, vol, t)
+
+
+def test_black_call_is_intrinsic_at_or_before_zero_time():
+    assert bench.black_call(100.0, 90.0, 0.2, -1.0) == 10.0
+    assert bench.black_call(90.0, 100.0, 0.2, 0.0) == 0.0

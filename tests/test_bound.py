@@ -629,10 +629,14 @@ def test_zero_mass_strike_leaves_phi_unchanged(J, N, vol, lo, hi, K, r, data):
     assert certify.grid_feasibility(res.hedge, a) >= -1e-9 * scale
 
 
-def _put_grid_surface(J, N, vol, lo, hi, K, r):
+def _bs_surface(J, N, vol, lo, hi):
     strikes = tuple(np.linspace(lo, hi, J) * 100.0)
-    surface = bench.bs_surface(bench.BenchConfig(vol=vol, strikes=strikes,
-                                                 num_maturities=N))
+    return bench.bs_surface(bench.BenchConfig(vol=vol, strikes=strikes,
+                                              num_maturities=N))
+
+
+def _put_grid_surface(J, N, vol, lo, hi, K, r):
+    surface = _bs_surface(J, N, vol, lo, hi)
     put = payoff.discounted_put(K, r)
     return surface, exercise_time_transform(put, surface.strikes,
                                             surface.maturities)
@@ -693,3 +697,38 @@ def test_repeated_maturity_with_smaller_payoff_leaves_phi_unchanged(
                             np.insert(a.tail_slopes, n + 1, a.tail_slopes[n]))
     base = bound.robust_bound(surface, a).phi
     assert bound.robust_bound(surface2, a2).phi == pytest.approx(base, rel=1e-8)
+
+
+@given(J=st.integers(3, 6), N=st.integers(1, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       K=st.floats(70.0, 130.0), r=st.floats(0.0, 0.1))
+def test_american_call_is_worth_its_last_european(J, N, vol, lo, hi, K, r):
+    # Merton: the call (x - K exp(-r t_n))+ rises in t_n and is convex in x,
+    # so in every model exercising at the last maturity is optimal
+    surface = _bs_surface(J, N, vol, lo, hi)
+    call = PayoffFunction(lambda x, t: np.maximum(x - K * np.exp(-r * t), 0.0),
+                          convex_in_x=True, tail_slope=1.0, x_hint=400.0)
+    a = payoff.grid_payoff(call, surface.strikes, surface.maturities)
+    european = market.price_piecewise_linear(surface, a.values,
+                                             a.tail_slopes)[-1]
+    phi = bound.robust_bound(surface, a).phi
+    assert abs(phi - european) <= 1e-12 * (1 + european)
+
+
+@given(J=st.integers(3, 6), N=st.integers(1, 4), vol=st.floats(0.15, 0.4),
+       lo=st.floats(0.6, 0.95), hi=st.floats(1.1, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1), lam=st.floats(0.1, 10.0))
+def test_phi_is_sublinear_in_the_payoff(J, N, vol, lo, hi, seed, lam):
+    # phi is a supremum over models of a payoff-linear value
+    surface = _bs_surface(J, N, vol, lo, hi)
+    rng = np.random.default_rng(seed)
+
+    def phi(values, slopes):
+        return bound.robust_bound(surface, AmericanPayoffGrid(
+            values, surface.states, surface.maturities, slopes)).phi
+
+    (va, sa), (vb, sb) = ((rng.uniform(0.0, 50.0, (J + 1, N)),
+                           rng.uniform(0.0, 1.0, N)) for _ in range(2))
+    pa, pb = phi(va, sa), phi(vb, sb)
+    assert phi(va + vb, sa + sb) <= pa + pb + 1e-12 * (1 + pa + pb)
+    assert abs(phi(lam * va, lam * sa) - lam * pa) <= 1e-12 * (1 + lam * pa)

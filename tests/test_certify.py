@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from amerbound import bench, bound, certify, instances, market
+from amerbound import bench, bound, certify, cli, instances, market
 from amerbound.certify import HedgeStrategy, RegimeModel
 from amerbound.payoff import AmericanPayoffGrid
 
@@ -1231,3 +1231,41 @@ def test_threads_on_different_seeds_get_the_serial_results(headline_bound,
     for t in threads:
         t.join()
     assert all(got[seed] == 4 * serial[seed] for seed in seeds)
+
+
+@pytest.mark.parametrize("s0", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("mode", PAIR)
+def test_replay_refuses_a_start_price_that_is_not_finite(sec26, sec26_result,
+                                                         mode, s0):
+    # nan gave min_slack nan; inf parked the full-line paths at the 50 * x_J
+    # cap, and the report looked normal
+    with pytest.raises(certify.CertifyError, match="finite start"):
+        certify.verify_superreplication(sec26_result.hedge, sec26.payoff,
+                                        mode, trials=100, seed=1, s0=s0)
+
+
+def test_far_state_keeps_a_near_flat_top_marginal_nonnegative():
+    # c(100) - c(150) = 2e-10 against c(150) = 10: the top state holds
+    # 4e-12 of mass and the tail row 10, so the far state must lie past
+    # x_J + 10 / 4e-12, beyond the 1e9 * x_J that serves every other surface
+    surface = market.CallSurface(
+        100.0, np.array([50.0, 100.0, 150.0]), np.array([0.5, 1.0]),
+        np.array([[100.0, 100.0], [52.0, 53.0], [10.0 + 2e-10] * 2,
+                  [10.0, 10.0]]))
+    grid, fn = cli.payoff_from_config({"type": "put", "K": 100, "r": 0.05},
+                                      surface)
+    res = bound.robust_bound(surface, grid)
+    p_hat = market.extended_marginals(surface)
+    xi = res.model.states[-1]
+    assert xi > 1e9 * 150.0
+    folded = p_hat[3] - p_hat[4] / (xi - 150.0)
+    assert (folded > 0).all()
+    np.testing.assert_allclose(res.model.marginals[3], folded, rtol=1e-9)
+    assert certify.model_value(res.model, grid) == pytest.approx(res.phi,
+                                                                 rel=1e-12)
+    scale = certify.hedge_scale(res.hedge)
+    for mode in ("lattice-exhaustive",) + PAIR:
+        rep = certify.verify_superreplication(res.hedge, grid, mode,
+                                              trials=20000, seed=1,
+                                              payoff_fn=fn, s0=surface.s0)
+        assert rep.min_slack >= -1e-9 * scale, mode

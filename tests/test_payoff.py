@@ -159,3 +159,43 @@ def test_grid_needs_one_tail_slope_per_maturity(slopes):
     with pytest.raises(payoff.PayoffError, match="one slope per maturity"):
         payoff.AmericanPayoffGrid(np.ones((4, 2)), [0.0] + STRIKES, [1.0, 2.0],
                                   slopes)
+
+
+def test_grid_pays_the_column_of_the_exercise_interval():
+    g = payoff.AmericanPayoffGrid([[10.0, 8.0, 6.0], [4.0, 3.0, 2.0],
+                                   [1.0, 0.5, 0.0]], [0.0, 50.0, 100.0],
+                                  [1.0, 2.0, 3.0], [0.5, 0.25, 0.0])
+    t = np.array([-1.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 2.5, 3.0, 7.0])
+    assert g.column(t).tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 2]
+    x = np.array([0.0, 25.0, 50.0, 75.0, 100.0, 130.0])
+    got = g(x[:, None], t)
+    want = np.stack([g.interp(x, n) for n in g.column(t)], axis=1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert g(120.0, 2.5) == g.interp(120.0, 2) == 0.0
+    assert g(120.0, 0.5) == g.interp(120.0, 0) == 11.0
+    assert np.isnan(g([50.0, 60.0], [np.nan, 1.0])).tolist() == [True, False]
+
+
+def test_evaluate_calls_the_payoff_on_the_arrays_as_given():
+    calls = []
+
+    def recorded(x, t):
+        calls.append((x.shape, t.shape))
+        return np.maximum(100.0 * np.exp(-0.05 * t) - x, 0.0)
+
+    vals = payoff.evaluate(recorded, np.array([[90.0], [110.0]]),
+                           np.array([0.0, 1.0]))
+    assert calls == [((2, 1), (2,))] and vals.shape == (2, 2)
+    payoff.evaluate(recorded, np.array([90.0, 110.0]), 0.5)
+    assert calls[-1] == ((2,), ())
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("horizon", math.nan), ("horizon", math.inf), ("x_hint", math.nan),
+    ("x_hint", math.inf), ("tail_slope", math.nan), ("tail_slope", math.inf)])
+def test_payoff_function_refuses_structure_that_is_not_finite(field, bad):
+    # horizon nan and x_hint inf ended in numpy's OverflowError; tail_slope
+    # nan or inf was accepted
+    with pytest.raises(payoff.PayoffError, match="finite"):
+        payoff.PayoffFunction(lambda x, t: np.maximum(90.0 - x, 0.0),
+                              **{field: bad})
