@@ -149,7 +149,7 @@ class PremiumRow:
 def premium_row(config: BenchConfig) -> PremiumRow:
     surface = bs_surface(config)
     a = linearized_grid(config)
-    res = bound.robust_bound(surface, a, variant="extended")
+    res = bound.robust_bound(surface, a)
     chi = chi_binomial(a, config)
     z = zeta(surface, a)
     return PremiumRow(config, res.phi, chi, z)

@@ -8,12 +8,11 @@ and dynamic holdings D1/D2, minimizing the cost of super-replication.
 ``robust_bound`` solves the primal only: by LP duality its optimal row
 multipliers are a cheapest hedge, read off row block by row block.  The
 hand-built dual stays as a reference for checking that mapping.
-Every builder takes a mass matrix from ``market`` and reads the variant off
-its rows: the extended variant's matrix appends a virtual top row, which
-carries the mass priced by the last traded call when no zero-price call
-exists.  This module solves every LP of the package and hands ``certify``
-plain arrays; the seed model is the primal's model for a claim paid only at
-the first maturity.
+Every builder takes the extended mass matrix from ``market``: the implied
+marginals and a virtual top row, which carries the mass priced by the top
+call (0 on a zero-tail surface).  This module solves every LP of the
+package and hands ``certify`` plain arrays; the seed model is the primal's
+model for a claim paid only at the first maturity.
 """
 
 from __future__ import annotations
@@ -51,14 +50,13 @@ class VariableIndex:
     ``g[d, n, j, k]`` the regime-(d+1) mass moving j -> k between maturities
     n+1 and n+2.  Rows, each block n-major: ``row_a[n, j]`` outflow and
     ``row_b[n, j]`` inflow (maturity n+2), ``row_cd[d, n, j]`` martingale,
-    ``row_e[n, j]`` exercise budget.  j indexes states 0..M-1 where M
-    includes the virtual tail row in the extended variants.
+    ``row_e[n, j]`` exercise budget.  j indexes states 0..M-1, where M
+    counts the virtual tail row.
     """
 
-    def __init__(self, num_states, num_maturities, extended=False):
+    def __init__(self, num_states, num_maturities):
         self.num_states = M = num_states
         self.num_maturities = N = num_maturities
-        self.extended = extended
         self.f = np.arange(M * N).reshape(N, M)
         self.g = M * N + np.arange(2 * (N - 1) * M * M).reshape(2, N - 1, M, M)
         self.num_vars = M * N + self.g.size
@@ -88,11 +86,6 @@ class BoundResult:
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def variant(self):
-        """bounded, or extended when the hedge carries the tail row."""
-        return "extended" if self.hedge.extended else "bounded"
-
-    @property
     def gap(self):
         return abs(self.phi - self.psi)
 
@@ -104,36 +97,33 @@ def _norm_row(terms, relation, rhs):
     return lpcore.Row([(c, v / scale) for c, v in terms], relation, rhs / scale)
 
 
-def _has_tail_row(p_hat, a: AmericanPayoffGrid):
-    """Whether the mass matrix carries the tail row: it has one row per
-    lattice state of the payoff, or one more, and one column per maturity;
-    any other shape is a BoundError."""
+def _check_mass_matrix(p_hat, a: AmericanPayoffGrid):
+    """Refuse a mass matrix without one row per lattice state of the payoff
+    and the tail row, or without one column per maturity."""
     K, N = a.values.shape
-    if np.shape(p_hat) not in ((K, N), (K + 1, N)):
-        raise BoundError("mass matrix is %s, not %d (or %d with the tail "
-                         "row) x %d" % (np.shape(p_hat), K, K + 1, N))
-    return len(p_hat) == K + 1
+    if np.shape(p_hat) != (K + 1, N):
+        raise BoundError("mass matrix is %s, not %d (with the tail row) x %d"
+                         % (np.shape(p_hat), K + 1, N))
 
 
 def _build_primal(p_hat, a: AmericanPayoffGrid):
     """The primal LP, constraints (a)-(e), and its VariableIndex.
 
-    p_hat: M x N mass matrix (M = J+1, or J+2 with the virtual tail row,
-    which selects the extended variant); a: the payoff on the J+1 lattice
-    states, whose tail slopes are the tail row's objective rates.
-    Each row block's terms come from one broadcast mask over the layout,
-    in row order; the index records each row's scale in ``row_scale``.
+    p_hat: (J+2) x N mass matrix, whose last row is the virtual tail row;
+    a: the payoff on the J+1 lattice states, whose tail slopes are the tail
+    row's objective rates.  Each row block's terms come from one broadcast
+    mask over the layout, in row order; the index records each row's scale
+    in ``row_scale``.
     """
-    extended = _has_tail_row(p_hat, a)
+    _check_mass_matrix(p_hat, a)
     x = a.states
     M, N = p_hat.shape
     J = len(x) - 1
-    idx = VariableIndex(M, N, extended)
+    idx = VariableIndex(M, N)
     f, g = idx.f, idx.g
 
     objective = np.zeros(idx.num_vars)
-    objective[f] = (np.vstack([a.values, a.tail_slopes]) if extended
-                    else a.values).T
+    objective[f] = np.vstack([a.values, a.tail_slopes]).T
 
     # move[j, k]: whether state j's mass rows (a), (b) and (e) count the
     # move j -> k as outflow and k -> j as inflow.  A lattice state's rows
@@ -189,8 +179,8 @@ def _hedge_blocks(duals, idx):
     By LP duality the multipliers of rows (a), (b), (c/d) and (e) are
     E1[:, n<N], E2[:, n>=2], D1/D2 and V.  Rows enter the LP divided by
     their scale, so an unscaled row's multiplier is the LP's divided by
-    that scale.  The extended tail-martingale row carries -D[tail]; the
-    fixed E1[:, N] and E2[:, 1] are zero.
+    that scale.  The tail-martingale row carries -D[tail]; the fixed
+    E1[:, N] and E2[:, 1] are zero.
     """
     M, N = idx.num_states, idx.num_maturities
     y = np.asarray(duals, dtype=float) / idx.row_scale
@@ -198,8 +188,7 @@ def _hedge_blocks(duals, idx):
     E1[:, :-1] = y[idx.row_a].T
     E2[:, 1:] = y[idx.row_b].T
     D1, D2 = y[idx.row_cd].transpose(0, 2, 1)
-    if idx.extended:
-        D1[-1], D2[-1] = -D1[-1], -D2[-1]
+    D1[-1], D2[-1] = -D1[-1], -D2[-1]
     V = y[idx.row_e].T
     return E1, E2, V, D1, D2
 
@@ -210,11 +199,11 @@ def _build_dual(p_hat, a: AmericanPayoffGrid):
     Columns are E1[:, n<N], E2[:, n>=2], V, D1 and D2, each n-major; the
     fixed E1[:, N] and E2[:, 1] have none.  V is nonnegative, the rest free.
     """
-    extended = _has_tail_row(p_hat, a)
+    _check_mass_matrix(p_hat, a)
     x = a.states
     M, N = p_hat.shape
     J = len(x) - 1
-    tail = M - 1 if extended else None
+    tail = M - 1
     K = (N - 1) * M
     num_vars = 4 * K + N * M
     e1, e2, v, d = np.split(np.arange(num_vars), np.cumsum([K, K, N * M]))
@@ -234,9 +223,7 @@ def _build_dual(p_hat, a: AmericanPayoffGrid):
     for n in range(N):                         # (i) exercise coverage
         for j in range(J + 1):
             rows.append(_norm_row([(v[n, j], 1.0)], ">=", a.values[j, n]))
-        if extended:
-            rows.append(_norm_row([(v[n, tail], 1.0)], ">=",
-                                  a.tail_slopes[n]))
+        rows.append(_norm_row([(v[n, tail], 1.0)], ">=", a.tail_slopes[n]))
     for n in range(N - 1):                     # (ii) holding-regime rows
         for j in range(J + 1):
             for k in range(J + 1):
@@ -244,14 +231,13 @@ def _build_dual(p_hat, a: AmericanPayoffGrid):
                 if k != j:
                     terms.append((d1[n, j], x[k] - x[j]))
                 rows.append(_norm_row(terms, ">=", 0.0))
-        if extended:
-            rows.append(_norm_row([(e1[n, tail], 1.0), (d1[n, tail], -1.0)],
+        rows.append(_norm_row([(e1[n, tail], 1.0), (d1[n, tail], -1.0)],
+                              ">=", 0.0))
+        for j in range(J + 1):
+            rows.append(_norm_row([(e2[n, tail], 1.0), (d1[n, j], 1.0)],
                                   ">=", 0.0))
-            for j in range(J + 1):
-                rows.append(_norm_row([(e2[n, tail], 1.0), (d1[n, j], 1.0)],
-                                      ">=", 0.0))
-            rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0)],
-                                  ">=", 0.0))
+        rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0)],
+                              ">=", 0.0))
     for n in range(N - 1):                     # (iii) stopped-regime rows
         for j in range(J + 1):
             for k in range(J + 1):
@@ -260,22 +246,21 @@ def _build_dual(p_hat, a: AmericanPayoffGrid):
                 if k != j:
                     terms.append((d2[n, j], x[k] - x[j]))
                 rows.append(_norm_row(terms, ">=", 0.0))
-        if extended:
-            rows.append(_norm_row([(e1[n, tail], 1.0), (d2[n, tail], -1.0),
-                                   (v[n, tail], -1.0)], ">=", 0.0))
-            for j in range(J + 1):
-                rows.append(_norm_row([(e2[n, tail], 1.0), (d2[n, j], 1.0),
-                                       (v[n + 1, tail], 1.0)], ">=", 0.0))
-            rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0),
-                                   (v[n, tail], -1.0), (v[n + 1, tail], 1.0)],
-                                  ">=", 0.0))
+        rows.append(_norm_row([(e1[n, tail], 1.0), (d2[n, tail], -1.0),
+                               (v[n, tail], -1.0)], ">=", 0.0))
+        for j in range(J + 1):
+            rows.append(_norm_row([(e2[n, tail], 1.0), (d2[n, j], 1.0),
+                                   (v[n + 1, tail], 1.0)], ">=", 0.0))
+        rows.append(_norm_row([(e1[n, tail], 1.0), (e2[n, tail], 1.0),
+                               (v[n, tail], -1.0), (v[n + 1, tail], 1.0)],
+                              ">=", 0.0))
 
     return lpcore.LinearProgram.from_rows("min", num_vars, objective, rows,
                                           free=free)
 
 
-# one builder per LP, taking (p_hat, a): the variant is p_hat's.  Each has
-# a name per variant, so that a profiler can tell the variants' builds apart.
+# one builder per LP, taking (p_hat, a).  The names of the two LP forms that
+# every surface once chose between stay, as the benchmark's tracer hooks them.
 build_primal_bounded = build_primal_extended = _build_primal
 build_dual_bounded = build_dual_extended = _build_dual
 
@@ -294,7 +279,15 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
                  variant="auto", tol_gap=1e-6) -> BoundResult:
     """Solve the primal LP, read both certificates off its optimum, and
     enforce the gap tolerance on the hedge's cost, the model's exact value
-    and the hedge's grid inequalities."""
+    and the hedge's grid inequalities.
+
+    Every surface is bounded on the extended mass matrix.  On a zero-tail
+    surface its tail row is the top call, 0 or at most ``market.TOL``, so
+    the LP has the value of the bounded LP without the tail row.
+    ``variant`` selects nothing: a value other than auto, bounded or
+    extended, and bounded on a surface whose top call is worth more than
+    ``market.TOL``, raise VariantError.
+    """
     if variant not in ("auto", "bounded", "extended"):
         raise VariantError("variant must be auto, bounded, or extended")
     # written so that NaN fails too: a NaN tolerance would pass every gate
@@ -305,19 +298,12 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
     if not report.valid:
         raise ArbitrageError("surface fails validation: %r"
                              % report.violations[:3])
-    if variant == "auto":
-        variant = "bounded" if report.zero_tail else "extended"
     if variant == "bounded" and not report.zero_tail:
         raise VariantError("bounded variant needs a zero-price top call")
     check_payoff_grid(surface, a)
 
-    if variant == "bounded":
-        p_hat = market.implied_marginals(surface)
-        lp, idx = build_primal_bounded(p_hat, a)
-    else:
-        p_hat = market.extended_marginals(surface)
-        lp, idx = build_primal_extended(p_hat, a)
-
+    p_hat = market.extended_marginals(surface)
+    lp, idx = build_primal_extended(p_hat, a)
     sol = _solve_primal(lp)
     hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a)
     phi, psi = sol.objective, hedge.cost(p_hat)
@@ -353,13 +339,13 @@ def seed_model(surface: market.CallSurface):
     nothing later, a certify.RegimeModel.
 
     Its optimum 1 exercises every path at t1, so rows (e) hold G1 at zero
-    and G2 chains martingale couplings of consecutive implied marginals;
+    and G2 chains martingale couplings of consecutive extended marginals;
     such a chain exists exactly when they increase in convex order.
     """
-    p = market.implied_marginals(surface)
-    first = np.zeros(p.shape)
+    p = market.extended_marginals(surface)
+    first = np.zeros((len(surface.states), len(surface.maturities)))
     first[:, 0] = 1.0
-    lp, idx = build_primal_bounded(p, AmericanPayoffGrid(
+    lp, idx = build_primal_extended(p, AmericanPayoffGrid(
         first, surface.states, surface.maturities))
     sol = _solve_primal(lp, "no martingale transport: marginals not in "
                             "convex order; primal LP")

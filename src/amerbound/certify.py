@@ -3,16 +3,16 @@
 The primal optimum becomes a RegimeModel — a bivariate Markov chain of
 (price, regime) whose first regime-switch time is the optimal exercise —
 that can be simulated and Monte-Carlo priced.  The dual optimum becomes a
-HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2, and in
-the bounded variant the top-strike tail calls ``beta`` — whose terminal
-value is evaluated over batches of paths, one table of values per exercise
+HedgeStrategy — static claims E1/E2/V plus dynamic holdings D1/D2, each
+with a tail row of slopes above the top strike — whose terminal value is
+evaluated over batches of paths, one table of values per exercise
 date, on the lattice, on the interval [0, x_J], on the whole half-line, and
 for exercise times between maturities.  A batch of prices is placed on the
 lattice by one search, and every leg, hedge ratio and payoff slope is then
 read from per-interval tables.  Verification never trusts the LP: it
 replays the certificates against their defining inequalities (one broadcast
 over all steps) and against sampled or enumerated paths, and the replay pays
-exactly the tail calls that the hedge states.
+exactly the tail row that the hedge states.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ class RegimeModel:
     masses of moves j -> k between maturities n and n+1 while holding / after
     exercising; switch_prob[j, n] is the conditional probability that a
     still-holding path arriving at state j exercises there.  marginals[:, n]
-    is the law of the price at each maturity.  For surfaces without a
-    zero-price top call the lattice gains one far state that carries the
-    tail mass.
+    is the law of the price at each maturity.  The lattice ends in one far
+    state that carries the tail mass, none on a zero-tail surface.
     """
 
     states: np.ndarray
@@ -182,27 +181,25 @@ def _companion_from_extended(G1, G2, p_hat, states, xi):
 def model_from_primal(F, G1, G2, surface: market.CallSurface,
                       p_hat) -> RegimeModel:
     """A checked, simulable RegimeModel from the primal's masses (F: M x N,
-    G1 and G2: M x M x (N-1)); p_hat is the LP's mass matrix, whose extra
-    row past the surface's lattice, if any, is the tail row.
+    G1 and G2: M x M x (N-1)); p_hat is the LP's mass matrix, whose last
+    row, past the surface's lattice, is the tail row.  The model's states
+    are the lattice and the far state xi.
     """
     F, G1, G2 = _clip_mass(F), _clip_mass(G1), _clip_mass(G2)
     states = surface.states
-    if len(p_hat) > len(states):
-        # far enough out that the fold-in corrections (~1/xi) drop below the
-        # clip and balance tolerances even where the top strike received no
-        # direct mass, and past x_J + p_hat[T] / p_hat[J], where the folded
-        # top-state mass p_hat[J] - p_hat[T] / (xi - x_J) reaches 0
-        ratio = p_hat[-1] / np.where(p_hat[-2] > 0, p_hat[-2], np.inf)
-        xi = max(1e9 * states[-1], 1.5 * (states[-1] + ratio.max()))
-        G1, G2, p = _companion_from_extended(G1, G2, p_hat, states, xi)
-        G1, G2 = _clip_mass(G1), _clip_mass(G2)
-        if p.min() < -1e-9:
-            raise CertifyError("companion marginal went negative")
-        p = np.maximum(p, 0.0)
-        p /= p.sum(axis=0, keepdims=True)
-        states = np.concatenate([states, [xi]])
-    else:
-        p = p_hat
+    # far enough out that the fold-in corrections (~1/xi) drop below the
+    # clip and balance tolerances even where the top strike received no
+    # direct mass, and past x_J + p_hat[T] / p_hat[J], where the folded
+    # top-state mass p_hat[J] - p_hat[T] / (xi - x_J) reaches 0
+    ratio = p_hat[-1] / np.where(p_hat[-2] > 0, p_hat[-2], np.inf)
+    xi = max(1e9 * states[-1], 1.5 * (states[-1] + ratio.max()))
+    G1, G2, p = _companion_from_extended(G1, G2, p_hat, states, xi)
+    G1, G2 = _clip_mass(G1), _clip_mass(G2)
+    if p.min() < -1e-9:
+        raise CertifyError("companion marginal went negative")
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=0, keepdims=True)
+    states = np.concatenate([states, [xi]])
     # The LP's own F depends on the optimal vertex: where row (e) is slack
     # it can omit exercised paths.  The regime-1 inflow that does not move
     # on records every one of them.
@@ -405,11 +402,14 @@ class HedgeStrategy:
     holding, E2 once exercised, V for the exercise claim) and dynamic
     holdings per step (D1 holding, D2 exercised).
 
-    Matrices carry one row per lattice state, plus the tail-slope row in
-    the extended variant, which those rows alone select: E1, E2 and V are
-    M x N, D1 and D2 M x (N-1), with M = J+1 or J+2.  ``growth_rate``
-    bounds the payoff's slope at large prices; ``beta`` are the N free
-    top-strike calls that extend a zero-tail hedge to unbounded paths.
+    Matrices carry one row per lattice state and the tail row T of slopes
+    above the top strike: E1, E2 and V are (J+2) x N, D1 and D2
+    (J+2) x (N-1).  ``growth_rate`` bounds the payoff's slope at large
+    prices.  Blocks given on the lattice alone get the tail row that
+    closes them on unbounded paths: V[T] = growth_rate,
+    E1[T, n<N] = max(V[T, n], 0),
+    E2[T, n+1] = max(-min_j D1[j, n], -min_j D2[j, n] - V[T, n+1], 0) and
+    D1[T] = D2[T] = 0, which meet every tail row of ``grid_feasibility``.
     Every block must be finite.
     """
 
@@ -421,41 +421,41 @@ class HedgeStrategy:
     D1: np.ndarray
     D2: np.ndarray
     growth_rate: float = 0.0
-    beta: np.ndarray = None         # bounded variant only, filled on creation
 
     def __post_init__(self):
         K, N = len(self.states), len(self.maturities)
-        M = K + 1 if np.ndim(self.E1) and len(self.E1) == K + 1 else K
+        M = K if np.ndim(self.E1) and len(self.E1) == K else K + 1
         for name, shape in (("E1", (M, N)), ("E2", (M, N)), ("V", (M, N)),
-                            ("D1", (M, N - 1)), ("D2", (M, N - 1)),
-                            ("beta", (N,))):
+                            ("D1", (M, N - 1)), ("D2", (M, N - 1))):
             block = getattr(self, name)
-            if block is not None and np.shape(block) != shape:
+            if np.shape(block) != shape:
                 raise CertifyError("hedge block %s has shape %s, not %s"
                                    % (name, np.shape(block), shape))
-            if block is not None and not np.isfinite(block).all():
+            if not np.isfinite(block).all():
                 raise CertifyError("non-finite value in the hedge's %s" % name)
-        if not self.extended and self.beta is None:
-            self.beta = tail_calls(self, self.growth_rate)
+        if M == K:
+            D1, D2 = np.asarray(self.D1, float), np.asarray(self.D2, float)
+            V = np.full(N, float(self.growth_rate))
+            E1, E2 = np.zeros(N), np.zeros(N)
+            E1[:-1] = np.maximum(V[:-1], 0.0)
+            E2[1:] = np.maximum.reduce([-D1.min(axis=0),
+                                        -D2.min(axis=0) - V[1:],
+                                        np.zeros(N - 1)])
+            for name, row in (("E1", E1), ("E2", E2), ("V", V),
+                              ("D1", np.zeros(N - 1)), ("D2", np.zeros(N - 1))):
+                setattr(self, name, np.vstack([getattr(self, name), row]))
 
     @property
     def num_lattice(self):
         return len(self.states)
 
-    @property
-    def extended(self):
-        """Whether the blocks carry the tail row past the lattice."""
-        return len(self.E1) > len(self.states)
-
     def cost(self, p_hat) -> float:
-        """Static setup cost against a mass matrix (marginals, with the
-        top-call row appended in the extended variant)."""
+        """Static setup cost against the extended mass matrix (marginals
+        and the top-call row)."""
         p_hat = np.asarray(p_hat, dtype=float)
         if p_hat.shape != self.V.shape:
-            raise CertifyError(
-                "mass matrix has shape %s, the %s hedge needs %s"
-                % (p_hat.shape, "extended" if self.extended else "bounded",
-                   self.V.shape))
+            raise CertifyError("mass matrix has shape %s, the hedge needs %s"
+                               % (p_hat.shape, self.V.shape))
         N = len(self.maturities)
         total = 0.0
         for n in range(N - 1):
@@ -475,30 +475,10 @@ def _interval_ratio(xs, d, h, j):
     return np.where(dj <= u, dj, np.where(dj1 >= u, dj1, u))
 
 
-def tail_calls(hedge: HedgeStrategy, R) -> np.ndarray:
-    """Free top-strike calls that close the hedge on unbounded paths.
-
-    Maturity-n coefficient: the negative parts of the worst ratios of the
-    previous step (which may force buying into a rally just witnessed) plus
-    the carried ratio budget at the top state for the current step.
-    """
-    if hedge.extended:
-        raise CertifyError("tail calls apply to the zero-tail variant only")
-    J = hedge.num_lattice - 1
-    inf1, inf2 = (_ratio_table(hedge, delta).min(axis=1) for delta in (1, 2))
-    beta = np.zeros(len(hedge.maturities))
-    beta[1:] += np.maximum(-inf1, 0.0) + np.maximum(-(inf2 + R), 0.0)
-    # falls from above the top strike: only positive carried ratios lose
-    # money on the way down, so negative ones need no cover
-    beta[:-1] += np.maximum(hedge.D1[J], 0.0) + np.maximum(hedge.D2[J] + R, 0.0)
-    return beta
-
-
 def hedge_from_dual(blocks, surface: market.CallSurface,
                     a: AmericanPayoffGrid) -> HedgeStrategy:
-    """HedgeStrategy from dual values (E1, E2, V, D1, D2); their rows give
-    the variant, and the bounded variant's tail calls are filled on
-    creation."""
+    """HedgeStrategy from dual values (E1, E2, V, D1, D2), tail rows
+    included."""
     return HedgeStrategy(surface.states, surface.maturities.copy(), *blocks,
                          growth_rate=a.growth_rate)
 
@@ -518,21 +498,20 @@ def grid_feasibility(hedge: HedgeStrategy, a: AmericanPayoffGrid) -> float:
     coverage at intermediate maturities — that no path-wise replay of the
     terminal value can see."""
     x = hedge.states
-    lat = slice(0, len(x))
+    T = len(x)
+    lat = slice(0, T)
     E1, E2, V, D1, D2 = hedge.E1, hedge.E2, hedge.V, hedge.D1, hedge.D2
     # axes (j, n, k): a move from state j at maturity n to state k at n + 1
     e1, e2 = E1[lat, :-1, None], E2[lat, 1:].T[None]
     v0, v1 = V[lat, :-1, None], V[lat, 1:].T[None]
     dx = (x[None, :] - x[:, None])[:, None, :]          # x_k - x_j
+    t1, t2, tv0, tv1 = E1[T, :-1], E2[T, 1:], V[T, :-1], V[T, 1:]
     rows = [V[lat] - a.values,
             e1 + e2 + dx * D1[lat, :, None],
-            e1 + e2 + dx * D2[lat, :, None] - v0 + v1]
-    if hedge.extended:
-        T = len(x)
-        t1, t2, tv0, tv1 = E1[T, :-1], E2[T, 1:], V[T, :-1], V[T, 1:]
-        rows += [V[T] - a.tail_slopes,
-                 t1 - D1[T], t2 + D1[lat], t1 + t2,
-                 t1 - D2[T] - tv0, t2 + D2[lat] + tv1, t1 + t2 - tv0 + tv1]
+            e1 + e2 + dx * D2[lat, :, None] - v0 + v1,
+            V[T] - a.tail_slopes,
+            t1 - D1[T], t2 + D1[lat], t1 + t2,
+            t1 - D2[T] - tv0, t2 + D2[lat] + tv1, t1 + t2 - tv0 + tv1]
     return min(float(r.min(initial=np.inf)) for r in rows)
 
 
@@ -574,8 +553,8 @@ def _ratio_table(hedge: HedgeStrategy, delta):
     The ratios d and the static rows h whose secants bound them are (D1, E1)
     while holding and (D2, E1 - V) once exercised.  The table holds the knot
     ratio d_j at code 2j, ``_interval_ratio`` inside (x_j, x_{j+1}) and,
-    above the top strike, d_J, capped in the extended variant by the tail
-    slope of h (a tie of zeros keeps d_J's sign)."""
+    above the top strike, d_J capped by the tail slope of h (a tie of zeros
+    keeps d_J's sign)."""
     xs = hedge.states
     K = len(xs)
     E1 = hedge.E1[:, :-1]
@@ -583,7 +562,7 @@ def _ratio_table(hedge: HedgeStrategy, delta):
     table = np.empty((d.shape[1], 2 * K))
     table[:, 0::2] = d[:K].T
     table[:, 1:-1:2] = _interval_ratio(xs, d[:K].T, h[:K].T, np.arange(K - 1))
-    table[:, -1] = np.minimum(h[K], d[K - 1]) if hedge.extended else d[K - 1]
+    table[:, -1] = np.minimum(h[K], d[K - 1])
     return table
 
 
@@ -593,28 +572,20 @@ def _exercise_values(hedge: HedgeStrategy, Y, at):
 
     Returns a (paths x N) table whose column m-1 is the value when the claim
     is exercised at maturity m: the static legs, the holding ratios D1 over
-    the steps before m and the exercised ratios D2 from m on.  The bounded
-    variant also pays the hedge's tail calls ``beta``.
+    the steps before m and the exercised ratios D2 from m on.  The tail
+    rows hold the static legs' slopes above x_J.
     """
     P, N = Y.shape
     xs = hedge.states
     K = len(xs)
-    R = hedge.growth_rate
-    if hedge.extended:      # the tail rows hold the legs' slopes above x_J
-        e1s, e2s, vs = hedge.E1[K], hedge.E2[K], hedge.V[K]
-    else:
-        e1s, e2s, vs = np.zeros(N), np.zeros(N), np.full(N, R)
-    e1, e2, v = (_leg_tables(xs, M[:K], slopes) for M, slopes in
-                 ((hedge.E1, e1s), (hedge.E2, e2s), (hedge.V, vs)))
+    e1, e2, v = (_leg_tables(xs, M[:K], M[K])
+                 for M in (hedge.E1, hedge.E2, hedge.V))
 
     static = np.zeros(P)
     for n in range(N):
         static += _leg(e1, at, n)
         static += _leg(e2, at, n)
     static += _leg(v, at, N - 1)
-    if not hedge.extended:
-        up = np.maximum(Y - xs[-1], 0.0)
-        static += R * up[:, N - 1] + up @ hedge.beta
 
     # gains of the holding ratios over the steps before each exercise date
     # and of the exercised ratios from it on, summed in np.cumsum's order
@@ -793,7 +764,6 @@ def _continuous_slack(hedge, a, Y, rng, payoff_fn, s0):
     mats = hedge.maturities
     rho = rng.uniform(0.0, mats[-1], size=P)
     rho = np.where(rho <= 0.0, mats[-1] / 2.0, rho)
-    s0 = float(s0) if s0 is not None else float(hedge.states[-1]) / 2.0
     (c0,), _ = _brackets(hedge.states, np.array([[s0]]))
     slope, _ = _leg_tables(a.states, a.values, a.tail_slopes)
     slack = np.empty(P)

@@ -126,23 +126,20 @@ def payoff_from_config(doc, surface):
     raise market.MarketError("unknown payoff type %r" % kind)
 
 
-def _bound_or_fail(surface, grid, variant, tol_gap):
+def _bound_or_fail(surface, grid, tol_gap):
     try:
-        return bound.robust_bound(surface, grid, variant=variant,
-                                  tol_gap=tol_gap)
+        return bound.robust_bound(surface, grid, tol_gap=tol_gap)
     except bound.GapError as exc:
         _fail(EXIT_CERTIFY, str(exc))
     except bound.ArbitrageError:
         _fail(EXIT_VALIDATION, "surface is not arbitrage-free")
-    except bound.VariantError as exc:
-        _fail(EXIT_PARSE, str(exc))
     except (bound.BoundError, lpcore.LPError) as exc:
         _fail(EXIT_SOLVER, str(exc))
     except certify.CertifyError as exc:
         _fail(EXIT_CERTIFY, str(exc))
 
 
-def _bound_input(input_path, payoff_spec, variant, tol_gap):
+def _bound_input(input_path, payoff_spec, tol_gap):
     """Load the surface and the payoff (exit 2) and bound the claim, which
     checks the surface for arbitrage (exit 3) before it solves (exit 4 or
     5).  Returns the surface, the lattice payoff, its continuum evaluator (or
@@ -153,20 +150,18 @@ def _bound_input(input_path, payoff_spec, variant, tol_gap):
     except (market.MarketError, payoff.PayoffError, KeyError, TypeError,
             ValueError) as exc:
         _fail(EXIT_PARSE, "bad payoff spec: %s" % exc)
-    return surface, grid, fn, _bound_or_fail(surface, grid, variant, tol_gap)
+    return surface, grid, fn, _bound_or_fail(surface, grid, tol_gap)
 
 
 def _bound_report(res):
     return {
-        "variant": res.variant,
         "phi": res.phi,
         "psi": res.psi,
         "gap": res.gap,
         "model": {"F": res.model.F, "G1": res.model.G1, "G2": res.model.G2,
-                  "q": res.model.switch_prob},
+                  "q": res.model.switch_prob, "states": res.model.states},
         "hedge": {"E1": res.hedge.E1, "E2": res.hedge.E2, "D1": res.hedge.D1,
-                  "D2": res.hedge.D2, "V": res.hedge.V,
-                  "tail": res.hedge.beta if res.hedge.beta is not None else []},
+                  "D2": res.hedge.D2, "V": res.hedge.V},
         "diagnostics": res.diagnostics,
     }
 
@@ -215,9 +210,6 @@ def _common_options(fn):
     for opt in (
         INPUT,
         click.option("--payoff", "payoff_spec", required=True),
-        click.option("--variant",
-                     type=click.Choice(["auto", "bounded", "extended"]),
-                     default="auto"),
         click.option("--tol-gap", default=1e-6, callback=_tolerance),
         click.option("--out", default=None),
         click.option("--format", "fmt",
@@ -229,9 +221,9 @@ def _common_options(fn):
 
 @main.command(name="bound")
 @_common_options
-def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
+def bound_cmd(input_path, payoff_spec, tol_gap, out, fmt):
     """Compute the bound and both certificates."""
-    res = _bound_input(input_path, payoff_spec, variant, tol_gap)[3]
+    res = _bound_input(input_path, payoff_spec, tol_gap)[3]
     _emit(_bound_report(res), fmt, out)
 
 
@@ -240,11 +232,10 @@ def bound_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt):
 @TRIALS
 @SEED
 @click.option("--tol-feas", default=1e-6, callback=_tolerance)
-def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
-                seed, tol_feas):
+def certify_cmd(input_path, payoff_spec, tol_gap, out, fmt, trials, seed,
+                tol_feas):
     """Compute the bound, then independently verify both certificates."""
-    surface, grid, fn, res = _bound_input(input_path, payoff_spec, variant,
-                                          tol_gap)
+    surface, grid, fn, res = _bound_input(input_path, payoff_spec, tol_gap)
     est, se = certify.mc_price(res.model, grid, max(trials, 1000), seed)
     reports = {}
     modes = ["lattice-exhaustive", "interval-random", "full-line-random"]
@@ -266,9 +257,9 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
         if not (rep.skipped or rep.min_slack >= -tol_feas * scale):
             failed.append(mode)
     doc = {"phi": res.phi, "psi": res.psi, "gap": res.gap,
-           "variant": res.variant, "mc_estimate": est, "mc_stderr": se,
-           "hedge_scale": scale, "verification": reports,
-           "certified": not failed}
+           "model_value_exact": res.diagnostics["model_value_exact"],
+           "mc_estimate": est, "mc_stderr": se, "hedge_scale": scale,
+           "verification": reports, "certified": not failed}
     _emit(doc, fmt, out)
     if failed:
         _fail(EXIT_CERTIFY, "certificates fail: %s" % ", ".join(failed))
@@ -278,9 +269,9 @@ def certify_cmd(input_path, payoff_spec, variant, tol_gap, out, fmt, trials,
 @_common_options
 @TRIALS
 @SEED
-def simulate(input_path, payoff_spec, variant, tol_gap, out, fmt, trials, seed):
+def simulate(input_path, payoff_spec, tol_gap, out, fmt, trials, seed):
     """Monte-Carlo price the extremal model against the LP value."""
-    _, grid, _, res = _bound_input(input_path, payoff_spec, variant, tol_gap)
+    _, grid, _, res = _bound_input(input_path, payoff_spec, tol_gap)
     est, se = certify.mc_price(res.model, grid, trials, seed)
     _emit({"phi": res.phi, "estimate": est, "stderr": se,
            "trials": trials, "seed": seed}, fmt, out)
@@ -324,7 +315,7 @@ def bench_table(sweep, steps, out):
 def demo(name, seed):
     """Run a built-in instance end to end and assert its known value."""
     inst = instances.get(name)
-    res = _bound_or_fail(inst.surface, inst.payoff, "auto", 1e-6)
+    res = _bound_or_fail(inst.surface, inst.payoff, 1e-6)
     click.echo("%s: phi=%.6f psi=%.6f (expected %.6f)"
                % (name, res.phi, res.psi, inst.bound_value))
     if abs(res.phi - inst.bound_value) > 1e-8 or res.gap > 1e-8 * (1 + res.phi):
@@ -337,7 +328,7 @@ def demo(name, seed):
                                     h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                     growth_rate=inst.payoff.growth_rate)
         slack = certify.grid_feasibility(ref, inst.payoff)
-        cost = ref.cost(market.implied_marginals(inst.surface))
+        cost = ref.cost(market.extended_marginals(inst.surface))
         click.echo("reference hedge: cost=%.6f feasibility=%.2e"
                    % (cost, slack))
         if slack < -1e-9 or abs(cost - inst.bound_value) > 1e-8:

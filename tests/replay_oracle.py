@@ -1,7 +1,8 @@
 """The hedge replay leg by leg, kept as the oracle for certify's bracketed
 kernel: every static leg is its own ``np.interp`` (through
 ``extended_interp``), every hedge ratio and payoff slope its own search of
-the lattice, the tail calls a loop over steps and the continuous-exercise
+the lattice, the tail row of a hedge given on the lattice alone a loop over
+steps and the continuous-exercise
 replay a loop over maturities.  The full-line walks are drawn with whole-array
 ``np.cumsum`` and ``np.where``."""
 
@@ -51,44 +52,35 @@ def mixed_inf(xs, d_row, h_row):
 def regime_rows(hedge, delta):
     """Ratio columns and the static columns whose secants bound them, one
     column per step, in regime delta: (D1, E1) while holding, (D2, E1 - V)
-    once exercised.  Both keep the tail row of the extended variant."""
+    once exercised.  Both keep the tail row."""
     if delta == 1:
         return hedge.D1, hedge.E1[:, :-1]
     return hedge.D2, hedge.E1[:, :-1] - hedge.V[:, :-1]
 
 
 def tail_hedge_ratio(hedge, n, delta):
-    """Constant hedge ratio above the top strike in the extended variant:
-    the lattice-edge ratio capped by the static rows' tail slopes."""
-    if not hedge.extended:
-        raise CertifyError("tail ratios need an extended-variant hedge")
+    """Constant hedge ratio above the top strike: the lattice-edge ratio
+    capped by the static rows' tail slopes."""
     J = hedge.num_lattice - 1
     d, h = regime_rows(hedge, delta)
     return min(d[J, n - 1], h[J + 1, n - 1])
 
 
-def tail_calls(hedge, R):
-    """Free top-strike calls of a bounded hedge, one maturity at a time:
-    the negative parts of the previous step's worst ratios plus the carried
-    ratio budget at the top state for the current step."""
-    if hedge.extended:
-        raise CertifyError("tail calls apply to the zero-tail variant only")
-    xs = hedge.states
-    J = len(xs) - 1
-    N = len(hedge.maturities)
-    beta = np.zeros(N)
-    regimes = [regime_rows(hedge, delta) for delta in (1, 2)]
-    for n in range(1, N + 1):
-        b = 0.0
-        if n >= 2:
-            i1, i2 = (mixed_inf(xs, d[:, n - 2], h[:, n - 2])
-                      for d, h in regimes)
-            b += max(-i1, 0.0) + max(-(i2 + R), 0.0)
-        if n <= N - 1:
-            b += (max(hedge.D1[J, n - 1], 0.0)
-                  + max(hedge.D2[J, n - 1] + R, 0.0))
-        beta[n - 1] = b
-    return beta
+def tail_calls(D1, D2, R):
+    """The tail row (E1, E2, V, D1, D2) that closes a hedge given on the
+    lattice alone, one maturity at a time: V holds R calls struck at the
+    top strike, E1 as many while a later maturity follows, and E2 at
+    maturity n+1 covers the most negative ratio of the step into it, D1 or
+    D2 + V."""
+    N = D1.shape[1] + 1
+    E1, E2, V = np.zeros(N), np.zeros(N), np.zeros(N)
+    for n in range(N):
+        V[n] = R
+        if n < N - 1:
+            E1[n] = max(0.0, R)
+        if n >= 1:
+            E2[n] = max(0.0, -D1[:, n - 1].min(), -D2[:, n - 1].min() - R)
+    return E1, E2, V, np.zeros(N - 1), np.zeros(N - 1)
 
 
 def ratio(hedge, delta, n, y):
@@ -100,7 +92,7 @@ def ratio(hedge, delta, n, y):
     else:
         d, h = hedge.D2[:, n - 1], hedge.E1[:, n - 1] - hedge.V[:, n - 1]
     inside = mixed_interp(xs, d[:K], h[:K], np.minimum(y, xs[-1]))
-    tail = tail_hedge_ratio(hedge, n, delta) if hedge.extended else d[K - 1]
+    tail = tail_hedge_ratio(hedge, n, delta)
     return np.where(np.atleast_1d(y) > xs[-1], tail, np.atleast_1d(inside))
 
 
@@ -111,20 +103,13 @@ def exercise_values(hedge, Y):
     P, N = Y.shape
     xs = hedge.states
     K = len(xs)
-    R = hedge.growth_rate
-    if hedge.extended:
-        e1s, e2s, vs = hedge.E1[K], hedge.E2[K], hedge.V[K]
-    else:
-        e1s, e2s, vs = np.zeros(N), np.zeros(N), np.full(N, R)
+    e1s, e2s, vs = hedge.E1[K], hedge.E2[K], hedge.V[K]
 
     static = np.zeros(P)
     for n in range(N):
         static += extended_interp(xs, hedge.E1[:K, n], Y[:, n], e1s[n])
         static += extended_interp(xs, hedge.E2[:K, n], Y[:, n], e2s[n])
     static += extended_interp(xs, hedge.V[:K, N - 1], Y[:, N - 1], vs[N - 1])
-    if not hedge.extended:
-        up = np.maximum(Y - xs[-1], 0.0)
-        static += R * up[:, N - 1] + up @ hedge.beta
 
     leg1 = np.zeros((P, max(N - 1, 0)))
     leg2 = np.zeros((P, max(N - 1, 0)))

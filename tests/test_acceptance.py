@@ -176,7 +176,7 @@ def test_criterion_1_sec52(demo_results):
                                 h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                 growth_rate=inst.payoff.growth_rate)
     assert certify.grid_feasibility(ref, inst.payoff) >= -1e-12
-    p = market.implied_marginals(inst.surface)
+    p = market.extended_marginals(inst.surface)
     assert ref.cost(p) == pytest.approx(18.0 / 5.0, abs=1e-12)
     assert elapsed < 1.0
 
@@ -333,8 +333,7 @@ def test_criterion_8_mutation_sensitivity(demo_results):
             V[j, n] -= 1e-3 * scale
             mutated = certify.HedgeStrategy(
                 hedge.states, hedge.maturities, hedge.E1, hedge.E2, V,
-                hedge.D1, hedge.D2, growth_rate=hedge.growth_rate,
-                beta=hedge.beta)
+                hedge.D1, hedge.D2, growth_rate=hedge.growth_rate)
             rep = certify.verify_superreplication(mutated, inst.payoff,
                                                  "lattice-exhaustive")
             assert rep.min_slack < -1e-9, (name, j, n)

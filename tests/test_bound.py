@@ -23,7 +23,6 @@ def sec26_result(sec26):
 
 def test_sec26_value(sec26, sec26_result):
     res = sec26_result
-    assert res.variant == "bounded"
     assert res.phi == pytest.approx(35.625, abs=1e-8)
     assert res.psi == pytest.approx(35.625, abs=1e-8)
     assert res.gap <= 1e-8
@@ -57,30 +56,23 @@ def _pack_dual(hedge):
 
 def test_mechanical_dual_agrees(sec26):
     # dual_of applied to the primal build must price like the hand-built dual
-    m = market.implied_marginals(sec26.surface)
-    lp, _ = bound.build_primal_bounded(m, sec26.payoff)
+    m = market.extended_marginals(sec26.surface)
+    lp, _ = bound.build_primal_extended(m, sec26.payoff)
     mech = lpcore.solve(dual_of(lp))
     assert mech.status == "optimal"
     assert mech.objective == pytest.approx(35.625, abs=1e-7)
     # the hedge read off the primal's row multipliers is a feasible point of
     # the hand-built dual, at cost phi
     cfg = bench.BenchConfig()
-    cases = [(instances.get(name), variant)
-             for name in ("sec26", "sec52", "eg11")
-             for variant in ("bounded", "extended")]
-    cases.append((instances.DemoInstance("headline", bench.bs_surface(cfg),
-                                         bench.linearized_grid(cfg), None),
-                  "extended"))
-    for inst, variant in cases:
-        res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
-        if variant == "bounded":
-            m = market.implied_marginals(inst.surface)
-            lp_d = bound.build_dual_bounded(m, inst.payoff)
-        else:
-            m = market.extended_marginals(inst.surface)
-            lp_d = bound.build_dual_extended(m, inst.payoff)
+    cases = [instances.get(name) for name in ("sec26", "sec52", "eg11")]
+    cases.append(instances.DemoInstance("headline", bench.bs_surface(cfg),
+                                        bench.linearized_grid(cfg), None))
+    for inst in cases:
+        res = bound.robust_bound(inst.surface, inst.payoff)
+        m = market.extended_marginals(inst.surface)
+        lp_d = bound.build_dual_extended(m, inst.payoff)
         rep = check_point(lp_d, _pack_dual(res.hedge), tol=1e-9)
-        assert rep.feasible, (inst.name, variant, rep.max_violation)
+        assert rep.feasible, (inst.name, rep.max_violation)
         assert rep.objective == pytest.approx(res.phi, abs=1e-9)
 
 
@@ -91,7 +83,9 @@ def test_mechanical_dual_agrees(sec26):
 def _reference_build_primal(states, p_hat, a_vals, tail_rates, extended):
     """The previous primal builder, kept as the oracle of the block layout:
     one name tuple per column, every term looked up by name, rows appended
-    one at a time.  Returns the LP and each row's scale."""
+    one at a time.  Returns the LP and each row's scale.  With extended
+    False it builds the bounded LP on the lattice masses alone, which has
+    no tail row."""
     x = np.asarray(states, dtype=float)
     M, N = p_hat.shape
     J = len(x) - 1
@@ -153,11 +147,10 @@ def _reference_build_primal(states, p_hat, a_vals, tail_rates, extended):
     return lp, np.array(scales)
 
 
-def _assert_builds_like_reference(p_hat, a, extended):
+def _assert_builds_like_reference(p_hat, a):
     lp, idx = bound._build_primal(p_hat, a)
-    assert idx.extended == extended
     ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
-                                             a.tail_slopes, extended)
+                                             a.tail_slopes, True)
     assert csr(lp).shape == csr(ref).shape
     assert (csr(lp) != csr(ref)).nnz == 0
     # each row's terms in the same order, as well as the same matrix
@@ -167,12 +160,6 @@ def _assert_builds_like_reference(p_hat, a, extended):
     assert np.array_equal(lp.objective, ref.objective)
     assert np.array_equal(lp.free, ref.free)
     assert np.array_equal(idx.row_scale, ref_scale)
-
-
-def _builder_args(surface, a, variant):
-    if variant == "bounded":
-        return market.implied_marginals(surface), a, False
-    return market.extended_marginals(surface), a, True
 
 
 def _single_maturity(inst, n):
@@ -191,29 +178,28 @@ def test_block_layout_matches_name_dict_builder():
     cases.append((bench.bs_surface(cfg), bench.linearized_grid(cfg)))
     cases.append(_single_maturity(instances.get("sec26"), 0))
     for surface, a in cases:
-        for variant in ("bounded", "extended"):
-            _assert_builds_like_reference(*_builder_args(surface, a, variant))
+        _assert_builds_like_reference(market.extended_marginals(surface), a)
     # the size of ROADMAP item 3's budget case, built but not solved
     big = bench.BenchConfig(strikes=tuple(np.linspace(70.0, 140.0, 50)),
                             num_maturities=12)
-    _assert_builds_like_reference(*_builder_args(
-        bench.bs_surface(big), bench.linearized_grid(big), "extended"))
+    _assert_builds_like_reference(
+        market.extended_marginals(bench.bs_surface(big)),
+        bench.linearized_grid(big))
 
 
-@given(J=st.integers(1, 8), N=st.integers(1, 5), extended=st.booleans(),
+@given(J=st.integers(1, 8), N=st.integers(1, 5), sloped=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_block_layout_matches_name_dict_builder_on_random_inputs(J, N,
-                                                                 extended,
+                                                                 sloped,
                                                                  seed):
     # the builder reads only shapes and values: any lattice and masses do
     rng = np.random.default_rng(seed)
     states = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 20.0, J))])
-    M = J + 2 if extended else J + 1
-    p_hat = rng.dirichlet(np.ones(M), size=N).T
+    p_hat = rng.dirichlet(np.ones(J + 2), size=N).T
     a = AmericanPayoffGrid(rng.uniform(0.0, 50.0, (J + 1, N)), states,
                            np.arange(1.0, N + 1.0),
-                           rng.uniform(0.0, 1.0, N) if extended else None)
-    _assert_builds_like_reference(p_hat, a, extended)
+                           rng.uniform(0.0, 1.0, N) if sloped else None)
+    _assert_builds_like_reference(p_hat, a)
 
 
 @pytest.mark.parametrize("builder", [bound.build_primal_bounded,
@@ -221,10 +207,11 @@ def test_block_layout_matches_name_dict_builder_on_random_inputs(J, N,
                                      bound.build_primal_extended,
                                      bound.build_dual_extended])
 def test_builders_reject_misshapen_mass_matrices(sec26, builder):
-    # the variant is read off the mass matrix's rows: J + 1 or J + 2 of them,
-    # and one column per maturity; anything else fits no LP
+    # every LP takes J + 2 rows, the tail row included, and one column per
+    # maturity; anything else fits no LP
     p_hat = market.extended_marginals(sec26.surface)
-    for bad in (p_hat[:-2], np.vstack([p_hat, p_hat[-1:]]), p_hat[:, :-1],
+    for bad in (p_hat[:-1], p_hat[:-2], np.vstack([p_hat, p_hat[-1:]]),
+                p_hat[:, :-1],
                 np.hstack([p_hat, p_hat[:, -1:]]), p_hat[:-1, :-1],
                 p_hat.ravel()):
         with pytest.raises(bound.BoundError, match="mass matrix"):
@@ -243,12 +230,8 @@ def test_model_from_primal_reads_plain_arrays(case):
     surface, a = ((instances.get(case).surface, instances.get(case).payoff)
                   if case == "sec26" else _headline())
     res = bound.robust_bound(surface, a)
-    if res.variant == "bounded":
-        p_hat = market.implied_marginals(surface)
-        lp, idx = bound.build_primal_bounded(p_hat, a)
-    else:
-        p_hat = market.extended_marginals(surface)
-        lp, idx = bound.build_primal_extended(p_hat, a)
+    p_hat = market.extended_marginals(surface)
+    lp, idx = bound.build_primal_extended(p_hat, a)
     sol = lpcore.solve(lp)
     model = certify.model_from_primal(*idx.unpack_primal(sol.x), surface,
                                       p_hat)
@@ -306,7 +289,7 @@ def test_reference_hedges_feasible_at_optimal_cost():
         ref = certify.HedgeStrategy(inst.surface.states, inst.surface.maturities,
                                     h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
                                     growth_rate=inst.payoff.growth_rate)
-        p = market.implied_marginals(inst.surface)
+        p = market.extended_marginals(inst.surface)
         assert certify.grid_feasibility(ref, inst.payoff) >= -1e-9
         assert ref.cost(p) == pytest.approx(inst.bound_value, abs=1e-9)
 
@@ -318,9 +301,10 @@ def test_model_mass_exhausted(sec26_result):
 
 
 def test_top_state_absorbing(sec26_result):
-    # a martingale cannot leave the top lattice state in the bounded variant
+    # a martingale cannot leave the top lattice state of a zero-tail surface;
+    # the far state past it holds no mass
     model = sec26_result.model
-    J = model.num_states - 1
+    J = model.num_states - 2
     for G in (model.G1, model.G2):
         out = G[J, :, :].sum(axis=0) - G[J, J, :]
         assert np.all(np.abs(out) <= 1e-10)
@@ -377,16 +361,20 @@ def test_seed_model_exercises_everything_at_t1(name):
         surface, a = instances.get(name).surface, instances.get(name).payoff
     model = bound.seed_model(surface)
     assert not model.G1.any()
+    # the lattice, then the far state, which holds no mass here
     first = market.implied_marginals(surface)[:, 0]
-    assert (model.switch_prob[first > 0, 0] == 1.0).all()
+    assert (model.switch_prob[:-1][first > 0, 0] == 1.0).all()
     est, _ = certify.mc_price(model, a, 200000, 42)
     assert est.hex() == SEED_MODEL_MC[name]
 
 
 def test_seed_model_without_transport_names_it():
-    # Black-Scholes quotes whose top call is worth more than zero: the
-    # truncated marginals lose mean, so no martingale chain joins them
-    surface, _ = _headline()
+    # the second law is less spread out than the first: no martingale chain
+    # joins them
+    surface = market.load_surface({"marginals": [[0.5, 0.0], [0.0, 1.0],
+                                                 [0.5, 0.0]],
+                                   "states": [0.0, 1.0, 2.0],
+                                   "maturities": [1.0, 2.0]})
     with pytest.raises(bound.BoundError,
                        match="no martingale transport.*HiGHS.*infeasible"):
         bound.seed_model(surface)
@@ -425,7 +413,6 @@ def test_extended_model_keeps_far_state_exercise(slope):
     a = AmericanPayoffGrid(np.maximum(x[:, None] - 100.0, 0.0) * np.ones((1, 4)),
                            x, s.maturities, np.full(4, slope))
     res = bound.robust_bound(s, a)
-    assert res.variant == "extended"
     _assert_model_worth_phi(res, a, tol_gap=1e-9)
 
 
@@ -463,14 +450,21 @@ def test_bad_gap_tolerance_rejected(sec26, tol_gap):
         bound.robust_bound(sec26.surface, sec26.payoff, tol_gap=tol_gap)
 
 
-def test_variant_auto_selection(sec26):
-    # zero top-strike calls -> bounded; positive tail -> extended
-    assert bound.robust_bound(sec26.surface, sec26.payoff).variant == "bounded"
-    from amerbound import bench
+def test_variant_auto_selection(sec26, sec26_result):
+    # every variant selects the one form, bit for bit; "bounded" is still
+    # refused on a surface whose top call is worth more than zero
+    for variant in ("bounded", "extended"):
+        res = bound.robust_bound(sec26.surface, sec26.payoff, variant=variant)
+        assert res.phi.hex() == sec26_result.phi.hex()
+        assert res.hedge.V.tobytes() == sec26_result.hedge.V.tobytes()
     cfg = bench.BenchConfig(num_maturities=2, strikes=(70, 100, 130))
     surface = bench.bs_surface(cfg)
     a = bench.linearized_grid(cfg)
-    assert bound.robust_bound(surface, a).variant == "extended"
+    assert bound.robust_bound(surface, a, variant="auto").hedge.V.shape == (5, 2)
+    with pytest.raises(bound.VariantError, match="zero-price top call"):
+        bound.robust_bound(surface, a, variant="bounded")
+    with pytest.raises(bound.VariantError, match="must be auto"):
+        bound.robust_bound(surface, a, variant="dual")
 
 
 def test_invalid_surface_rejected(sec26):
@@ -575,7 +569,7 @@ def presolve_trap_case():
 
 
 def test_valid_surface_survives_without_presolve():
-    res = bound.robust_bound(*presolve_trap_case(), variant="extended")
+    res = bound.robust_bound(*presolve_trap_case())
     _assert_gap_closed(res)
 
 
@@ -732,3 +726,157 @@ def test_phi_is_sublinear_in_the_payoff(J, N, vol, lo, hi, seed, lam):
     pa, pb = phi(va, sa), phi(vb, sb)
     assert phi(va + vb, sa + sb) <= pa + pb + 1e-12 * (1 + pa + pb)
     assert abs(phi(lam * va, lam * sa) - lam * pa) <= 1e-12 * (1 + lam * pa)
+
+
+# ---------------------------------------------------------------------------
+# one form: the extended LP on zero-tail surfaces, and the model it reads off
+
+
+def _spread_surface(rng, J, N):
+    """Martingale marginals on a random lattice, each maturity a
+    mean-preserving spread of the one before and no mass above the top
+    strike, so the top call is worth 0: the benchmark's bound sweep draws
+    its zero-tail surfaces this way."""
+    states = np.concatenate([[0.0], 5.0 + np.cumsum(rng.uniform(3.0, 20.0, J))])
+    p = rng.dirichlet(np.full(J + 1, 2.0))
+    probs = np.zeros((J + 1, N))
+    for n in range(N):
+        probs[:, n] = p
+        nxt = p.copy()
+        for j in range(1, J):
+            move = rng.uniform(0.0, 0.6) * p[j]
+            up = (states[j] - states[j - 1]) / (states[j + 1] - states[j - 1])
+            nxt[j] -= move
+            nxt[j + 1] += move * up
+            nxt[j - 1] += move * (1.0 - up)
+        p = nxt
+    return market.load_surface({"marginals": probs.tolist(),
+                                "states": states.tolist(),
+                                "maturities": [float(n)
+                                               for n in range(1, N + 1)]})
+
+
+def _random_payoff(rng, surface, put):
+    """A discounted put struck inside the lattice, linearized over the
+    exercise intervals, or random values with random tail slopes."""
+    if put:
+        top = float(surface.strikes[-1])
+        fn = payoff.discounted_put(float(rng.uniform(0.3, 0.9)) * top,
+                                   float(rng.uniform(0.0, 0.1)))
+        return exercise_time_transform(fn, surface.strikes, surface.maturities)
+    K, N = len(surface.states), len(surface.maturities)
+    return AmericanPayoffGrid(rng.uniform(0.0, 50.0, (K, N)), surface.states,
+                              surface.maturities, rng.uniform(0.0, 1.0, N))
+
+
+def _bounded_lp_oracle(surface, a):
+    """The bounded LP, on the lattice masses alone, built by the name-dict
+    builder and solved: its value, and its hedge read off the row
+    multipliers on the lattice rows alone, which the constructor closes
+    with the tail row."""
+    p = market.implied_marginals(surface)
+    lp, scale = _reference_build_primal(a.states, p, a.values, a.tail_slopes,
+                                        False)
+    sol = lpcore.solve(lp)
+    assert sol.status == "optimal"
+    M, N = p.shape
+    K = (N - 1) * M
+    e1, e2, d, v = np.split(np.asarray(sol.duals) / scale,
+                            np.cumsum([K, K, 2 * K]))
+    E1, E2 = np.zeros((M, N)), np.zeros((M, N))
+    E1[:, :-1] = e1.reshape(N - 1, M).T
+    E2[:, 1:] = e2.reshape(N - 1, M).T
+    D1, D2 = d.reshape(2, N - 1, M).transpose(0, 2, 1)
+    return sol.objective, certify.HedgeStrategy(
+        surface.states, surface.maturities, E1, E2, v.reshape(N, M).T, D1, D2,
+        growth_rate=a.growth_rate)
+
+
+def _assert_bounds_like_the_bounded_lp(surface, a):
+    assert market.validate(surface).zero_tail
+    phi, hedge = _bounded_lp_oracle(surface, a)
+    assert bound.robust_bound(surface, a).phi == pytest.approx(phi, rel=1e-9)
+    scale = certify.hedge_scale(hedge)
+    assert certify.grid_feasibility(hedge, a) >= -1e-12 * scale
+    cost = hedge.cost(market.extended_marginals(surface))
+    assert abs(cost - phi) <= 1e-12 * (1.0 + abs(phi)), (cost, phi)
+
+
+@pytest.mark.parametrize("name", ["sec26", "sec52", "eg11"])
+def test_zero_tail_demo_bounds_like_the_bounded_lp(name):
+    inst = instances.get(name)
+    _assert_bounds_like_the_bounded_lp(inst.surface, inst.payoff)
+
+
+@given(J=st.integers(3, 8), N=st.integers(2, 4), put=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_tail_surface_bounds_like_the_bounded_lp(J, N, put, seed):
+    # the extended LP's tail row holds the top call, 0 here: its value is
+    # the bounded LP's, whose hedge the closed-form tail row makes whole
+    rng = np.random.default_rng(seed)
+    surface = _spread_surface(rng, J, N)
+    _assert_bounds_like_the_bounded_lp(surface,
+                                       _random_payoff(rng, surface, put))
+
+
+def _snell_value(model, a):
+    """The model's own optimal stopping value, by backward induction over
+    (state, regime): a holding path switches regime with probability
+    switch_prob at each maturity and then moves by the G2 kernel, as
+    ``certify.simulate`` draws it, and any path may stop where the payoff
+    beats its continuation."""
+    pay = [a.interp(model.states, n) for n in range(model.num_maturities)]
+    q = model.switch_prob
+
+    def kernel(G):
+        rowsum = G.sum(axis=1, keepdims=True)
+        return np.divide(G, rowsum, out=np.zeros_like(G), where=rowsum > 0)
+
+    U1 = U2 = pay[-1]               # holding, switched: both stop at the end
+    for n in range(model.num_maturities - 2, -1, -1):
+        arrive = q[:, n + 1] * U2 + (1.0 - q[:, n + 1]) * U1
+        U1 = np.maximum(pay[n], kernel(model.G1[:, :, n]) @ arrive)
+        U2 = np.maximum(pay[n], kernel(model.G2[:, :, n]) @ U2)
+    return float(model.marginals[:, 0] @ (q[:, 0] * U2 + (1.0 - q[:, 0]) * U1))
+
+
+def _assert_snell_is_phi(res, a):
+    # no stopping rule in the model beats its own exercise rule, exactly,
+    # and that rule attains the bound.  Folding the tail row into the far
+    # state clips regime masses at the top lattice state by up to the far
+    # state's mass, which moves the chain's value by less than that mass
+    # times twice the largest payoff: 0 on a zero-tail surface and about
+    # 1e-9 on the Figure-4 rows.  The moves seen were at most a tenth of
+    # it, and up to 2.6e-10 * (1 + phi) on wide Black-Scholes quotes
+    tol = 1e-10 * (1.0 + abs(res.phi))
+    snell = _snell_value(res.model, a)
+    assert abs(snell - _chain_value(res.model, a)) <= tol
+    fold = 2.0 * a.values.max() * res.model.marginals[-1].sum()
+    assert abs(snell - res.phi) <= tol + fold, (snell, res.phi, fold)
+
+
+@pytest.mark.parametrize("name", ["sec26", "sec52", "eg11"])
+def test_model_snell_value_is_phi_on_demos(name):
+    inst = instances.get(name)
+    _assert_snell_is_phi(bound.robust_bound(inst.surface, inst.payoff),
+                         inst.payoff)
+
+
+@pytest.mark.parametrize("strike", [80, 90, 100, 110, 120])
+def test_model_snell_value_is_phi_on_figure4_rows(strike):
+    cfg = bench.BenchConfig(put_strike=float(strike))
+    a = bench.linearized_grid(cfg)
+    _assert_snell_is_phi(bound.robust_bound(bench.bs_surface(cfg), a), a)
+
+
+@given(J=st.integers(3, 8), N=st.integers(2, 4), tailed=st.booleans(),
+       put=st.booleans(), vol=st.floats(0.1, 0.5), lo=st.floats(0.6, 0.95),
+       hi=st.floats(1.1, 1.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_model_snell_value_is_phi(J, N, tailed, put, vol, lo, hi, seed):
+    # zero-tail spread marginals, or Black-Scholes quotes whose top call is
+    # worth more than zero
+    rng = np.random.default_rng(seed)
+    surface = (_bs_surface(J, N, vol, lo, hi) if tailed
+               else _spread_surface(rng, J, N))
+    a = _random_payoff(rng, surface, put)
+    _assert_snell_is_phi(bound.robust_bound(surface, a), a)

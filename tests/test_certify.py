@@ -43,7 +43,9 @@ def sec52_hedge(sec52):
 def test_model_consistency_checks(sec26_result):
     model = sec26_result.model
     p = market.implied_marginals(instances.get("sec26").surface)
-    assert np.all(np.abs(model.marginals - p) <= 1e-8)
+    # the lattice, then the far state, which holds no mass on sec26
+    assert np.all(np.abs(model.marginals[:-1] - p) <= 1e-8)
+    assert not model.marginals[-1].any()
     assert np.all(model.switch_prob >= -1e-9)
     assert np.all(model.switch_prob <= 1 + 1e-9)
     assert model.F.min() >= -1e-12
@@ -149,8 +151,7 @@ def test_gains_zero_hedge_is_zero(sec52):
     zero = HedgeStrategy(sec52.surface.states, sec52.surface.maturities,
                          np.zeros((J1, 2)), np.zeros((J1, 2)),
                          np.zeros((J1, 2)), np.zeros((J1, 1)),
-                         np.zeros((J1, 1)), growth_rate=0.0,
-                         beta=np.zeros(2))
+                         np.zeros((J1, 1)), growth_rate=0.0)
     values = _values(zero, np.array([[1.0, 4.0]]))
     assert np.array_equal(values, np.zeros((1, 2)))
 
@@ -164,7 +165,7 @@ def test_gains_cover_early_exercise(sec52, sec52_hedge):
 
 
 def test_paper_hedge_cost_is_optimal(sec52, sec52_hedge):
-    p = market.implied_marginals(sec52.surface)
+    p = market.extended_marginals(sec52.surface)
     assert sec52_hedge.cost(p) == pytest.approx(3.6, abs=1e-12)
     assert certify.grid_feasibility(sec52_hedge, sec52.payoff) >= -1e-12
 
@@ -264,32 +265,22 @@ def _loop_slack_over_exercise(hedge, a, Y):
 
 def _row_values(hedge, y):
     """One row of the exercise-value table from scalar sums: the static
-    claims, the tail calls of the bounded variant and the traded gains."""
+    claims, their tail rows and the traded gains."""
     xs, N = hedge.states, len(y)
-    J, xJ, R = len(xs) - 1, xs[-1], hedge.growth_rate
+    J, xJ = len(xs) - 1, xs[-1]
 
-    def leg(col, slope, x):
-        return float(np.interp(min(x, xJ), xs, col[:J + 1])
-                     + slope * max(x - xJ, 0.0))
+    def leg(M, n, x):
+        return float(np.interp(min(x, xJ), xs, M[:J + 1, n])
+                     + M[J + 1, n] * max(x - xJ, 0.0))
 
-    def tail(M):
-        return M[J + 1] if hedge.extended else np.zeros(N)
-
-    e1s, e2s = tail(hedge.E1), tail(hedge.E2)
-    vs = hedge.V[J + 1] if hedge.extended else np.full(N, R)
-    static = sum(leg(hedge.E1[:, n], e1s[n], y[n])
-                 + leg(hedge.E2[:, n], e2s[n], y[n]) for n in range(N))
-    static += leg(hedge.V[:, N - 1], vs[N - 1], y[N - 1])
-    if not hedge.extended:
-        beta = certify.tail_calls(hedge, R)
-        static += sum(beta[n] * max(y[n] - xJ, 0.0) for n in range(N))
-        static += R * max(y[N - 1] - xJ, 0.0)
+    static = sum(leg(hedge.E1, n, y[n]) + leg(hedge.E2, n, y[n])
+                 for n in range(N))
+    static += leg(hedge.V, N - 1, y[N - 1])
 
     def ratio(delta, n, x):
         D = hedge.D1 if delta == 1 else hedge.D2
         if x > xJ:
-            return (tail_hedge_ratio(hedge, n, delta)
-                    if hedge.extended else D[J, n - 1])
+            return tail_hedge_ratio(hedge, n, delta)
         h = hedge.E1[:J + 1, n - 1] - (delta == 2) * hedge.V[:J + 1, n - 1]
         return mixed_interp(xs, D[:J + 1, n - 1], h, x)
 
@@ -302,14 +293,19 @@ def _row_values(hedge, y):
 
 @pytest.fixture(scope="module")
 def replay_cases():
-    """(name, hedge, payoff, s0) for each demo in both variants, and the
-    headline."""
+    """(name, hedge, payoff, s0) for each demo, each demo's reference hedge
+    where it has one, and the headline."""
     cases = []
     for name in ("sec26", "sec52", "eg11"):
         inst = instances.get(name)
-        for variant in ("bounded", "extended"):
-            res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
-            cases.append(("%s-%s" % (name, variant), res.hedge, inst.payoff,
+        res = bound.robust_bound(inst.surface, inst.payoff)
+        cases.append((name, res.hedge, inst.payoff, inst.surface.s0))
+        if "hedge" in inst.extras:
+            h = inst.extras["hedge"]
+            ref = HedgeStrategy(inst.surface.states, inst.surface.maturities,
+                                h["E1"], h["E2"], h["V"], h["D1"], h["D2"],
+                                growth_rate=inst.payoff.growth_rate)
+            cases.append((name + "-reference", ref, inst.payoff,
                           inst.surface.s0))
     cfg = bench.BenchConfig()
     a = bench.linearized_grid(cfg)
@@ -356,17 +352,18 @@ def test_exercise_values_match_scalar_sums(replay_cases):
 
 @st.composite
 def replay_inputs(draw):
-    """A random bounded or extended hedge, a payoff on its lattice, and
+    """A random hedge, given with its tail row or on the lattice alone, a
+    payoff on its lattice, and
     paths whose every column passes through 0, each knot, x_J, the next
     float above x_J and prices far above x_J.  Rounded values and, at times,
     whole-number knots make ties between a ratio and a secant slope."""
     K, N = draw(st.integers(2, 6)), draw(st.integers(1, 4))
-    extended = draw(st.booleans())
+    with_tail = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gaps = (rng.integers(1, 4, K - 1).astype(float) if draw(st.booleans())
             else rng.uniform(0.5, 30.0, K - 1))
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
-    M = K + extended
+    M = K + with_tail
 
     def block(cols):
         return np.round(rng.normal(scale=3.0, size=(M, cols)),
@@ -376,7 +373,7 @@ def replay_inputs(draw):
     hedge = HedgeStrategy(xs, mats, block(N), block(N), block(N),
                           block(N - 1), block(N - 1),
                           growth_rate=float(rng.choice([0.0, 0.5, 1.0])))
-    assert hedge.extended == extended
+    assert hedge.E1.shape == (K + 1, N)
     a = AmericanPayoffGrid(np.abs(block(N)[:K]), xs, mats,
                            rng.choice([0.0, 1.0], N) * rng.uniform(0, 2, N))
     xJ = xs[-1]
@@ -418,14 +415,20 @@ def _same_bits(got, want):
 
 @given(case=replay_inputs(), R=st.sampled_from([0.0, 0.5, 1.0]))
 def test_tail_calls_match_step_loop(case, R):
+    # the lattice rows alone get the tail row of the step loop on creation,
+    # bit for bit; a hedge given with its tail row keeps it
     hedge = case[0]
-    if hedge.extended:      # tail calls close zero-tail hedges: drop the row
-        hedge = dataclasses.replace(
-            hedge, beta=None, **{name: getattr(hedge, name)[:-1]
-                                 for name in ("E1", "E2", "V", "D1", "D2")})
-        assert not hedge.extended
-    assert _same_bits(certify.tail_calls(hedge, R), tail_calls(hedge, R))
-    assert _same_bits(hedge.beta, tail_calls(hedge, hedge.growth_rate))
+    blocks = {name: getattr(hedge, name)[:-1] for name in _BLOCKS}
+    lattice = HedgeStrategy(hedge.states, hedge.maturities, growth_rate=R,
+                            **blocks)
+    want = tail_calls(blocks["D1"], blocks["D2"], R)
+    for name, row in zip(_BLOCKS, want):
+        assert _same_bits(getattr(lattice, name)[:-1], blocks[name])
+        assert _same_bits(getattr(lattice, name)[-1], row), name
+    again = HedgeStrategy(hedge.states, hedge.maturities, growth_rate=R,
+                          **{name: getattr(hedge, name) for name in _BLOCKS})
+    for name in _BLOCKS:
+        assert _same_bits(getattr(again, name), getattr(hedge, name))
 
 
 class _MaturityDraws:
@@ -452,8 +455,9 @@ def test_continuous_slack_matches_per_maturity_oracle(case, start, on_grid,
     hedge, a, Y = case
     xs = hedge.states
     j = seed % (len(xs) - 1)
+    # None: the x_J / 2 that the replay's paths start at by default
     s0 = {"knot": xs[j + 1], "inside": 0.5 * (xs[j] + xs[j + 1]),
-          "above": 1.5 * xs[-1], None: None}[start]
+          "above": 1.5 * xs[-1], None: xs[-1] / 2.0}[start]
 
     def rng():
         return (_MaturityDraws(hedge.maturities) if on_grid
@@ -475,8 +479,7 @@ def test_v_mutation_detected(sec26, sec26_result):
         V[j, n] -= 1e-3 * scale
         mutated = HedgeStrategy(hedge.states, hedge.maturities, hedge.E1,
                                 hedge.E2, V, hedge.D1, hedge.D2,
-                                growth_rate=hedge.growth_rate,
-                                beta=hedge.beta)
+                                growth_rate=hedge.growth_rate)
         rep = certify.verify_superreplication(mutated, sec26.payoff,
                                               "lattice-exhaustive")
         assert rep.min_slack < -1e-9, (j, n)
@@ -487,7 +490,7 @@ def test_tail_hedge_ratio_extended():
     cfg = bench.BenchConfig(num_maturities=2, strikes=(80, 100, 120))
     surface = bench.bs_surface(cfg)
     a = bench.linearized_grid(cfg)
-    res = bound.robust_bound(surface, a, variant="extended")
+    res = bound.robust_bound(surface, a)
     h = res.hedge
     J = h.num_lattice - 1
     assert tail_hedge_ratio(h, 1, 1) == pytest.approx(
@@ -505,32 +508,33 @@ def test_tail_calls_zero_hedge():
     zero = HedgeStrategy(states, np.array([1.0, 2.0]), np.zeros((3, 2)),
                          np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)),
                          np.zeros((3, 1)), growth_rate=0.0)
-    assert np.allclose(certify.tail_calls(zero, 0.0), 0.0)
+    for name in _BLOCKS:
+        assert not getattr(zero, name)[-1].any(), name
 
 
-def test_replay_pays_the_stated_tail_calls():
-    # bounded hedges carry their tail calls from creation; a hedge whose
-    # stated calls are zeroed loses on paths that rally above x_J
-    for name in ("sec26", "sec52"):
-        inst = instances.get(name)
-        hedge = bound.robust_bound(inst.surface, inst.payoff,
-                                   variant="bounded").hedge
-        assert np.array_equal(hedge.beta,
-                              certify.tail_calls(hedge, hedge.growth_rate))
-        assert hedge.beta.max() > 0, name
-        bare = dataclasses.replace(hedge, beta=np.zeros_like(hedge.beta))
-        for h, passed in ((hedge, True), (bare, False)):
-            rep = certify.verify_superreplication(
-                h, inst.payoff, "full-line-random", trials=10000, seed=3,
-                s0=inst.surface.s0)
-            # passing: no replayed path loses more than 1e-6
-            assert (rep.min_slack >= -1e-6) == passed, (name, rep.min_slack)
+def test_replay_pays_the_stated_tail_calls(sec52, sec52_hedge):
+    # sec52's hand-built hedge gets its tail calls (the E1 and E2 tail
+    # rows) on creation; with them zeroed it loses on paths that rally
+    # above x_J
+    tail = np.concatenate([sec52_hedge.E1[-1], sec52_hedge.E2[-1]])
+    assert tail.max() > 0
+    bare = dataclasses.replace(sec52_hedge, E1=sec52_hedge.E1.copy(),
+                               E2=sec52_hedge.E2.copy())
+    bare.E1[-1] = bare.E2[-1] = 0.0
+    for h, passed in ((sec52_hedge, True), (bare, False)):
+        rep = certify.verify_superreplication(
+            h, sec52.payoff, "full-line-random", trials=10000, seed=3,
+            s0=sec52.surface.s0)
+        # passing: no replayed path loses more than 1e-6
+        assert (rep.min_slack >= -1e-6) == passed, rep.min_slack
 
 
-def test_hand_built_hedge_gets_its_tail_calls(sec52_hedge):
-    assert np.array_equal(sec52_hedge.beta,
-                          certify.tail_calls(sec52_hedge,
-                                             sec52_hedge.growth_rate))
+def test_hand_built_hedge_gets_its_tail_calls(sec52, sec52_hedge):
+    h = sec52.extras["hedge"]
+    want = tail_calls(h["D1"], h["D2"], sec52_hedge.growth_rate)
+    for name, row in zip(_BLOCKS, want):
+        assert np.array_equal(getattr(sec52_hedge, name)[:-1], h[name])
+        assert np.array_equal(getattr(sec52_hedge, name)[-1], row), name
 
 
 def test_too_few_paths_rejected(sec26, sec26_result):
@@ -553,32 +557,30 @@ def test_too_few_paths_rejected(sec26, sec26_result):
 
 def _loop_grid_feasibility(hedge, a):
     """The grid audit's previous form, kept as the oracle: rows (i)-(iii)
-    and the extended tail rows evaluated one step at a time."""
+    and the tail rows evaluated one step at a time."""
     x = hedge.states
     J = len(x) - 1
     N = len(hedge.maturities)
     E1, E2, V, D1, D2 = hedge.E1, hedge.E2, hedge.V, hedge.D1, hedge.D2
     lat = slice(0, J + 1)
     worst = float((V[lat, :] - a.values).min())
-    if hedge.extended:
-        worst = min(worst, float((V[J + 1, :] - a.tail_slopes).min()))
+    worst = min(worst, float((V[J + 1, :] - a.tail_slopes).min()))
     dx = x[None, :] - x[:, None]
     for n in range(N - 1):
         r1 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D1[lat, n, None])
         r2 = (E1[lat, n, None] + E2[None, lat, n + 1] + dx * D2[lat, n, None]
               - V[lat, n, None] + V[None, lat, n + 1])
         worst = min(worst, float(r1.min()), float(r2.min()))
-        if hedge.extended:
-            T = J + 1
-            worst = min(
-                worst,
-                float(E1[T, n] - D1[T, n]),
-                float((E2[T, n + 1] + D1[lat, n]).min()),
-                float(E1[T, n] + E2[T, n + 1]),
-                float(E1[T, n] - D2[T, n] - V[T, n]),
-                float((E2[T, n + 1] + D2[lat, n] + V[T, n + 1]).min()),
-                float(E1[T, n] + E2[T, n + 1] - V[T, n] + V[T, n + 1]),
-            )
+        T = J + 1
+        worst = min(
+            worst,
+            float(E1[T, n] - D1[T, n]),
+            float((E2[T, n + 1] + D1[lat, n]).min()),
+            float(E1[T, n] + E2[T, n + 1]),
+            float(E1[T, n] - D2[T, n] - V[T, n]),
+            float((E2[T, n + 1] + D2[lat, n] + V[T, n + 1]).min()),
+            float(E1[T, n] + E2[T, n + 1] - V[T, n] + V[T, n + 1]),
+        )
     return worst
 
 
@@ -611,9 +613,8 @@ def _assert_audits_match_loops(hedge, a, model=None):
 def test_audits_match_loops_on_demos():
     for name in ("sec26", "sec52", "eg11"):
         inst = instances.get(name)
-        for variant in ("bounded", "extended"):
-            res = bound.robust_bound(inst.surface, inst.payoff, variant=variant)
-            _assert_audits_match_loops(res.hedge, inst.payoff, res.model)
+        res = bound.robust_bound(inst.surface, inst.payoff)
+        _assert_audits_match_loops(res.hedge, inst.payoff, res.model)
 
 
 @pytest.mark.parametrize("J, N", [(8, 4), (19, 4), (12, 6), (5, 1)])
@@ -627,11 +628,11 @@ def test_audits_match_loops_on_black_scholes(J, N):
     _assert_audits_match_loops(res.hedge, a, res.model)
 
 
-@given(K=st.integers(2, 8), N=st.integers(1, 5), extended=st.booleans(),
+@given(K=st.integers(2, 8), N=st.integers(1, 5), with_tail=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_audits_match_loops_on_random_hedges(K, N, extended, seed):
+def test_audits_match_loops_on_random_hedges(K, N, with_tail, seed):
     rng = np.random.default_rng(seed)
-    rows = K + extended
+    rows = K + with_tail
     # small integers put exact ties and zeros into the residuals
     E1, E2, V = (rng.integers(-3, 4, (rows, N)).astype(float) for _ in range(3))
     D1, D2 = (rng.normal(size=(rows, N - 1)) for _ in range(2))
@@ -640,7 +641,7 @@ def test_audits_match_loops_on_random_hedges(K, N, extended, seed):
                            np.arange(1.0, N + 1.0), rng.uniform(0, 1, N))
     hedge = HedgeStrategy(states, a.maturities, E1, E2, V, D1, D2,
                           growth_rate=a.growth_rate)
-    assert hedge.extended == extended
+    assert hedge.E1.shape == (K + 1, N)
     G1 = np.where(rng.random((K, K, N - 1)) < 0.3, 0.0,
                   rng.exponential(size=(K, K, N - 1)) / K ** 2)
     marginals = rng.dirichlet(np.ones(K), size=N).T
@@ -737,7 +738,7 @@ def _grid_for(model, rng):
 def headline_bound():
     cfg = bench.BenchConfig()
     a = bench.linearized_grid(cfg)
-    return bound.robust_bound(bench.bs_surface(cfg), a, variant="extended"), a
+    return bound.robust_bound(bench.bs_surface(cfg), a), a
 
 
 @pytest.fixture(scope="module")
@@ -868,14 +869,14 @@ def test_simulation_bits_do_not_depend_on_blocks_or_threads(
 
 @pytest.fixture(scope="module")
 def replay_bounds(sec26):
-    """A zero-tail bound (tail calls paid) and an extended one on 13 states
-    and 4 maturities, whose 13**4 lattice paths fill two blocks; each with
-    the payoff function the continuous replay reads, and s0."""
+    """A zero-tail bound and one with a tail on 13 states and 4 maturities,
+    whose 13**4 lattice paths fill two blocks; each with the payoff function
+    the continuous replay reads, and s0 (x_J / 2 on sec26)."""
     cfg = bench.BenchConfig(strikes=tuple(range(70, 181, 10)))
     a = bench.linearized_grid(cfg)
     assert 13 ** 4 > BLOCK
     return [(bound.robust_bound(sec26.surface, sec26.payoff), sec26.payoff,
-             None, None),
+             None, sec26.surface.states[-1] / 2.0),
             (bound.robust_bound(bench.bs_surface(cfg), a), a,
              bench.put_payoff(cfg), cfg.s0)]
 
@@ -955,7 +956,8 @@ def test_negative_price_in_the_last_block_fails_the_replay(
     with pytest.raises(certify.CertifyError,
                        match="hedge replay at a negative price"):
         certify._continuous_slack(hedge, sec26.payoff, Y,
-                                  np.random.default_rng(5), None, None)
+                                  np.random.default_rng(5), None,
+                                  hedge.states[-1] / 2.0)
     assert threading.active_count() == before
 
 
@@ -1033,13 +1035,13 @@ def test_full_line_paths_match_cumsum_oracle(trials, N, seed, xJ, s0):
     assert _state_bytes(rngs[0]) == _state_bytes(rngs[1])
 
 
-@pytest.mark.parametrize("block", ["E1", "E2", "V", "D1", "D2", "beta"])
+@pytest.mark.parametrize("block", ["E1", "E2", "V", "D1", "D2"])
 def test_non_finite_hedge_block_rejected(sec52, block):
     # a NaN block would slip past the grid audit's min and make every
     # replayed slack NaN, which no "slack < -tol" test fails
     hedge = bound.robust_bound(sec52.surface, sec52.payoff).hedge
     blocks = {name: getattr(hedge, name).copy()
-              for name in ("E1", "E2", "V", "D1", "D2", "beta")}
+              for name in ("E1", "E2", "V", "D1", "D2")}
     blocks[block].flat[0] = np.nan
     with pytest.raises(certify.CertifyError, match="non-finite"):
         HedgeStrategy(hedge.states, hedge.maturities,
@@ -1054,21 +1056,20 @@ def _headline_blocks(headline_bound):
     return hedge, {name: getattr(hedge, name) for name in _BLOCKS}
 
 
-def test_block_rows_alone_give_the_variant(headline_bound):
-    # the headline hedge carries the tail row; its lattice rows alone are a
-    # zero-tail hedge, which gets its tail calls on creation
+def test_lattice_rows_alone_get_the_tail_row(headline_bound):
+    # the headline hedge carries the tail row and keeps it; its lattice rows
+    # alone get the closed-form tail row on creation
     hedge, blocks = _headline_blocks(headline_bound)
-    assert hedge.extended and headline_bound[0].variant == "extended"
     again = HedgeStrategy(hedge.states, hedge.maturities,
                           growth_rate=hedge.growth_rate, **blocks)
-    assert again.extended and again.beta is None
-    bounded = HedgeStrategy(hedge.states, hedge.maturities,
+    lattice = HedgeStrategy(hedge.states, hedge.maturities,
                             growth_rate=hedge.growth_rate,
                             **{name: b[:-1] for name, b in blocks.items()})
-    assert not bounded.extended
-    assert bounded.beta.shape == (len(hedge.maturities),)
-    assert _same_bits(bounded.beta,
-                      certify.tail_calls(bounded, hedge.growth_rate))
+    want = tail_calls(hedge.D1[:-1], hedge.D2[:-1], hedge.growth_rate)
+    for name, row in zip(_BLOCKS, want):
+        assert _same_bits(getattr(again, name), blocks[name])
+        assert _same_bits(getattr(lattice, name)[:-1], blocks[name][:-1])
+        assert _same_bits(getattr(lattice, name)[-1], row), name
 
 
 def _extra_column(b):
@@ -1084,43 +1085,37 @@ def _extra_column(b):
     pytest.param("E1", lambda b: np.vstack([b, b[-1:]]), id="E1-J+3-rows"),
     pytest.param("E1", lambda b: b[:-2], id="E1-J-rows"),
     pytest.param("E2", np.ravel, id="E2-vector"),
-    pytest.param("beta", None, id="beta-one-call-short"),
 ])
 def test_misshapen_hedge_block_rejected(headline_bound, block, edit):
     # a block of the wrong shape would fail later as an IndexError, or be
     # read wrongly: it is refused on construction, by name
     hedge, blocks = _headline_blocks(headline_bound)
-    if block == "beta":       # the lattice rows alone: a zero-tail hedge
-        blocks = {name: b[:-1] for name, b in blocks.items()}
-        blocks["beta"] = np.zeros(len(hedge.maturities) - 1)
-    else:
-        blocks[block] = edit(blocks[block])
+    blocks[block] = edit(blocks[block])
     with pytest.raises(certify.CertifyError, match="hedge block %s " % block):
         HedgeStrategy(hedge.states, hedge.maturities,
                       growth_rate=hedge.growth_rate, **blocks)
 
 
 @pytest.mark.parametrize("case", ["extended-hedge-lattice-masses",
-                                  "bounded-hedge-tail-row",
+                                  "lattice-rows-hedge-lattice-masses",
                                   "one-maturity-short"])
 def test_cost_refuses_a_mass_matrix_of_another_shape(headline_bound, case):
-    # pricing a hedge on the other variant's masses raised numpy's matmul
-    # error; it names both shapes and the hedge's variant instead
+    # pricing a hedge on the lattice masses alone raised numpy's matmul
+    # error, or would drop the top call's price; it names both shapes
+    # instead.  A hedge given on the lattice alone carries the tail row too.
     hedge, blocks = _headline_blocks(headline_bound)
     surface = bench.bs_surface(bench.BenchConfig())
     tail = market.extended_marginals(surface)
     p = {"extended-hedge-lattice-masses": market.implied_marginals(surface),
-         "bounded-hedge-tail-row": tail,
+         "lattice-rows-hedge-lattice-masses": market.implied_marginals(surface),
          "one-maturity-short": tail[:, :-1]}[case]
-    variant = "extended"
-    if case == "bounded-hedge-tail-row":
+    if case == "lattice-rows-hedge-lattice-masses":
         hedge = HedgeStrategy(hedge.states, hedge.maturities,
                               growth_rate=hedge.growth_rate,
                               **{name: b[:-1] for name, b in blocks.items()})
-        variant = "bounded"
     with pytest.raises(certify.CertifyError,
-                       match=r"shape \(%d, %d\), the %s hedge needs \(%d, %d\)"
-                       % (*p.shape, variant, *hedge.V.shape)):
+                       match=r"shape \(%d, %d\), the hedge needs \(%d, %d\)"
+                       % (*p.shape, *hedge.V.shape)):
         hedge.cost(p)
 
 

@@ -164,13 +164,14 @@ def test_example_payoff_on_another_grid_exit_2(runner, tmp_path, command,
 
 @pytest.mark.parametrize("command", ["bound", "certify", "simulate"])
 def test_bounded_variant_on_quotes_with_a_tail_exit_2(runner, command):
-    # the headline quotes price the top call above zero: the option is one
-    # the input cannot take, refused before any solve
+    # every surface is bounded in one form, and the option that chose
+    # between two is gone: a command line that still passes it is refused
+    # before any solve
     res = runner.invoke(cli.main, [
         command, "--input", HEADLINE, "--payoff",
         '{"type": "put", "K": 100, "r": 0.05}', "--variant", "bounded"])
     assert res.exit_code == 2, res.output
-    assert "error: bounded variant needs a zero-price top call" in res.stderr
+    assert "No such option '--variant'" in res.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "bound", "certify",
@@ -291,8 +292,12 @@ def test_bound_report_contents(runner, tmp_path):
     doc = json.loads(res.output)
     assert doc["phi"] == pytest.approx(35.625, abs=1e-8)
     assert doc["psi"] == pytest.approx(35.625, abs=1e-8)
-    assert set(doc["model"]) == {"F", "G1", "G2", "q"}
-    assert set(doc["hedge"]) == {"E1", "E2", "D1", "D2", "V", "tail"}
+    assert set(doc["model"]) == {"F", "G1", "G2", "q", "states"}
+    assert set(doc["hedge"]) == {"E1", "E2", "D1", "D2", "V"}
+    # the lattice, the far state past it, and the tail row of every block
+    assert doc["model"]["states"][:-1] == [0.0, 50.0, 100.0, 150.0]
+    assert doc["model"]["states"][-1] >= 1e9 * 150.0
+    assert all(len(doc["hedge"][name]) == 5 for name in doc["hedge"])
 
 
 def test_bound_single_maturity_surface(runner, tmp_path):
@@ -386,7 +391,6 @@ def test_put_payoff_spec(runner, tmp_path):
                                    '{"type": "put", "K": 100, "r": 0.05}'])
     assert res.exit_code == 0
     doc = json.loads(res.output)
-    assert doc["variant"] == "extended"
     assert doc["phi"] >= doc["psi"] - 1e-6
 
 
@@ -429,7 +433,7 @@ def test_non_finite_put_spec_exit_2(runner, tmp_path, spec):
 def test_grid_payoff_tail_slopes_per_maturity_exit_2(runner, tmp_path,
                                                      variant, tail_slopes):
     # a 3-strike, 2-maturity surface: sec26's zero-tail quotes, or
-    # Black-Scholes quotes, which need the extended variant
+    # Black-Scholes quotes, whose top call is worth more than zero
     from amerbound import bench
     if variant == "bounded":
         def mangle(doc):
@@ -502,8 +506,8 @@ def _mostly(draw, good, bad):
 
 def _docs():
     """Valid input documents: sec26's zero-tail quotes, Black-Scholes
-    quotes that need the extended variant, and sec26's implied marginals;
-    each with whether its top call is worth more than zero."""
+    quotes whose top call is worth more than zero, and sec26's implied
+    marginals."""
     from amerbound import bench, market
     docs = []
     for s in (instances.get("sec26").surface,
@@ -516,8 +520,7 @@ def _docs():
     docs.append({"marginals": market.implied_marginals(s).tolist(),
                  "states": s.states.tolist(),
                  "maturities": s.maturities.tolist()})
-    return [(doc, not market.validate(market.load_surface(json.dumps(doc)),
-                                      mode="weak").zero_tail) for doc in docs]
+    return docs
 
 
 DOCS = _docs()
@@ -530,9 +533,9 @@ ZERO_ROW_CSV = ["x,1,2\n%s90,12,15\n100,5,8\n" % zero
 
 @st.composite
 def surface_texts(draw):
-    """A surface file's text, its lattice shape (None when malformed) and
-    whether it is kept whole with a top call worth more than zero."""
-    doc, tail = draw(st.sampled_from(DOCS))
+    """A surface file's text and its lattice shape (None when
+    malformed)."""
+    doc = draw(st.sampled_from(DOCS))
     doc = json.loads(json.dumps(doc))
     shape = (len(doc.get("strikes", doc.get("states", [0])[1:])) + 1,
              len(doc["maturities"]))
@@ -558,9 +561,8 @@ def surface_texts(draw):
     elif how == "text":
         texts = ["", "{not json", "[1, 2]", "{}", "0,1\n0,100\n",
                  "1,2\n3,4\n", "x\n0,1,2\n"] + ZERO_ROW_CSV
-        return draw(st.sampled_from(texts)), None, False
-    keep = how == "keep"
-    return json.dumps(doc), shape if keep else None, tail and keep
+        return draw(st.sampled_from(texts)), None
+    return json.dumps(doc), shape if how == "keep" else None
 
 
 @st.composite
@@ -610,9 +612,8 @@ def options(draw, name, low, high=None):
 
 @st.composite
 def command_lines(draw, path):
-    """A command line, and whether every option value is in its range and
-    one that the input can take.  Now and then a report goes under a
-    directory that does not exist."""
+    """A command line, and whether every option value is in its range.  Now
+    and then a report goes under a directory that does not exist."""
     command = draw(st.sampled_from(["validate", "bound", "certify", "simulate",
                                     "bench-table", "demo"]))
     out = [] if draw(st.integers(0, 7)) else [
@@ -625,7 +626,7 @@ def command_lines(draw, path):
         seed, ok = draw(options("--seed", 0, 2 ** 64))
         return [command, draw(st.sampled_from(sorted(instances.BUILTIN)))] \
             + seed, ok
-    text, shape, tail = draw(surface_texts())
+    text, shape = draw(surface_texts())
     with open(path, "w") as fh:
         fh.write(text)
     args = [command, "--input", path] + out
@@ -636,15 +637,13 @@ def command_lines(draw, path):
         with open(path + ".payoff", "w") as fh:
             fh.write(draw(st.sampled_from([spec, "[1, 2]", "3", "null", "{"])))
         spec = path + ".payoff"
-    variant = draw(st.sampled_from(["auto", "bounded", "extended"]))
-    args += ["--payoff", spec, "--variant", variant]
+    args += ["--payoff", spec]
     drawn = [options("--tol-gap", 0.0)]
     if command != "bound":
         drawn += [options("--trials", 2, 2000), options("--seed", 0, 2 ** 64)]
     if command == "certify":
         drawn.append(options("--tol-feas", 0.0))
-    # the bounded variant needs a top call worth zero
-    ok = not (tail and variant == "bounded")
+    ok = True
     for option in drawn:
         pair, in_range = draw(option)
         args += pair
@@ -655,8 +654,8 @@ def command_lines(draw, path):
 @settings(max_examples=200)
 @given(data=st.data())
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, data):
-    # an option out of its range, or one the input cannot take, is malformed
-    # input, refused before any work
+    # an option out of its range is malformed input, refused before any
+    # work
     path = str(tmp_path_factory.getbasetemp() / "surface.json")
     args, options_ok = data.draw(command_lines(path))
     res = CliRunner().invoke(cli.main, args)

@@ -130,8 +130,6 @@ def test_rows_view_rebuilds_the_same_arrays():
     lps = [_random_bounded_lp(rng) for _ in range(20)]
     for name in ("sec26", "sec52", "eg11"):
         inst = instances.get(name)
-        lps.append(bound.build_primal_bounded(
-            market.implied_marginals(inst.surface), inst.payoff)[0])
         lps.append(bound.build_primal_extended(
             market.extended_marginals(inst.surface), inst.payoff)[0])
     for lp in lps:
@@ -296,9 +294,9 @@ def _spread_marginals_surface(J, N):
 
 
 def _sweep_primals():
-    """The primal of each (J, N) that the benchmark's bound sweep solves, in
-    both variants: lognormal quotes (extended) and spread marginals under a
-    put (bounded)."""
+    """The primal of each (J, N) that the benchmark's bound sweep solves, on
+    both kinds of surface: lognormal quotes, whose top call is worth more
+    than zero, and zero-tail spread marginals under a put."""
     for J, N in [(J, N) for J in range(3, 9) for N in range(2, 7)
                  if J * N <= 24]:
         cfg = bench.BenchConfig(strikes=tuple(np.linspace(70.0, 140.0, J)),
@@ -308,8 +306,8 @@ def _sweep_primals():
             bench.linearized_grid(cfg))[0]
         surface = _spread_marginals_surface(J, N)
         put = np.maximum(10.0 * J / 2 - surface.states, 0.0)
-        yield bound.build_primal_bounded(
-            market.implied_marginals(surface),
+        yield bound.build_primal_extended(
+            market.extended_marginals(surface),
             AmericanPayoffGrid(np.tile(put[:, None], N), surface.states,
                                surface.maturities))[0]
 

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from amerbound import bench, bound, instances, lpcore, market
-from amerbound.bound import build_primal_bounded, build_primal_extended
+from amerbound.bound import build_primal_extended
 from amerbound.lpcore import LinearProgram, Row
 from amerbound.payoff import AmericanPayoffGrid
 
@@ -101,26 +101,19 @@ def assert_solves_like_linprog(lp):
         assert np.array_equal(new.duals, ref.duals)
 
 
-def _primal(surface, grid, variant):
-    if variant == "bounded":
-        lp, _ = build_primal_bounded(market.implied_marginals(surface), grid)
-    else:
-        lp, _ = build_primal_extended(market.extended_marginals(surface), grid)
+def _primal(surface, grid):
+    lp, _ = build_primal_extended(market.extended_marginals(surface), grid)
     return lp
 
 
 def test_primal_lps_solve_like_linprog():
-    cases = [(instances.get(name), variant)
-             for name in ("sec26", "sec52", "eg11")
-             for variant in ("bounded", "extended")]
+    cases = [instances.get(name) for name in ("sec26", "sec52", "eg11")]
     cfg = bench.BenchConfig()
     headline = (bench.bs_surface(cfg), bench.linearized_grid(cfg))
-    lps = [_primal(inst.surface, inst.payoff, variant)
-           for inst, variant in cases]
-    lps.append(_primal(*headline, "extended"))
-    lps += [_primal(*dense_grid_case(J, N), "extended")
-            for J, N in DENSE_GRIDS]
-    lps.append(_primal(*presolve_trap_case(), "extended"))
+    lps = [_primal(inst.surface, inst.payoff) for inst in cases]
+    lps.append(_primal(*headline))
+    lps += [_primal(*dense_grid_case(J, N)) for J, N in DENSE_GRIDS]
+    lps.append(_primal(*presolve_trap_case()))
     for lp in lps:
         assert lpcore.solve(lp).status == "optimal"
         assert_solves_like_linprog(lp)
@@ -128,21 +121,20 @@ def test_primal_lps_solve_like_linprog():
 
 def test_primal_colwise_layout_on_sweep_shapes():
     # every shape of the benchmark's sweep (J 3-8, N 2-6, at most 24
-    # cells), both variants, on random lattices and masses
+    # cells), with and without tail slopes, on random lattices and masses
     rng = np.random.default_rng(20)
     for J in range(3, 9):
         for N in range(2, 7):
             if J * N > 24:
                 continue
-            for extended in (False, True):
+            for sloped in (False, True):
                 states = np.concatenate([[0.0],
                                          np.cumsum(rng.uniform(0.5, 20.0, J))])
-                M = J + 2 if extended else J + 1
-                p_hat = rng.dirichlet(np.ones(M), size=N).T
+                p_hat = rng.dirichlet(np.ones(J + 2), size=N).T
                 a = AmericanPayoffGrid(
                     rng.uniform(0.0, 50.0, (J + 1, N)), states,
                     np.arange(1.0, N + 1.0),
-                    rng.uniform(0.0, 1.0, N) if extended else None)
+                    rng.uniform(0.0, 1.0, N) if sloped else None)
                 lp, _ = bound._build_primal(p_hat, a)
                 assert_colwise_like_scipy(lp)
 

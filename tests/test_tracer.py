@@ -31,19 +31,15 @@ def test_tracer_counts_the_lp_matrix(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        results = [bound.robust_bound(surface, a) for surface, a in cases]
+        for surface, a in cases:
+            bound.robust_bound(surface, a)
     finally:
         tracer.uninstall()
-    assert [res.variant for res in results] == ["bounded", "extended"]
     solves = [span for span in tracer.spans if span.name == "lpcore.solve"]
     assert len(solves) == len(cases)
-    for span, (surface, a), res in zip(solves, cases, results):
-        if res.variant == "bounded":
-            lp, _ = bound.build_primal_bounded(
-                market.implied_marginals(surface), a)
-        else:
-            lp, _ = bound.build_primal_extended(
-                market.extended_marginals(surface), a)
+    for span, (surface, a) in zip(solves, cases):
+        lp, _ = bound.build_primal_extended(market.extended_marginals(surface),
+                                            a)
         assert (span.counts["rows"], span.counts["cols"]) == csr(lp).shape
         assert span.counts["nnz"] == csr(lp).nnz
         assert span.counts["status"] == "optimal"
