@@ -12,11 +12,16 @@ Every builder takes the extended mass matrix from ``market``: the implied
 marginals and a virtual top row, which carries the mass priced by the top
 call (0 on a zero-tail surface).  This module solves every LP of the
 package and hands ``certify`` plain arrays; the seed model is the primal's
-model for a claim paid only at the first maturity.
+model for a claim paid only at the first maturity.  The primal's layout
+depends only on its shape and is built once per shape (``_primal_layout``);
+each bound fills in its values.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,34 +111,84 @@ def _check_mass_matrix(p_hat, a: AmericanPayoffGrid):
                          % (np.shape(p_hat), K + 1, N))
 
 
-def _build_primal(p_hat, a: AmericanPayoffGrid):
-    """The primal LP, constraints (a)-(e), and its VariableIndex.
+# Primal layouts are cached per shape (M, N), the least recently used
+# evicted first, while their arrays hold at most LAYOUT_CACHE_BYTES; a layout
+# holds about 46 bytes per nonzero.  Measured: the 20 shapes of J 3-8, N 2-6
+# with at most 24 cells (the demos' among them) hold 0.75 MB together, the
+# largest (J=8, N=3) 70 kB; J=10-19 at N=2-4 take 51-158 kB each; J=30,
+# N=8 2.6 MB; J=50, N=12 10.7 MB, which is built on each bound and not kept.
+LAYOUT_CACHE_BYTES = 4 * 2 ** 20
+_LAYOUTS = OrderedDict()
+_LAYOUTS_LOCK = threading.Lock()
 
-    p_hat: (J+2) x N mass matrix, whose last row is the virtual tail row;
-    a: the payoff on the J+1 lattice states, whose tail slopes are the tail
-    row's objective rates.  Each row block's terms come from one broadcast
-    mask over the layout, in row order; the index records each row's scale
-    in ``row_scale``.
-    """
-    _check_mass_matrix(p_hat, a)
-    x = a.states
-    M, N = p_hat.shape
-    J = len(x) - 1
+
+@dataclass(frozen=True)
+class _PrimalLayout:
+    """What the primal LP of M states and N maturities is, whatever the
+    lattice and masses: its VariableIndex (no row scales), its constraint
+    pattern, and the coefficient of each stored entry before row scaling.
+    The lattice's drift entries, ``coefs[drift_at]``, are NaN; they are
+    x[k] - x[j] for the moves j -> k in ``drift_j``, ``drift_k``.  Every
+    array is read-only."""
+
+    index: VariableIndex
+    pattern: lpcore.Pattern
+    coefs: np.ndarray
+    drift_at: np.ndarray
+    drift_j: np.ndarray
+    drift_k: np.ndarray
+
+    def arrays(self):
+        """Every array of the layout outside its pattern."""
+        return [self.coefs, self.drift_at, self.drift_j, self.drift_k,
+                *(a for a in vars(self.index).values()
+                  if isinstance(a, np.ndarray))]
+
+    @property
+    def nbytes(self):
+        return self.pattern.nbytes + sum(a.nbytes for a in self.arrays())
+
+
+def _primal_layout(M, N):
+    """The cached _PrimalLayout of M states and N maturities."""
+    key = (M, N)
+    with _LAYOUTS_LOCK:
+        layout = _LAYOUTS.get(key)
+        if layout is not None:
+            _LAYOUTS.move_to_end(key)
+            return layout
+    layout = _make_primal_layout(M, N)
+    with _LAYOUTS_LOCK:
+        if layout.nbytes <= LAYOUT_CACHE_BYTES:
+            _LAYOUTS[key] = layout
+            total = sum(v.nbytes for v in _LAYOUTS.values())
+            while total > LAYOUT_CACHE_BYTES:
+                total -= _LAYOUTS.popitem(last=False)[1].nbytes
+    return layout
+
+
+def _make_primal_layout(M, N):
+    """Constraints (a)-(e) of the primal LP on M states (the last one the
+    virtual tail row) and N maturities.  Each row block's terms come from
+    one broadcast mask over the layout, in row order.  The pattern does not
+    depend on the lattice, whose states strictly increase: every lattice
+    drift x[k] - x[j] with k != j is nonzero."""
+    J = M - 2
     idx = VariableIndex(M, N)
     f, g = idx.f, idx.g
-
-    objective = np.zeros(idx.num_vars)
-    objective[f] = np.vstack([a.values, a.tail_slopes]).T
 
     # move[j, k]: whether state j's mass rows (a), (b) and (e) count the
     # move j -> k as outflow and k -> j as inflow.  A lattice state's rows
     # skip the tail, whose row carries the top call's forward position.
     move = np.ones((M, M), dtype=bool)
     move[:J + 1, J + 1:] = False
-    # drift[j, k]: coefficient of j -> k in j's martingale row (c/d); the
-    # tail row and column carry 1, so the tail row sends no mass down
+    # drift[j, k]: coefficient of j -> k in j's martingale row (c/d), NaN
+    # for the lattice's x[k] - x[j]; the tail row and column carry 1, so
+    # the tail row sends no mass down
+    lattice = np.zeros((M, M), dtype=bool)
+    lattice[:J + 1, :J + 1] = ~np.eye(J + 1, dtype=bool)
     drift = np.ones((M, M))
-    drift[:J + 1, :J + 1] = x[None, :] - x[:, None]
+    drift[:J + 1, :J + 1] = np.where(lattice[:J + 1, :J + 1], np.nan, 0.0)
     drift[J + 1:, J + 1:] = 0.0
 
     blocks = []                                # (rows, cols, coefs), in row order
@@ -141,7 +196,9 @@ def _build_primal(p_hat, a: AmericanPayoffGrid):
     ones = np.ones(len(n))
     blocks.append((idx.row_a[n, j], g[d, n, j, k], ones))    # (a) outflow = mass
     blocks.append((idx.row_b[n, j], g[d, n, k, j], ones))    # (b) inflow = mass
-    d, n, j, k = np.nonzero(np.broadcast_to(drift, (2, N - 1, M, M)))
+    d, n, j, k = np.nonzero(np.broadcast_to(drift != 0.0, (2, N - 1, M, M)))
+    drift_at = sum(len(b[0]) for b in blocks) + np.flatnonzero(lattice[j, k])
+    drift_j, drift_k = j[lattice[j, k]], k[lattice[j, k]]
     blocks.append((idx.row_cd[d, n, j], g[d, n, j, k], drift[j, k]))  # (c/d)
     # (e) exercise budget: f, then - outflow, then + inflow in each row
     n, j, k = np.nonzero(np.broadcast_to(move, (N - 1, M, M)))
@@ -154,21 +211,50 @@ def _build_primal(p_hat, a: AmericanPayoffGrid):
     blocks.append((rows[order], cols[order], coefs[order]))
     rows, cols, coefs = (np.concatenate(b) for b in zip(*blocks))
 
+    relations = np.full(idx.num_rows, "=", dtype="<U2")
+    relations[idx.row_e] = "<="
+    counts = np.bincount(rows, minlength=idx.num_rows)
+    if not counts.all():
+        raise BoundError("empty LP row")
+    pattern = lpcore.Pattern(idx.num_vars, np.concatenate([[0], np.cumsum(counts)]),
+                             cols, relations)
+    # derived here, not on the first solve, so that the cache counts its bytes
+    pattern.highs_form()
+    layout = _PrimalLayout(idx, pattern, coefs, drift_at, drift_j, drift_k)
+    for a in layout.arrays():
+        a.flags.writeable = False
+    return layout
+
+
+def _build_primal(p_hat, a: AmericanPayoffGrid):
+    """The primal LP, constraints (a)-(e), and its VariableIndex.
+
+    p_hat: (J+2) x N mass matrix, whose last row is the virtual tail row;
+    a: the payoff on the J+1 lattice states, whose tail slopes are the tail
+    row's objective rates.  The LP's pattern comes from the shape's cached
+    layout; the objective, the lattice drifts, the right-hand sides and the
+    row scales come from the values.  The returned index is this LP's own
+    and records each row's scale in ``row_scale``.
+    """
+    _check_mass_matrix(p_hat, a)
+    x = a.states
+    layout = _primal_layout(*p_hat.shape)
+    idx = copy.copy(layout.index)
+
+    objective = np.zeros(idx.num_vars)
+    objective[idx.f] = np.vstack([a.values, a.tail_slopes]).T
+    coefs = layout.coefs.copy()
+    coefs[layout.drift_at] = x[layout.drift_k] - x[layout.drift_j]
     rhs = np.zeros(idx.num_rows)
     rhs[idx.row_a] = p_hat[:, :-1].T
     rhs[idx.row_b] = p_hat[:, 1:].T
     rhs[idx.row_e[-1]] = p_hat[:, -1]
-    relations = np.full(idx.num_rows, "=", dtype="<U2")
-    relations[idx.row_e] = "<="
 
-    counts = np.bincount(rows, minlength=idx.num_rows)
-    if not counts.all():
-        raise BoundError("empty LP row")
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    scale = np.maximum.reduceat(np.abs(coefs), indptr[:-1])
+    pattern = layout.pattern
+    scale = np.maximum.reduceat(np.abs(coefs), pattern.indptr[:-1])
     # divide, not multiply by the reciprocal: the rows keep their bits
-    lp = lpcore.LinearProgram("max", idx.num_vars, objective, indptr, cols,
-                              coefs / scale[rows], rhs / scale, relations)
+    lp = lpcore.LinearProgram.from_pattern(
+        pattern, "max", objective, coefs / scale[pattern.row_ids], rhs / scale)
     idx.row_scale = scale
     return lp, idx
 
@@ -354,10 +440,17 @@ def seed_model(surface: market.CallSurface):
 
 def _solve_primal(lp, failure="primal LP"):
     """The optimum of ``lp``; otherwise a BoundError naming the failure,
-    the LP's shape and HiGHS's status."""
-    sol = lpcore.solve(lp)
-    if sol.status != "optimal":
+    the LP's shape and HiGHS's status, also where HiGHS ends in a status
+    other than optimal, infeasible and unbounded."""
+    try:
+        sol = lpcore.solve(lp)
+        status = sol.status
+    except lpcore.LPError as exc:
+        if exc.status is None:
+            raise
+        status = exc.status
+    if status != "optimal":
         raise BoundError("%s (%dx%d): HiGHS %s ended %s"
                          % (failure, len(lp.rhs), lp.num_vars, lpcore.METHOD,
-                            sol.status))
+                            status))
     return sol

@@ -132,20 +132,26 @@ def _conservation_switch_prob(G1, marginals):
 def _check_model(model: RegimeModel, top_strike):
     x = model.states
     p = model.marginals
-    M, N = model.F.shape
     # drift tolerance scales with the traded lattice, not the far state
     span = max(top_strike, 1.0)
-    for n in range(N - 1):
-        out = model.G1[:, :, n].sum(axis=1) + model.G2[:, :, n].sum(axis=1)
-        if np.max(np.abs(out - p[:, n])) > BALANCE_TOL:
-            raise CertifyError("outflow mismatch at step %d" % (n + 1))
-        infl = model.G1[:, :, n].sum(axis=0) + model.G2[:, :, n].sum(axis=0)
-        if np.max(np.abs(infl - p[:, n + 1])) > BALANCE_TOL:
-            raise CertifyError("inflow mismatch at step %d" % (n + 2))
-        for G in (model.G1, model.G2):
-            drift = (x[None, :] - x[:, None]) * G[:, :, n]
-            if np.max(np.abs(drift.sum(axis=1))) > 1e-8 * span:
-                raise CertifyError("martingale violation at step %d" % (n + 1))
+    G1, G2 = model.G1, model.G2
+    dx = (x[None, :] - x[:, None])[:, :, None]
+    # (check, step): every step's outflow, inflow and martingale rows of
+    # both regimes at once; the first step that fails, in that order, names
+    # the failure
+    bad = np.stack([
+        np.abs(G1.sum(axis=1) + G2.sum(axis=1) - p[:, :-1]).max(axis=0)
+        > BALANCE_TOL,
+        np.abs(G1.sum(axis=0) + G2.sum(axis=0) - p[:, 1:]).max(axis=0)
+        > BALANCE_TOL,
+        np.abs((dx * G1).sum(axis=1)).max(axis=0) > 1e-8 * span,
+        np.abs((dx * G2).sum(axis=1)).max(axis=0) > 1e-8 * span])
+    if bad.any():
+        n, check = np.argwhere(bad.T)[0]
+        raise CertifyError(("outflow mismatch at step %d" % (n + 1),
+                            "inflow mismatch at step %d" % (n + 2),
+                            "martingale violation at step %d" % (n + 1),
+                            "martingale violation at step %d" % (n + 1))[check])
     if np.any(model.switch_prob < -1e-9) or np.any(model.switch_prob > 1 + 1e-9):
         raise CertifyError("switch probability outside [0, 1]")
     if np.any(model.F < -1e-9):

@@ -3,9 +3,12 @@
 A program holds its constraints as CSR arrays (a list of ``Row`` objects
 converts to them through ``LinearProgram.from_rows``) and is solved with the
 HiGHS dual revised simplex (Huangfu & Hall, Math. Prog. Comp. 10, 2018),
-driven through the HiGHS core that ships inside scipy.  Primal and dual
-residuals of each optimum are computed here from the same arrays, without
-trusting the solver.
+driven through the HiGHS core that ships inside scipy.  The arrays that do
+not depend on the program's values form its ``Pattern``, which programs of
+one shape share: it is checked once, and the column-wise form that HiGHS
+takes is derived from it once.  Each thread solves on one HiGHS object of
+its own.  Primal and dual residuals of each optimum are computed here from
+the same arrays, without trusting the solver.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +59,19 @@ OPTIONS = {"solver": "simplex",
            "output_flag": False}
 _COLWISE = int(highs.MatrixFormat.kColwise)
 _MINIMIZE = int(highs.ObjSense.kMinimize)
+_THREAD = threading.local()      # one HiGHS object per thread: _handle
 _STATUS = {highs.HighsModelStatus.kOptimal: "optimal",
            highs.HighsModelStatus.kInfeasible: "infeasible",
            highs.HighsModelStatus.kUnbounded: "unbounded"}
 
 
 class LPError(Exception):
-    """Raised on malformed programs or when the solver gives up."""
+    """Raised on malformed programs or when the solver gives up.  ``status``
+    is HiGHS's own status string when the solver gave up, else None."""
+
+    def __init__(self, message, status=None):
+        super().__init__(message)
+        self.status = status
 
 
 RELATIONS = ("<=", "=", ">=")
@@ -81,6 +91,101 @@ class Row:
 
 
 @dataclass
+class _HighsForm:
+    """A pattern as HiGHS takes it: the rows in order ``order``, multiplied
+    by ``flip``, with the equalities marked in ``eq``; the matrix column by
+    column, with starts ``start``, row indices ``index`` and the stored
+    coefficients taken in order ``perm``."""
+
+    order: np.ndarray
+    flip: np.ndarray
+    eq: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    perm: np.ndarray
+
+
+class Pattern:
+    """The shape of a program, everything but its values: num_vars,
+    indptr, indices, relations and free as in LinearProgram, and
+    ``row_ids``, the row of each stored coefficient.
+
+    Construction copies the arrays, makes them read-only and rejects a
+    malformed indptr, a column out of range or repeated within a row, and a
+    bad relation.  Programs that share a pattern share these checks and the
+    HiGHS form that the first solve derives (``highs_form``).
+    """
+
+    def __init__(self, num_vars, indptr, indices, relations, free=None):
+        self.num_vars = num_vars
+        self.free = (np.zeros(num_vars, dtype=bool) if free is None
+                     else np.array(free, dtype=bool))
+        if self.free.shape != (num_vars,):
+            raise LPError("free mask length mismatch")
+        self.indptr = np.array(indptr, dtype=np.int64)
+        self.indices = np.array(indices, dtype=np.int64)
+        relations = np.asarray(relations)
+        m = len(self.indptr) - 1
+        if relations.shape != (m,):
+            raise LPError("rhs and relations need one entry per row")
+        if (self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()
+                or self.indptr[-1] != len(self.indices)):
+            raise LPError("indptr must rise from 0 to the coefficient count")
+        bad = (self.indices < 0) | (self.indices >= num_vars)
+        if bad.any():
+            raise LPError("column index %d out of range"
+                          % self.indices[bad][0])
+        bad = ~np.isin(relations, RELATIONS)
+        if bad.any():
+            raise LPError("bad relation %r" % str(relations[bad][0]))
+        self.relations = relations.astype("<U2")
+        self.row_ids = np.repeat(np.arange(m), np.diff(self.indptr))
+        cells = np.sort(self.row_ids * num_vars + self.indices)
+        if (cells[1:] == cells[:-1]).any():
+            raise LPError("duplicate column in a row")
+        for a in (self.free, self.indptr, self.indices, self.relations,
+                  self.row_ids):
+            a.flags.writeable = False
+        self._form = None
+
+    @property
+    def nbytes(self):
+        """Bytes held in the pattern's arrays, its HiGHS form included once
+        derived."""
+        arrays = [self.free, self.indptr, self.indices, self.relations,
+                  self.row_ids]
+        if self._form is not None:
+            arrays += vars(self._form).values()
+        return sum(a.nbytes for a in arrays)
+
+    def highs_form(self):
+        """The pattern as HiGHS takes it, derived on first use.
+
+        This is the row layout of scipy.optimize's HiGHS front end: the
+        inequality rows first, as "<=" with the ">=" rows negated, then the
+        equalities; within a column the rows ascend, as in scipy's
+        CSR-to-CSC conversion.  HiGHS pivots on the layout it is given, so
+        this keeps the pivot paths, and with them the iteration counts and
+        vertices, that the package's pinned values and reports were made
+        with.  Two threads that derive it at once derive the same arrays.
+        """
+        if self._form is None:
+            n = self.num_vars
+            eq = self.relations == "="
+            order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
+            flip = np.where(self.relations[order] == ">=", -1.0, 1.0)
+            rows = np.argsort(order)[self.row_ids]   # new row of each entry
+            perm = np.lexsort((rows, self.indices))
+            start = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(self.indices, minlength=n), out=start[1:])
+            form = _HighsForm(order, flip, eq[order], start,
+                              rows[perm].astype(np.int32), perm)
+            for a in vars(form).values():
+                a.flags.writeable = False
+            self._form = form
+        return self._form
+
+
 class LinearProgram:
     """A linear program over variables that are nonnegative or free.
 
@@ -95,61 +200,51 @@ class LinearProgram:
     relations    "<=", "=" or ">=", one per row
     free         boolean mask; True marks a free (unbounded below) variable
 
-    Construction rejects a non-finite objective, coefficient or rhs, a
-    malformed indptr, a column out of range or repeated within a row, and a
-    bad relation.  The arrays must not change afterwards.
+    num_vars, indptr, indices, relations and free are the program's
+    ``pattern``, which ``from_pattern`` takes ready-made and the arrays
+    constructor makes afresh.  Construction rejects a non-finite objective,
+    coefficient or rhs, arrays of the wrong length, and whatever the
+    pattern rejects.  The arrays must not change afterwards.
     """
 
-    sense: str
-    num_vars: int
-    objective: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    rhs: np.ndarray
-    relations: np.ndarray
-    free: np.ndarray = None
+    def __init__(self, sense, num_vars, objective, indptr, indices, data,
+                 rhs, relations, free=None):
+        self._set_values(Pattern(num_vars, indptr, indices, relations, free),
+                         sense, objective, data, rhs)
 
-    def __post_init__(self):
-        if self.sense not in ("max", "min"):
+    @classmethod
+    def from_pattern(cls, pattern, sense, objective, data, rhs):
+        """The program on ``pattern`` with these values; only the values
+        are checked."""
+        lp = cls.__new__(cls)
+        lp._set_values(pattern, sense, objective, data, rhs)
+        return lp
+
+    def _set_values(self, pattern, sense, objective, data, rhs):
+        if sense not in ("max", "min"):
             raise LPError("sense must be 'max' or 'min'")
-        self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.num_vars,):
+        self.sense, self.pattern = sense, pattern
+        self.objective = np.asarray(objective, dtype=float)
+        if self.objective.shape != (pattern.num_vars,):
             raise LPError("objective length mismatch")
         if not np.isfinite(self.objective).all():
             raise LPError("non-finite objective")
-        if self.free is None:
-            self.free = np.zeros(self.num_vars, dtype=bool)
-        else:
-            self.free = np.asarray(self.free, dtype=bool)
-            if self.free.shape != (self.num_vars,):
-                raise LPError("free mask length mismatch")
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.data = np.asarray(self.data, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        relations = np.asarray(self.relations)
-        m = len(self.indptr) - 1
-        if self.rhs.shape != (m,) or relations.shape != (m,):
+        self.data = np.asarray(data, dtype=float)
+        self.rhs = np.asarray(rhs, dtype=float)
+        if self.rhs.shape != pattern.relations.shape:
             raise LPError("rhs and relations need one entry per row")
-        if (self.indptr[0] != 0 or (np.diff(self.indptr) < 0).any()
-                or not self.indptr[-1] == len(self.indices) == len(self.data)):
+        if self.data.shape != pattern.indices.shape:
             raise LPError("indptr must rise from 0 to the coefficient count")
-        bad = (self.indices < 0) | (self.indices >= self.num_vars)
-        if bad.any():
-            raise LPError("column index %d out of range"
-                          % self.indices[bad][0])
         if not np.isfinite(self.data).all():
             raise LPError("non-finite coefficient")
         if not np.isfinite(self.rhs).all():
             raise LPError("non-finite rhs")
-        bad = ~np.isin(relations, RELATIONS)
-        if bad.any():
-            raise LPError("bad relation %r" % str(relations[bad][0]))
-        self.relations = relations.astype("<U2")
-        cells = np.sort(_row_ids(self) * self.num_vars + self.indices)
-        if (cells[1:] == cells[:-1]).any():
-            raise LPError("duplicate column in a row")
+
+    num_vars = property(lambda self: self.pattern.num_vars)
+    indptr = property(lambda self: self.pattern.indptr)
+    indices = property(lambda self: self.pattern.indices)
+    relations = property(lambda self: self.pattern.relations)
+    free = property(lambda self: self.pattern.free)
 
     @classmethod
     def from_rows(cls, sense, num_vars, objective, rows, free=None):
@@ -188,6 +283,19 @@ class LPSolution:
     dual_residual: float = 0.0
 
 
+def _handle():
+    """This thread's HiGHS object, made with the pinned ``OPTIONS`` on first
+    use.  Each solve passes its model in and clears it before returning."""
+    h = getattr(_THREAD, "highs", None)
+    if h is None:
+        h = highs._Highs()
+        for key, value in OPTIONS.items():
+            if h.setOptionValue(key, value) != highs.HighsStatus.kOk:
+                raise LPError("HiGHS rejected option %s=%r" % (key, value))
+        _THREAD.highs = h
+    return h
+
+
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve with HiGHS's dual simplex (pinned ``OPTIONS``).
 
@@ -198,16 +306,9 @@ def solve(lp: LinearProgram) -> LPSolution:
     HiGHS's own status string.
     """
     m, n = len(lp.rhs), lp.num_vars
-    eq = lp.relations == "="
-    # HiGHS pivots on the row layout it is given.  This is the layout of
-    # scipy.optimize's HiGHS front end: the inequality rows first, as "<="
-    # with the ">=" rows negated, then the equalities.  It keeps the pivot
-    # paths, and with them the iteration counts and vertices, that the
-    # package's pinned values and reports were made with.
-    order = np.concatenate([np.flatnonzero(~eq), np.flatnonzero(eq)])
-    flip = np.where(lp.relations[order] == ">=", -1.0, 1.0)
-    a_start, a_index, a_value = _colwise(lp, order, flip)
-    b = flip * lp.rhs[order]
+    form = lp.pattern.highs_form()
+    a_start, a_index, a_value = _colwise(lp)
+    b = form.flip * lp.rhs[form.order]
     sign = -1.0 if lp.sense == "max" else 1.0
     cost = sign * lp.objective
     lower, upper = np.where(lp.free, -np.inf, 0.0), np.full(n, np.inf)
@@ -215,57 +316,48 @@ def solve(lp: LinearProgram) -> LPSolution:
         a_start, cost = np.zeros(2, dtype=np.int32), np.zeros(1)
         lower, upper = np.zeros(1), np.zeros(1)
 
-    h = highs._Highs()
-    for key, value in OPTIONS.items():
-        if h.setOptionValue(key, value) != highs.HighsStatus.kOk:
-            raise LPError("HiGHS rejected option %s=%r" % (key, value))
-    # the array form of passModel reads the numpy buffers in place (a HighsLp
-    # copies each into a C++ vector item by item); its last array marks
-    # every column continuous
-    if h.passModel(len(cost), m, len(a_index), _COLWISE, _MINIMIZE, 0.0, cost,
-                   lower, upper, np.where(eq[order], b, -np.inf), b, a_start,
-                   a_index, a_value, np.zeros(len(cost), dtype=np.int32)
-                   ) == highs.HighsStatus.kError:
-        status = highs.HighsModelStatus.kModelError
-    else:
-        h.run()
-        status = h.getModelStatus()
-    if status not in _STATUS:
-        raise LPError("HiGHS %s on a %dx%d LP: %s"
-                      % (METHOD, m, n, h.modelStatusToString(status)))
-    iterations = int(h.getInfo().simplex_iteration_count)
-    if _STATUS[status] != "optimal":
-        return LPSolution(_STATUS[status], float("nan"), None, None,
-                          iterations)
-
-    solution = h.getSolution()
-    x = np.array(solution.col_value[:n], dtype=float)
+    h = _handle()
+    try:
+        # the array form of passModel reads the numpy buffers in place (a
+        # HighsLp copies each into a C++ vector item by item); its last
+        # array marks every column continuous
+        if h.passModel(len(cost), m, len(a_index), _COLWISE, _MINIMIZE, 0.0,
+                       cost, lower, upper,
+                       np.where(form.eq, b, -np.inf), b, a_start, a_index,
+                       a_value, np.zeros(len(cost), dtype=np.int32)
+                       ) == highs.HighsStatus.kError:
+            status = highs.HighsModelStatus.kModelError
+        else:
+            h.run()
+            status = h.getModelStatus()
+        if status not in _STATUS:
+            text = h.modelStatusToString(status)
+            raise LPError("HiGHS %s on a %dx%d LP: %s" % (METHOD, m, n, text),
+                          text)
+        iterations = int(h.getInfo().simplex_iteration_count)
+        if _STATUS[status] != "optimal":
+            return LPSolution(_STATUS[status], float("nan"), None, None,
+                              iterations)
+        solution = h.getSolution()
+        x = np.array(solution.col_value[:n], dtype=float)
+        row_dual = np.array(solution.row_dual, dtype=float)
+    finally:
+        h.clearModel()
     # row_dual is d(min objective)/d(row bound) of HiGHS's rows; undo the
     # row order, the ">=" negation and the max negation
     duals = np.empty(m)
-    duals[order] = sign * flip * np.asarray(solution.row_dual, dtype=float)
+    duals[form.order] = sign * form.flip * row_dual
     sol = LPSolution("optimal", float(lp.objective @ x), x, duals, iterations)
     _attach_residuals(lp, sol)
     return sol
 
 
-def _colwise(lp, order, flip):
-    """The matrix as HiGHS takes it, column by column (start, index, value),
-    for rows permuted by ``order`` and multiplied by ``flip``.
-
-    Within a column the rows ascend, as in scipy's CSR-to-CSC conversion.
-    """
-    rows = np.argsort(order)[_row_ids(lp)]     # new row of each coefficient
-    perm = np.lexsort((rows, lp.indices))
-    start = np.zeros(lp.num_vars + 1, dtype=np.int32)
-    np.cumsum(np.bincount(lp.indices, minlength=lp.num_vars), out=start[1:])
-    index = rows[perm]
-    return start, index.astype(np.int32), lp.data[perm] * flip[index]
-
-
-def _row_ids(lp):
-    """The row of each stored coefficient, in storage order."""
-    return np.repeat(np.arange(len(lp.indptr) - 1), np.diff(lp.indptr))
+def _colwise(lp):
+    """The matrix as HiGHS takes it, column by column (start, index,
+    value), in the rows and flips of the pattern's ``highs_form``."""
+    form = lp.pattern.highs_form()
+    return (form.start, form.index,
+            lp.data[form.perm] * form.flip[form.index])
 
 
 def _attach_residuals(lp, sol):
@@ -274,7 +366,7 @@ def _attach_residuals(lp, sol):
     sgn = 1.0 if lp.sense == "max" else -1.0
     # Ax and A'lam add in storage order, as scipy's CSR/CSC mat-vecs do.
     # Row violations: ax - b on "<=" rows, b - ax on ">=", |ax - b| on "="
-    rows = _row_ids(lp)
+    rows = lp.pattern.row_ids
     g = np.bincount(rows, lp.data * x[lp.indices], len(lp.rhs)) - lp.rhs
     viol = np.where(lp.relations == "<=", g,
                     np.where(lp.relations == ">=", -g, np.abs(g)))

@@ -233,22 +233,29 @@ def validate(surface: CallSurface, mode="weak") -> ValidationReport:
     c = surface.prices
     J, N = surface.num_strikes, surface.num_maturities
     slopes, law = _spreads(surface)
+    # every margin at once; the ordered lists are built only when some
+    # margin is within TOL of failing
+    monotone, convexity = c[:-1] - c[1:], law[1:J]
+    calendar = c[1:, 1:] - c[1:, :-1]
+    zero_tail = bool(c[J, N - 1] <= TOL)
+    if not ((monotone <= TOL).any() or (convexity <= TOL).any()
+            or (calendar <= TOL).any() or (slopes[0] >= 1.0 - TOL).any()
+            or (c[J] < TOL).any()):
+        return ValidationReport("strictly-valid", [], zero_tail)
     weak, strict = [], []
-
     for n in range(N):
-        _grade(weak, strict, "monotone-in-strike", c[:-1, n] - c[1:, n], n)
+        _grade(weak, strict, "monotone-in-strike", monotone[:, n], n)
         s = slopes[0, n]
         if s > 1.0 + TOL:
             weak.append(("slope-bound", (0, n), s - 1.0))
         elif s >= 1.0 - TOL:
             strict.append(("slope-bound", (0, n), s - 1.0 + TOL))
-        _grade(weak, strict, "convexity", law[1:J, n], n)
+        _grade(weak, strict, "convexity", convexity[:, n], n)
         if c[J, n] < TOL:
             strict.append(("positive-tail", (J, n), TOL - c[J, n]))
     for n in range(N - 1):
-        _grade(weak, strict, "calendar", c[1:, n + 1] - c[1:, n], n)
+        _grade(weak, strict, "calendar", calendar[:, n], n)
 
-    zero_tail = bool(c[J, N - 1] <= TOL)
     if weak:
         status = "invalid"
         violations = weak if mode == "weak" else weak + strict

@@ -9,6 +9,7 @@ The lattice form stores one column per maturity over the state grid
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -83,29 +84,45 @@ class PayoffFunction:
         return self.fn(x, t)
 
     def _sampling_check(self):
-        rng = np.random.default_rng(1234567891)
-        xs = rng.uniform(0.0, self.x_hint, size=SAMPLES)
-        ts = rng.uniform(0.0, self.horizon, size=SAMPLES)
-        vals = evaluate(self.fn, xs, ts)
-        if np.any(~np.isfinite(vals)) or np.any(vals < -SAMPLE_TOL):
+        # one call of the payoff on every sample point: (xs, ts), then
+        # (x2, ts) and the midpoints for convexity, then (xs, min(ts, t2))
+        # and (xs, max(ts, t2)) for the decay in time
+        u = _unit_samples()
+        xs, ts = self.x_hint * u[0], self.horizon * u[1]
+        points = [(xs, ts)]
+        if self.convex_in_x:
+            lam, x2 = u[2], self.x_hint * u[3]
+            points += [(x2, ts), (lam * xs + (1 - lam) * x2, ts)]
+        if self.decreasing_in_t:
+            t2 = self.horizon * u[4 if self.convex_in_x else 2]
+            points += [(xs, np.minimum(ts, t2)), (xs, np.maximum(ts, t2))]
+        x, t = (np.concatenate(c) for c in zip(*points))
+        vals = evaluate(self.fn, x, t).reshape(len(points), SAMPLES)
+        if np.any(~np.isfinite(vals[0])) or np.any(vals[0] < -SAMPLE_TOL):
             raise PayoffError("payoff must be finite and nonnegative")
         if self.convex_in_x:
-            lam = rng.uniform(0.0, 1.0, size=SAMPLES)
-            x2 = rng.uniform(0.0, self.x_hint, size=SAMPLES)
-            mid = lam * xs + (1 - lam) * x2
-            chord = lam * vals + (1 - lam) * evaluate(self.fn, x2, ts)
-            at_mid = evaluate(self.fn, mid, ts)
-            if np.any(at_mid > chord + SAMPLE_TOL * (1 + np.abs(chord))):
+            chord = lam * vals[0] + (1 - lam) * vals[1]
+            if np.any(vals[2] > chord + SAMPLE_TOL * (1 + np.abs(chord))):
                 raise PayoffError("convex_in_x contradicted by sampling")
         if self.decreasing_in_t:
-            t2 = rng.uniform(0.0, self.horizon, size=SAMPLES)
-            lo, hi = np.minimum(ts, t2), np.maximum(ts, t2)
-            a, b = evaluate(self.fn, xs, lo), evaluate(self.fn, xs, hi)
+            a, b = vals[-2], vals[-1]
             if np.any(b > a + SAMPLE_TOL * (1 + np.abs(a))):
                 raise PayoffError("decreasing_in_t contradicted by sampling")
         # tail slope: secants over the sampled range must not exceed it...
         # only checkable when the declared slope is 0 and values stay bounded;
         # otherwise trust the declaration (growth shows up far beyond x_hint).
+
+
+@functools.cache
+def _unit_samples():
+    """The sampling check's uniforms: five read-only rows of SAMPLES from
+    one ``default_rng(1234567891)``, drawn on first use (drawing at import
+    would load numpy.random).  h * u[r] has the bits of the r-th of five
+    successive ``uniform(0, h, SAMPLES)`` draws, since uniform computes
+    0 + h * u."""
+    u = np.random.default_rng(1234567891).random((5, SAMPLES))
+    u.flags.writeable = False
+    return u
 
 
 @dataclass

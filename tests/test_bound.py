@@ -1,4 +1,8 @@
+import collections
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -218,6 +222,159 @@ def test_builders_reject_misshapen_mass_matrices(sec26, builder):
             builder(bad, sec26.payoff)
 
 
+# ---------------------------------------------------------------------------
+# the primal layout cached per shape
+
+
+# (J, N) of the benchmark's sweep: J 3-8, N 2-6, at most 24 cells
+SWEEP_SHAPES = [(J, N) for J in range(3, 9) for N in range(2, 7) if J * N <= 24]
+# the benchmark's dense ladder, on the quotes of dense_grid_case
+DENSE_LADDER = [(10, 2), (12, 2), (15, 2), (19, 2), (12, 3), (10, 4)]
+
+
+def _layout_cases():
+    """(p_hat, a) on every sweep shape (random lattices and masses, with and
+    without tail slopes), the demos and the dense ladder."""
+    rng = np.random.default_rng(42)
+    cases = []
+    for i, (J, N) in enumerate(SWEEP_SHAPES):
+        states = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 20.0, J))])
+        cases.append((rng.dirichlet(np.ones(J + 2), size=N).T,
+                      AmericanPayoffGrid(rng.uniform(0.0, 50.0, (J + 1, N)),
+                                         states, np.arange(1.0, N + 1.0),
+                                         rng.uniform(0.0, 1.0, N) if i % 2
+                                         else None)))
+    surfaces = [(instances.get(name).surface, instances.get(name).payoff)
+                for name in ("sec26", "sec52", "eg11")]
+    surfaces += [dense_grid_case(J, N) for J, N in DENSE_LADDER]
+    return cases + [(market.extended_marginals(s), a) for s, a in surfaces]
+
+
+def _assert_bytes_like_reference(p_hat, a):
+    lp, idx = bound._build_primal(p_hat, a)
+    ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
+                                             a.tail_slopes, True)
+    for got, want in [(getattr(lp, name), getattr(ref, name))
+                      for name in ("indptr", "indices", "data", "rhs",
+                                   "relations", "objective")] + [
+                          (idx.row_scale, ref_scale)]:
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_cached_layouts_build_like_the_reference(monkeypatch):
+    # a budget that holds a few shapes: going through every shape twice
+    # evicts them and builds them again
+    made = []
+    make = bound._make_primal_layout
+
+    def counted(M, N):
+        made.append((M, N))
+        return make(M, N)
+
+    monkeypatch.setattr(bound, "_make_primal_layout", counted)
+    monkeypatch.setattr(bound, "_LAYOUTS", collections.OrderedDict())
+    monkeypatch.setattr(bound, "LAYOUT_CACHE_BYTES", 400_000)
+    cases = _layout_cases()
+    shapes = {p_hat.shape for p_hat, _ in cases}
+    for p_hat, a in cases + cases[::-1] + cases:
+        _assert_bytes_like_reference(p_hat, a)
+        assert sum(v.nbytes for v in bound._LAYOUTS.values()) <= 400_000
+        assert next(reversed(bound._LAYOUTS)) == p_hat.shape
+    assert set(made) == shapes and len(made) > 2 * len(shapes)
+    # a layout over the budget is built on each bound and not kept
+    monkeypatch.setattr(bound, "LAYOUT_CACHE_BYTES", 0)
+    made.clear()
+    for _ in range(2):
+        _assert_bytes_like_reference(*cases[0])
+    assert made == [cases[0][0].shape] * 2
+    assert cases[0][0].shape not in bound._LAYOUTS
+
+
+def test_cached_layout_is_read_only_and_row_scales_are_per_bound(sec26):
+    p_hat = market.extended_marginals(sec26.surface)
+    lp, idx = bound._build_primal(p_hat, sec26.payoff)
+    scale = idx.row_scale.copy()
+    layout = bound._primal_layout(*p_hat.shape)
+    pattern, index = layout.pattern, layout.index
+    cached = [layout.coefs, layout.drift_at, layout.drift_j, layout.drift_k,
+              index.f, index.g, index.row_a, index.row_b, index.row_cd,
+              index.row_e, pattern.indptr, pattern.indices,
+              pattern.relations, pattern.free, pattern.row_ids,
+              *vars(pattern.highs_form()).values()]
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[...] = a
+    assert lp.pattern is pattern and idx.f is index.f
+    # a lattice twice as wide doubles the martingale rows' scales
+    a2 = AmericanPayoffGrid(sec26.payoff.values, 2.0 * sec26.payoff.states,
+                            sec26.payoff.maturities)
+    _, idx2 = bound._build_primal(p_hat, a2)
+    assert idx2 is not idx and idx2.row_scale is not idx.row_scale
+    assert not np.array_equal(idx2.row_scale, scale)
+    assert idx.row_scale.tobytes() == scale.tobytes()
+    assert index.row_scale is None
+
+
+def test_layout_cache_under_threads_keeps_builds_and_budget(monkeypatch):
+    # four threads on two cores build LPs of every shape through a cache
+    # that holds only a few, switching threads every microsecond
+    cases = _layout_cases()
+    want = [_lp_bytes(*bound._build_primal(p_hat, a)) for p_hat, a in cases]
+    monkeypatch.setattr(bound, "_LAYOUTS", collections.OrderedDict())
+    monkeypatch.setattr(bound, "LAYOUT_CACHE_BYTES", 400_000)
+
+    def run(offset):
+        return [(i, _lp_bytes(*bound._build_primal(*cases[i])))
+                for i in np.roll(np.arange(len(cases)), offset)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run, 7 * t) for t in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(bits == want[i] for i, bits in got)
+    assert sum(v.nbytes for v in bound._LAYOUTS.values()) <= 400_000
+
+
+def _lp_bytes(lp, idx):
+    return [a.tobytes() for a in (lp.indptr, lp.indices, lp.data, lp.rhs,
+                                  lp.objective, idx.row_scale)]
+
+
+def _bound_bits(res):
+    m, h = res.model, res.hedge
+    return (res.phi, res.psi, repr(sorted(res.diagnostics.items())),
+            *(a.tobytes() for a in (m.F, m.G1, m.G2, m.switch_prob, h.E1,
+                                    h.E2, h.V, h.D1, h.D2)))
+
+
+def test_bounds_on_two_threads_match_serial_bounds():
+    # each thread solves on its own HiGHS object, and both share the cached
+    # layouts
+    cases = [[dense_grid_case(15, 2), _headline(), presolve_trap_case()],
+             [(instances.get(name).surface, instances.get(name).payoff)
+              for name in ("sec26", "sec52", "eg11")]]
+    serial = [[_bound_bits(bound.robust_bound(*c)) for c in cs]
+              for cs in cases]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(cs):
+        start.wait()
+        return [[_bound_bits(bound.robust_bound(*c)) for c in cs]
+                for _ in range(3)]
+
+    with ThreadPoolExecutor(2) as pool:
+        futures = [pool.submit(run, cs) for cs in cases]
+        results = [f.result(timeout=60) for f in futures]
+    for got, want in zip(results, serial):
+        assert got == [want] * 3
+
+
 def _headline():
     cfg = bench.BenchConfig()
     return bench.bs_surface(cfg), bench.linearized_grid(cfg)
@@ -378,6 +535,40 @@ def test_seed_model_without_transport_names_it():
     with pytest.raises(bound.BoundError,
                        match="no martingale transport.*HiGHS.*infeasible"):
         bound.seed_model(surface)
+
+
+def _highs_not_set(lp):
+    """lpcore.solve where HiGHS ends in a status it has no verdict for."""
+    raise lpcore.LPError("HiGHS dual simplex on a %dx%d LP: Not Set"
+                         % (len(lp.rhs), lp.num_vars), "Not Set")
+
+
+def test_solver_ending_without_a_verdict_names_its_status(sec26,
+                                                          monkeypatch):
+    # the same failure shape as an infeasible or unbounded end: the stage,
+    # the LP's size and HiGHS's own status
+    p_hat = market.extended_marginals(sec26.surface)
+    lp, _ = bound.build_primal_extended(p_hat, sec26.payoff)
+    shape = "(%dx%d)" % (len(lp.rhs), lp.num_vars)
+    monkeypatch.setattr(lpcore, "solve", _highs_not_set)
+    with pytest.raises(bound.BoundError) as err:
+        bound.robust_bound(sec26.surface, sec26.payoff)
+    assert str(err.value) == ("primal LP %s: HiGHS dual simplex ended Not Set"
+                              % shape)
+    with pytest.raises(bound.BoundError) as err:
+        bound.seed_model(sec26.surface)
+    assert str(err.value) == ("no martingale transport: marginals not in "
+                              "convex order; primal LP %s: HiGHS dual "
+                              "simplex ended Not Set" % shape)
+
+    def rejected(lp):
+        raise lpcore.LPError("HiGHS rejected option presolve='off'")
+
+    # an error that is not the solver's verdict passes through as it is
+    monkeypatch.setattr(lpcore, "solve", rejected)
+    with pytest.raises(lpcore.LPError, match="rejected option") as err:
+        bound.robust_bound(sec26.surface, sec26.payoff)
+    assert err.value.status is None
 
 
 def _chain_value(model, a):

@@ -236,6 +236,19 @@ def test_solver_status_named_exit_4(runner, tmp_path, monkeypatch):
     assert "HiGHS" in res.stderr and "infeasible" in res.stderr
 
 
+def test_solver_without_a_verdict_exit_4(runner, tmp_path, monkeypatch):
+    def not_set(lp):
+        raise lpcore.LPError("HiGHS dual simplex on a %dx%d LP: Not Set"
+                             % (len(lp.rhs), lp.num_vars), "Not Set")
+    monkeypatch.setattr(lpcore, "solve", not_set)
+    res = runner.invoke(cli.main, ["bound", "--input",
+                                   _surface_file(tmp_path),
+                                   "--payoff", PAYOFF])
+    assert res.exit_code == 4
+    assert "error: primal LP (" in res.stderr
+    assert "HiGHS dual simplex ended Not Set" in res.stderr
+
+
 def test_gap_failure_exit_5(runner, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise bound.GapError(1.0, 2.0, 1e-6)

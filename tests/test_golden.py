@@ -4,10 +4,11 @@
 1000000 --seed 7`` run on sec26 (its example payoff) and on the headline
 Black-Scholes quotes (a 5% discounted put struck at 100), and each report
 must equal the file under ``tests/golden/`` byte for byte; so must the CSV
-table and the JSON sidecar of ``bench-table --sweep moneyness``.  The bytes are
-tied to the numpy and scipy the files were made with (numpy 2.4.6, scipy
-1.17.1): another HiGHS build may pick another optimal vertex, and another
-numpy may round a reduction differently.  A change that moves a report on
+table and the JSON sidecar of ``bench-table --sweep moneyness``, and so must
+what ``python -m amerbound.cli demo`` prints for each built-in instance.  The
+bytes are tied to the numpy and scipy the files were made with (numpy 2.4.6,
+scipy 1.17.1): another HiGHS build may pick another optimal vertex, and
+another numpy may round a reduction differently.  A change that moves a report on
 purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,6 +19,8 @@ and says so in CHANGES.md.
 import difflib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -32,6 +35,7 @@ COMMANDS = {"bound": [],
             "simulate": ["--trials", "1000000", "--seed", "7"]}
 CASES = [(c, i) for c in COMMANDS for i in INPUTS]
 TABLE = "bench_table_moneyness.csv"
+DEMOS = ("sec26", "sec52", "eg11")
 
 
 def _surface_doc(name):
@@ -47,6 +51,17 @@ def _report(command, name):
         "--payoff", INPUTS[name], *COMMANDS[command]])
     assert res.exit_code == 0, res.output
     return res.stdout
+
+
+def _demo(name):
+    """What ``python -m amerbound.cli demo name`` prints, run on this
+    package's source in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "amerbound.cli", "demo", name],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path)).stdout
 
 
 def _golden_path(command, name):
@@ -80,6 +95,11 @@ def test_bench_table_matches_golden_bytes(tmp_path):
         _assert_golden(file, got)
 
 
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_matches_golden_bytes(name):
+    _assert_golden("demo_%s.txt" % name, _demo(name))
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -90,6 +110,9 @@ if __name__ == "__main__":
     for command, name in CASES:
         with open(_golden_path(command, name), "w") as fh:
             fh.write(_report(command, name))
+    for name in DEMOS:
+        with open(os.path.join(HERE, "demo_%s.txt" % name), "w") as fh:
+            fh.write(_demo(name))
     with tempfile.TemporaryDirectory() as tmp:
         for file, text in _table(os.path.join(tmp, TABLE)).items():
             with open(os.path.join(HERE, file), "w") as fh:

@@ -191,14 +191,20 @@ def test_certify_takes_arrays_not_lps():
 def test_import_leaves_scipy_optimize_sparse_and_special_out():
     # scipy.optimize's package __init__ loads about 300 modules and with
     # them scipy.sparse and scipy.special; lpcore loads the HiGHS core from
-    # its file, and bench imports ndtr when it first prices a call
+    # its file, and bench imports ndtr when it first prices a call.  Nothing
+    # is made at import either: payoff draws its sampling points (which
+    # loads numpy.random), bound builds its LP layouts and lpcore makes its
+    # HiGHS object on first use
     src = os.path.dirname(os.path.dirname(amerbound.__file__))
     code = ("import sys\n"
             + "".join("import amerbound.%s\n" % p.stem for p in MODULES
                       if p.stem != "__init__")
-            + "print(sorted({'scipy.optimize', 'scipy.sparse', "
-              "'scipy.special'} & set(sys.modules)))")
+            + "print(sorted({'numpy.random', 'scipy.optimize', "
+              "'scipy.sparse', 'scipy.special'} & set(sys.modules)))\n"
+              "from amerbound import bound, lpcore, payoff\n"
+              "print(len(bound._LAYOUTS), hasattr(lpcore._THREAD, 'highs'), "
+              "payoff._unit_samples.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=src),
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 False 0"]

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,6 +60,82 @@ def test_malformed_model_raises_with_highs_status():
                                  [Row([(0, 1e16)], "<=", 3.0)])
     with pytest.raises(lpcore.LPError, match="Model error"):
         lpcore.solve(lp)
+
+
+def test_solver_status_rides_on_the_error():
+    lp = LinearProgram.from_rows("max", 1, [1.0],
+                                 [Row([(0, 1e16)], "<=", 3.0)])
+    with pytest.raises(lpcore.LPError) as err:
+        lpcore.solve(lp)
+    assert err.value.status == "Model error"
+    with pytest.raises(lpcore.LPError) as err:
+        LinearProgram.from_rows("max", 1, [float("nan")], [])
+    assert err.value.status is None
+
+
+def _solve_bits(lp):
+    """What a solve gives, as bytes: its status and iterations, and x, the
+    duals and the residuals of an optimum, or the error's text and status."""
+    try:
+        sol = lpcore.solve(lp)
+    except lpcore.LPError as exc:
+        return ("error", str(exc), exc.status)
+    if sol.status != "optimal":
+        return (sol.status, sol.iterations)
+    return (sol.status, sol.iterations, sol.x.tobytes(), sol.duals.tobytes(),
+            sol.primal_residual, sol.dual_residual)
+
+
+def _on_new_thread(fn, *args):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+def _package_lps():
+    """Primal LPs of the benchmark's shapes: the sweep's (J 3-8, N 2-6, at
+    most 24 cells) on lognormal quotes, the demos, the dense ladder and the
+    five Figure-4 puts."""
+    from test_bound import DENSE_LADDER, SWEEP_SHAPES, dense_grid_case
+
+    cases = []
+    for J, N in SWEEP_SHAPES:
+        cfg = bench.BenchConfig(strikes=tuple(np.linspace(60.0, 140.0, J)),
+                                num_maturities=N)
+        cases.append((bench.bs_surface(cfg), bench.linearized_grid(cfg)))
+    cases += [(instances.get(name).surface, instances.get(name).payoff)
+              for name in ("sec26", "sec52", "eg11")]
+    cases += [dense_grid_case(J, N) for J, N in DENSE_LADDER]
+    for K in (80.0, 90.0, 100.0, 110.0, 120.0):
+        cfg = bench.BenchConfig(put_strike=K)
+        cases.append((bench.bs_surface(cfg), bench.linearized_grid(cfg)))
+    return [bound.build_primal_extended(market.extended_marginals(s), a)[0]
+            for s, a in cases]
+
+
+def test_one_highs_object_per_thread_keeps_bits():
+    # a thread's HiGHS object solves LP after LP, failures among them, and
+    # each gives the bits of a solve on a fresh object
+    lps = _package_lps() + [lp_infeasible(), lp_unbounded(),
+                            LinearProgram.from_rows(
+                                "max", 1, [1.0], [Row([(0, 1e16)], "<=", 3.0)])]
+    fresh = [_on_new_thread(_solve_bits, lp) for lp in lps]
+    assert {bits[0] for bits in fresh} == {"optimal", "infeasible",
+                                           "unbounded", "error"}
+    order = np.random.default_rng(3).permutation(
+        np.repeat(np.arange(len(lps)), 2))
+
+    def shuffled():
+        h = lpcore._handle()
+        got = []
+        for i in order:
+            got.append(_solve_bits(lps[i]))
+            # no model outlives its solve, a failed one included
+            assert (h.getNumRow(), h.getNumCol(), h.getNumNz()) == (0, 0, 0)
+        return got, lpcore._handle() is h
+
+    got, one_object = _on_new_thread(shuffled)
+    assert one_object
+    assert got == [fresh[i] for i in order]
 
 
 @pytest.mark.parametrize("rows, message", [

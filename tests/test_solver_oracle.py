@@ -74,9 +74,12 @@ def _scipy_colwise(lp):
 
 
 def assert_colwise_like_scipy(lp):
-    """lpcore hands HiGHS the start, index and value arrays scipy built."""
+    """lpcore hands HiGHS the row order, the flips, and the start, index and
+    value arrays that scipy built."""
     order, flip, ref = _scipy_colwise(lp)
-    for got, want in zip(lpcore._colwise(lp, order, flip), ref):
+    form = lp.pattern.highs_form()
+    for got, want in zip((form.order, form.flip, *lpcore._colwise(lp)),
+                         (order, flip, *ref)):
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
