@@ -10,16 +10,15 @@ multipliers are a cheapest hedge, read off row block by row block.  The
 hand-built dual stays as a reference for checking that mapping.
 Every builder takes the extended mass matrix from ``market``: the implied
 marginals and a virtual top row, which carries the mass priced by the top
-call (0 on a zero-tail surface).  This module solves every LP of the
-package and hands ``certify`` plain arrays; the seed model is the primal's
-model for a claim paid only at the first maturity.  The primal's layout
-depends only on its shape and is built once per shape (``_primal_layout``);
-each bound fills in its values.
+call (0 on a zero-tail surface).  ``robust_bound`` is the one place in
+the package that solves an LP, and it hands ``certify`` plain arrays; the
+seed model is its model for a claim paid only at the first maturity.  The
+primal's layout depends only on its shape and is built once per shape
+(``_primal_layout``); each bound fills in its values and row scales.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -46,40 +45,6 @@ class GapError(BoundError):
     def __init__(self, phi, psi, tol):
         self.phi, self.psi = phi, psi
         super().__init__("duality gap |%.12g - %.12g| exceeds %.3g" % (phi, psi, tol))
-
-
-class VariableIndex:
-    """Layout of the primal LP: where each column and row block sits.
-
-    Columns: ``f[n, j]`` is the exercise mass at state j, maturity n+1, and
-    ``g[d, n, j, k]`` the regime-(d+1) mass moving j -> k between maturities
-    n+1 and n+2.  Rows, each block n-major: ``row_a[n, j]`` outflow and
-    ``row_b[n, j]`` inflow (maturity n+2), ``row_cd[d, n, j]`` martingale,
-    ``row_e[n, j]`` exercise budget.  j indexes states 0..M-1, where M
-    counts the virtual tail row.
-    """
-
-    def __init__(self, num_states, num_maturities):
-        self.num_states = M = num_states
-        self.num_maturities = N = num_maturities
-        self.f = np.arange(M * N).reshape(N, M)
-        self.g = M * N + np.arange(2 * (N - 1) * M * M).reshape(2, N - 1, M, M)
-        self.num_vars = M * N + self.g.size
-        K = (N - 1) * M
-        self.num_rows = 4 * K + N * M
-        a, b, cd, e = np.split(np.arange(self.num_rows),
-                               np.cumsum([K, K, 2 * K]))
-        self.row_a, self.row_b = a.reshape(N - 1, M), b.reshape(N - 1, M)
-        self.row_cd = cd.reshape(2, N - 1, M)
-        self.row_e = e.reshape(N, M)
-        self.row_scale = None       # set by _build_primal, one per row
-
-    def unpack_primal(self, x):
-        """Return (F, G1, G2): M x N and M x M x (N-1) arrays."""
-        x = np.asarray(x, dtype=float)
-        F = x[self.f].T.copy()
-        G1, G2 = x[self.g].transpose(0, 2, 3, 1).copy()
-        return F, G1, G2
 
 
 @dataclass
@@ -122,31 +87,45 @@ _LAYOUTS = OrderedDict()
 _LAYOUTS_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
 class _PrimalLayout:
-    """What the primal LP of M states and N maturities is, whatever the
-    lattice and masses: its VariableIndex (no row scales), its constraint
-    pattern, and the coefficient of each stored entry before row scaling.
-    The lattice's drift entries, ``coefs[drift_at]``, are NaN; they are
-    x[k] - x[j] for the moves j -> k in ``drift_j``, ``drift_k``.  Every
-    array is read-only."""
+    """The primal LP of M states and N maturities, whatever the lattice and
+    masses.
 
-    index: VariableIndex
-    pattern: lpcore.Pattern
-    coefs: np.ndarray
-    drift_at: np.ndarray
-    drift_j: np.ndarray
-    drift_k: np.ndarray
+    Columns: ``f[n, j]`` is the exercise mass at state j, maturity n+1, and
+    ``g[d, n, j, k]`` the regime-(d+1) mass moving j -> k between maturities
+    n+1 and n+2.  Rows, each block n-major: ``row_a[n, j]`` outflow and
+    ``row_b[n, j]`` inflow (maturity n+2), ``row_cd[d, n, j]`` martingale,
+    ``row_e[n, j]`` exercise budget.  j indexes states 0..M-1, where M
+    counts the virtual tail row.  ``pattern`` is the LP's constraint
+    pattern and ``coefs`` the coefficient of each stored entry before row
+    scaling.  The lattice's drift entries, ``coefs[drift_at]``, are NaN;
+    they are x[k] - x[j] for the moves j -> k in ``drift_j``, ``drift_k``.
+    Every array is read-only.
+    """
 
-    def arrays(self):
-        """Every array of the layout outside its pattern."""
-        return [self.coefs, self.drift_at, self.drift_j, self.drift_k,
-                *(a for a in vars(self.index).values()
-                  if isinstance(a, np.ndarray))]
+    # a plain class: a frozen dataclass of these fields takes about 1 ms to
+    # create at import
+    def __init__(self, f, g, row_a, row_b, row_cd, row_e, pattern, coefs,
+                 drift_at, drift_j, drift_k):
+        self.f, self.g, self.pattern, self.coefs = f, g, pattern, coefs
+        self.row_a, self.row_b = row_a, row_b
+        self.row_cd, self.row_e = row_cd, row_e
+        self.drift_at, self.drift_j, self.drift_k = drift_at, drift_j, drift_k
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def nbytes(self):
-        return self.pattern.nbytes + sum(a.nbytes for a in self.arrays())
+        """Bytes held in the layout's arrays, its pattern's included."""
+        return sum(v.nbytes for v in vars(self).values())
+
+    def unpack_primal(self, x):
+        """Return (F, G1, G2): M x N and M x M x (N-1) arrays."""
+        x = np.asarray(x, dtype=float)
+        F = x[self.f].T.copy()
+        G1, G2 = x[self.g].transpose(0, 2, 3, 1).copy()
+        return F, G1, G2
 
 
 def _primal_layout(M, N):
@@ -174,8 +153,14 @@ def _make_primal_layout(M, N):
     depend on the lattice, whose states strictly increase: every lattice
     drift x[k] - x[j] with k != j is nonzero."""
     J = M - 2
-    idx = VariableIndex(M, N)
-    f, g = idx.f, idx.g
+    K = (N - 1) * M
+    f = np.arange(M * N).reshape(N, M)
+    g = M * N + np.arange(2 * K * M).reshape(2, N - 1, M, M)
+    num_rows = 4 * K + N * M
+    row_a, row_b, row_cd, row_e = np.split(np.arange(num_rows),
+                                           np.cumsum([K, K, 2 * K]))
+    row_a, row_b = row_a.reshape(N - 1, M), row_b.reshape(N - 1, M)
+    row_cd, row_e = row_cd.reshape(2, N - 1, M), row_e.reshape(N, M)
 
     # move[j, k]: whether state j's mass rows (a), (b) and (e) count the
     # move j -> k as outflow and k -> j as inflow.  A lattice state's rows
@@ -194,72 +179,68 @@ def _make_primal_layout(M, N):
     blocks = []                                # (rows, cols, coefs), in row order
     n, j, d, k = np.nonzero(np.broadcast_to(move[:, None, :], (N - 1, M, 2, M)))
     ones = np.ones(len(n))
-    blocks.append((idx.row_a[n, j], g[d, n, j, k], ones))    # (a) outflow = mass
-    blocks.append((idx.row_b[n, j], g[d, n, k, j], ones))    # (b) inflow = mass
+    blocks.append((row_a[n, j], g[d, n, j, k], ones))    # (a) outflow = mass
+    blocks.append((row_b[n, j], g[d, n, k, j], ones))    # (b) inflow = mass
     d, n, j, k = np.nonzero(np.broadcast_to(drift != 0.0, (2, N - 1, M, M)))
     drift_at = sum(len(b[0]) for b in blocks) + np.flatnonzero(lattice[j, k])
     drift_j, drift_k = j[lattice[j, k]], k[lattice[j, k]]
-    blocks.append((idx.row_cd[d, n, j], g[d, n, j, k], drift[j, k]))  # (c/d)
+    blocks.append((row_cd[d, n, j], g[d, n, j, k], drift[j, k]))  # (c/d)
     # (e) exercise budget: f, then - outflow, then + inflow in each row
     n, j, k = np.nonzero(np.broadcast_to(move, (N - 1, M, M)))
     ones = np.ones(len(n))
-    rows = np.concatenate([idx.row_e.ravel(), idx.row_e[n, j],
-                           idx.row_e[n + 1, j]])
+    rows = np.concatenate([row_e.ravel(), row_e[n, j], row_e[n + 1, j]])
     cols = np.concatenate([f.ravel(), g[1, n, j, k], g[1, n, k, j]])
     coefs = np.concatenate([np.ones(f.size), -ones, ones])
     order = np.argsort(rows, kind="stable")
     blocks.append((rows[order], cols[order], coefs[order]))
     rows, cols, coefs = (np.concatenate(b) for b in zip(*blocks))
 
-    relations = np.full(idx.num_rows, "=", dtype="<U2")
-    relations[idx.row_e] = "<="
-    counts = np.bincount(rows, minlength=idx.num_rows)
+    relations = np.full(num_rows, "=", dtype="<U2")
+    relations[row_e] = "<="
+    counts = np.bincount(rows, minlength=num_rows)
     if not counts.all():
         raise BoundError("empty LP row")
-    pattern = lpcore.Pattern(idx.num_vars, np.concatenate([[0], np.cumsum(counts)]),
+    pattern = lpcore.Pattern(f.size + g.size,
+                             np.concatenate([[0], np.cumsum(counts)]),
                              cols, relations)
     # derived here, not on the first solve, so that the cache counts its bytes
     pattern.highs_form()
-    layout = _PrimalLayout(idx, pattern, coefs, drift_at, drift_j, drift_k)
-    for a in layout.arrays():
-        a.flags.writeable = False
-    return layout
+    return _PrimalLayout(f, g, row_a, row_b, row_cd, row_e, pattern, coefs,
+                         drift_at, drift_j, drift_k)
 
 
 def _build_primal(p_hat, a: AmericanPayoffGrid):
-    """The primal LP, constraints (a)-(e), and its VariableIndex.
+    """The primal LP, constraints (a)-(e): (lp, layout, row_scale).
 
     p_hat: (J+2) x N mass matrix, whose last row is the virtual tail row;
     a: the payoff on the J+1 lattice states, whose tail slopes are the tail
     row's objective rates.  The LP's pattern comes from the shape's cached
     layout; the objective, the lattice drifts, the right-hand sides and the
-    row scales come from the values.  The returned index is this LP's own
-    and records each row's scale in ``row_scale``.
+    row scales come from the values.  Each row enters the LP divided by its
+    entry of ``row_scale``, its largest coefficient in magnitude.
     """
     _check_mass_matrix(p_hat, a)
     x = a.states
     layout = _primal_layout(*p_hat.shape)
-    idx = copy.copy(layout.index)
+    pattern = layout.pattern
 
-    objective = np.zeros(idx.num_vars)
-    objective[idx.f] = np.vstack([a.values, a.tail_slopes]).T
+    objective = np.zeros(pattern.num_vars)
+    objective[layout.f] = np.vstack([a.values, a.tail_slopes]).T
     coefs = layout.coefs.copy()
     coefs[layout.drift_at] = x[layout.drift_k] - x[layout.drift_j]
-    rhs = np.zeros(idx.num_rows)
-    rhs[idx.row_a] = p_hat[:, :-1].T
-    rhs[idx.row_b] = p_hat[:, 1:].T
-    rhs[idx.row_e[-1]] = p_hat[:, -1]
+    rhs = np.zeros(len(pattern.relations))
+    rhs[layout.row_a] = p_hat[:, :-1].T
+    rhs[layout.row_b] = p_hat[:, 1:].T
+    rhs[layout.row_e[-1]] = p_hat[:, -1]
 
-    pattern = layout.pattern
     scale = np.maximum.reduceat(np.abs(coefs), pattern.indptr[:-1])
     # divide, not multiply by the reciprocal: the rows keep their bits
     lp = lpcore.LinearProgram.from_pattern(
         pattern, "max", objective, coefs / scale[pattern.row_ids], rhs / scale)
-    idx.row_scale = scale
-    return lp, idx
+    return lp, layout, scale
 
 
-def _hedge_blocks(duals, idx):
+def _hedge_blocks(duals, layout, row_scale):
     """Hedge (E1, E2, V, D1, D2) from the primal's optimal row multipliers.
 
     By LP duality the multipliers of rows (a), (b), (c/d) and (e) are
@@ -268,14 +249,14 @@ def _hedge_blocks(duals, idx):
     that scale.  The tail-martingale row carries -D[tail]; the fixed
     E1[:, N] and E2[:, 1] are zero.
     """
-    M, N = idx.num_states, idx.num_maturities
-    y = np.asarray(duals, dtype=float) / idx.row_scale
+    N, M = layout.f.shape
+    y = np.asarray(duals, dtype=float) / row_scale
     E1, E2 = np.zeros((M, N)), np.zeros((M, N))
-    E1[:, :-1] = y[idx.row_a].T
-    E2[:, 1:] = y[idx.row_b].T
-    D1, D2 = y[idx.row_cd].transpose(0, 2, 1)
+    E1[:, :-1] = y[layout.row_a].T
+    E2[:, 1:] = y[layout.row_b].T
+    D1, D2 = y[layout.row_cd].transpose(0, 2, 1)
     D1[-1], D2[-1] = -D1[-1], -D2[-1]
-    V = y[idx.row_e].T
+    V = y[layout.row_e].T
     return E1, E2, V, D1, D2
 
 
@@ -389,14 +370,25 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
     check_payoff_grid(surface, a)
 
     p_hat = market.extended_marginals(surface)
-    lp, idx = build_primal_extended(p_hat, a)
-    sol = _solve_primal(lp)
-    hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, idx), surface, a)
+    lp, layout, row_scale = build_primal_extended(p_hat, a)
+    # every end without an optimum names HiGHS's status, a verdict or not
+    try:
+        sol = lpcore.solve(lp)
+        status = sol.status
+    except lpcore.LPError as exc:
+        if exc.status is None:
+            raise
+        status = exc.status
+    if status != "optimal":
+        raise BoundError("primal LP (%dx%d): HiGHS %s ended %s"
+                         % (len(lp.rhs), lp.num_vars, lpcore.METHOD, status))
+    hedge = certify.hedge_from_dual(_hedge_blocks(sol.duals, layout, row_scale),
+                                    surface, a)
     phi, psi = sol.objective, hedge.cost(p_hat)
     if abs(phi - psi) > tol_gap * (1.0 + abs(phi)):
         raise GapError(phi, psi, tol_gap)
 
-    model = certify.model_from_primal(*idx.unpack_primal(sol.x), surface,
+    model = certify.model_from_primal(*layout.unpack_primal(sol.x), surface,
                                       p_hat)
     value = certify.model_value(model, a)
     if abs(value - phi) > tol_gap * (1.0 + abs(phi)):
@@ -421,36 +413,15 @@ def robust_bound(surface: market.CallSurface, a: AmericanPayoffGrid,
 
 
 def seed_model(surface: market.CallSurface):
-    """The primal's model for a claim that pays 1 at the first maturity and
-    nothing later, a certify.RegimeModel.
+    """``robust_bound``'s model, and failures, for a claim that pays 1 at
+    the first maturity and nothing later: a certify.RegimeModel.
 
     Its optimum 1 exercises every path at t1, so rows (e) hold G1 at zero
-    and G2 chains martingale couplings of consecutive extended marginals;
-    such a chain exists exactly when they increase in convex order.
+    and G2 chains martingale couplings of consecutive extended marginals,
+    which exist exactly when the marginals increase in convex order
+    (Strassen 1965): when the quotes pass ``validate``'s calendar check.
     """
-    p = market.extended_marginals(surface)
     first = np.zeros((len(surface.states), len(surface.maturities)))
     first[:, 0] = 1.0
-    lp, idx = build_primal_extended(p, AmericanPayoffGrid(
-        first, surface.states, surface.maturities))
-    sol = _solve_primal(lp, "no martingale transport: marginals not in "
-                            "convex order; primal LP")
-    return certify.model_from_primal(*idx.unpack_primal(sol.x), surface, p)
-
-
-def _solve_primal(lp, failure="primal LP"):
-    """The optimum of ``lp``; otherwise a BoundError naming the failure,
-    the LP's shape and HiGHS's status, also where HiGHS ends in a status
-    other than optimal, infeasible and unbounded."""
-    try:
-        sol = lpcore.solve(lp)
-        status = sol.status
-    except lpcore.LPError as exc:
-        if exc.status is None:
-            raise
-        status = exc.status
-    if status != "optimal":
-        raise BoundError("%s (%dx%d): HiGHS %s ended %s"
-                         % (failure, len(lp.rhs), lp.num_vars, lpcore.METHOD,
-                            status))
-    return sol
+    claim = AmericanPayoffGrid(first, surface.states, surface.maturities)
+    return robust_bound(surface, claim).model

@@ -216,9 +216,9 @@ def _grade(weak, strict, name, margins, n):
     for i in np.flatnonzero(margins <= TOL):
         m = margins[i]
         if m < -TOL:
-            weak.append((name, (int(i) + 1, n), -m))
+            weak.append((name, (int(i) + 1, n), float(-m)))
         else:
-            strict.append((name, (int(i) + 1, n), TOL - m))
+            strict.append((name, (int(i) + 1, n), float(TOL - m)))
 
 
 def validate(surface: CallSurface, mode="weak") -> ValidationReport:
@@ -226,15 +226,17 @@ def validate(surface: CallSurface, mode="weak") -> ValidationReport:
 
     Weak mode reports violations beyond TOL; strict mode additionally
     requires every inequality to hold with margin > TOL and a positive
-    last-strike call at every maturity.
+    last-strike call at every maturity.  Each violation is (constraint,
+    (strike index, maturity index), magnitude), the magnitude a float.
     """
     if mode not in ("weak", "strict"):
         raise MarketError("mode must be 'weak' or 'strict'")
     c = surface.prices
     J, N = surface.num_strikes, surface.num_maturities
     slopes, law = _spreads(surface)
-    # every margin at once; the ordered lists are built only when some
-    # margin is within TOL of failing
+    # every margin at once; the ordered lists are built only when they are
+    # reported: some margin is within TOL of failing, and in weak mode some
+    # margin fails by more than TOL
     monotone, convexity = c[:-1] - c[1:], law[1:J]
     calendar = c[1:, 1:] - c[1:, :-1]
     zero_tail = bool(c[J, N - 1] <= TOL)
@@ -242,30 +244,29 @@ def validate(surface: CallSurface, mode="weak") -> ValidationReport:
             or (calendar <= TOL).any() or (slopes[0] >= 1.0 - TOL).any()
             or (c[J] < TOL).any()):
         return ValidationReport("strictly-valid", [], zero_tail)
+    if mode == "weak" and not ((monotone < -TOL).any()
+                               or (convexity < -TOL).any()
+                               or (calendar < -TOL).any()
+                               or (slopes[0] > 1.0 + TOL).any()):
+        return ValidationReport("weakly-valid", [], zero_tail)
     weak, strict = [], []
     for n in range(N):
         _grade(weak, strict, "monotone-in-strike", monotone[:, n], n)
         s = slopes[0, n]
         if s > 1.0 + TOL:
-            weak.append(("slope-bound", (0, n), s - 1.0))
+            weak.append(("slope-bound", (0, n), float(s - 1.0)))
         elif s >= 1.0 - TOL:
-            strict.append(("slope-bound", (0, n), s - 1.0 + TOL))
+            strict.append(("slope-bound", (0, n), float(s - 1.0 + TOL)))
         _grade(weak, strict, "convexity", convexity[:, n], n)
         if c[J, n] < TOL:
-            strict.append(("positive-tail", (J, n), TOL - c[J, n]))
+            strict.append(("positive-tail", (J, n), float(TOL - c[J, n])))
     for n in range(N - 1):
         _grade(weak, strict, "calendar", calendar[:, n], n)
 
-    if weak:
-        status = "invalid"
-        violations = weak if mode == "weak" else weak + strict
-    elif strict:
-        status = "invalid" if mode == "strict" else "weakly-valid"
-        violations = strict if mode == "strict" else []
-    else:
-        status = "strictly-valid"
-        violations = []
-    return ValidationReport(status, violations, zero_tail)
+    # past the two returns above, some margin fails weakly, or strict mode
+    # finds one within TOL of failing
+    return ValidationReport("invalid", weak if mode == "weak" else weak + strict,
+                            zero_tail)
 
 
 def implied_marginals(surface: CallSurface) -> np.ndarray:

@@ -202,7 +202,7 @@ def test_phi_decreases_with_grid_refinement():
     for N in (2, 4, 12):
         cfg = bench.BenchConfig(num_maturities=N)
         m = market.extended_marginals(bench.bs_surface(cfg))
-        lp, _ = bound.build_primal_extended(m, bench.linearized_grid(cfg))
+        lp, _, _ = bound.build_primal_extended(m, bench.linearized_grid(cfg))
         sol = lpcore.solve(lp)
         assert sol.status == "optimal"
         phis.append(sol.objective)

@@ -61,7 +61,7 @@ def _pack_dual(hedge):
 def test_mechanical_dual_agrees(sec26):
     # dual_of applied to the primal build must price like the hand-built dual
     m = market.extended_marginals(sec26.surface)
-    lp, _ = bound.build_primal_extended(m, sec26.payoff)
+    lp, _, _ = bound.build_primal_extended(m, sec26.payoff)
     mech = lpcore.solve(dual_of(lp))
     assert mech.status == "optimal"
     assert mech.objective == pytest.approx(35.625, abs=1e-7)
@@ -152,7 +152,7 @@ def _reference_build_primal(states, p_hat, a_vals, tail_rates, extended):
 
 
 def _assert_builds_like_reference(p_hat, a):
-    lp, idx = bound._build_primal(p_hat, a)
+    lp, _, scale = bound._build_primal(p_hat, a)
     ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
                                              a.tail_slopes, True)
     assert csr(lp).shape == csr(ref).shape
@@ -163,7 +163,7 @@ def _assert_builds_like_reference(p_hat, a):
     assert np.array_equal(lp.relations, ref.relations)
     assert np.array_equal(lp.objective, ref.objective)
     assert np.array_equal(lp.free, ref.free)
-    assert np.array_equal(idx.row_scale, ref_scale)
+    assert np.array_equal(scale, ref_scale)
 
 
 def _single_maturity(inst, n):
@@ -251,13 +251,13 @@ def _layout_cases():
 
 
 def _assert_bytes_like_reference(p_hat, a):
-    lp, idx = bound._build_primal(p_hat, a)
+    lp, _, scale = bound._build_primal(p_hat, a)
     ref, ref_scale = _reference_build_primal(a.states, p_hat, a.values,
                                              a.tail_slopes, True)
     for got, want in [(getattr(lp, name), getattr(ref, name))
                       for name in ("indptr", "indices", "data", "rhs",
                                    "relations", "objective")] + [
-                          (idx.row_scale, ref_scale)]:
+                          (scale, ref_scale)]:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
@@ -293,27 +293,26 @@ def test_cached_layouts_build_like_the_reference(monkeypatch):
 
 def test_cached_layout_is_read_only_and_row_scales_are_per_bound(sec26):
     p_hat = market.extended_marginals(sec26.surface)
-    lp, idx = bound._build_primal(p_hat, sec26.payoff)
-    scale = idx.row_scale.copy()
-    layout = bound._primal_layout(*p_hat.shape)
-    pattern, index = layout.pattern, layout.index
+    lp, layout, row_scale = bound._build_primal(p_hat, sec26.payoff)
+    scale = row_scale.copy()
+    pattern = layout.pattern
     cached = [layout.coefs, layout.drift_at, layout.drift_j, layout.drift_k,
-              index.f, index.g, index.row_a, index.row_b, index.row_cd,
-              index.row_e, pattern.indptr, pattern.indices,
+              layout.f, layout.g, layout.row_a, layout.row_b, layout.row_cd,
+              layout.row_e, pattern.indptr, pattern.indices,
               pattern.relations, pattern.free, pattern.row_ids,
               *vars(pattern.highs_form()).values()]
     for a in cached:
         with pytest.raises(ValueError):
             a[...] = a
-    assert lp.pattern is pattern and idx.f is index.f
+    assert lp.pattern is pattern
+    assert layout is bound._primal_layout(*p_hat.shape)
     # a lattice twice as wide doubles the martingale rows' scales
     a2 = AmericanPayoffGrid(sec26.payoff.values, 2.0 * sec26.payoff.states,
                             sec26.payoff.maturities)
-    _, idx2 = bound._build_primal(p_hat, a2)
-    assert idx2 is not idx and idx2.row_scale is not idx.row_scale
-    assert not np.array_equal(idx2.row_scale, scale)
-    assert idx.row_scale.tobytes() == scale.tobytes()
-    assert index.row_scale is None
+    _, layout2, row_scale2 = bound._build_primal(p_hat, a2)
+    assert layout2 is layout and row_scale2 is not row_scale
+    assert not np.array_equal(row_scale2, scale)
+    assert row_scale.tobytes() == scale.tobytes()
 
 
 def test_layout_cache_under_threads_keeps_builds_and_budget(monkeypatch):
@@ -341,9 +340,9 @@ def test_layout_cache_under_threads_keeps_builds_and_budget(monkeypatch):
     assert sum(v.nbytes for v in bound._LAYOUTS.values()) <= 400_000
 
 
-def _lp_bytes(lp, idx):
+def _lp_bytes(lp, layout, row_scale):
     return [a.tobytes() for a in (lp.indptr, lp.indices, lp.data, lp.rhs,
-                                  lp.objective, idx.row_scale)]
+                                  lp.objective, row_scale)]
 
 
 def _bound_bits(res):
@@ -388,9 +387,9 @@ def test_model_from_primal_reads_plain_arrays(case):
                   if case == "sec26" else _headline())
     res = bound.robust_bound(surface, a)
     p_hat = market.extended_marginals(surface)
-    lp, idx = bound.build_primal_extended(p_hat, a)
+    lp, layout, _ = bound.build_primal_extended(p_hat, a)
     sol = lpcore.solve(lp)
-    model = certify.model_from_primal(*idx.unpack_primal(sol.x), surface,
+    model = certify.model_from_primal(*layout.unpack_primal(sol.x), surface,
                                       p_hat)
     for name in ("states", "F", "G1", "G2", "marginals", "switch_prob"):
         got, want = getattr(model, name), getattr(res.model, name)
@@ -422,6 +421,10 @@ def test_one_solve_per_bound(sec26, monkeypatch):
         calls.clear()
         bound.robust_bound(sec26.surface, sec26.payoff, variant=variant)
         assert len(calls) == 1, variant
+    # the seed model is robust_bound's model, from the same one solve
+    calls.clear()
+    bound.seed_model(sec26.surface)
+    assert len(calls) == 1
 
 
 def test_closed_form_sweep_random_parameters():
@@ -525,16 +528,30 @@ def test_seed_model_exercises_everything_at_t1(name):
     assert est.hex() == SEED_MODEL_MC[name]
 
 
+def _no_transport_surface():
+    """The second law is less spread out than the first: no martingale
+    chain joins them, and the quotes fail the calendar check that says so."""
+    return market.load_surface({"marginals": [[0.5, 0.0], [0.0, 1.0],
+                                              [0.5, 0.0]],
+                                "states": [0.0, 1.0, 2.0],
+                                "maturities": [1.0, 2.0]})
+
+
 def test_seed_model_without_transport_names_it():
-    # the second law is less spread out than the first: no martingale chain
-    # joins them
-    surface = market.load_surface({"marginals": [[0.5, 0.0], [0.0, 1.0],
-                                                 [0.5, 0.0]],
-                                   "states": [0.0, 1.0, 2.0],
-                                   "maturities": [1.0, 2.0]})
-    with pytest.raises(bound.BoundError,
-                       match="no martingale transport.*HiGHS.*infeasible"):
-        bound.seed_model(surface)
+    with pytest.raises(bound.ArbitrageError) as err:
+        bound.seed_model(_no_transport_surface())
+    assert str(err.value) == ("surface fails validation: "
+                              "[('calendar', (1, 0), 0.5)]")
+
+
+def test_arbitrage_message_prints_plain_magnitudes():
+    # the violations' magnitudes are floats, printed as numbers
+    surface = _no_transport_surface()
+    a = AmericanPayoffGrid(np.ones((3, 2)), surface.states, surface.maturities)
+    with pytest.raises(bound.ArbitrageError) as err:
+        bound.robust_bound(surface, a)
+    assert str(err.value) == ("surface fails validation: "
+                              "[('calendar', (1, 0), 0.5)]")
 
 
 def _highs_not_set(lp):
@@ -548,7 +565,7 @@ def test_solver_ending_without_a_verdict_names_its_status(sec26,
     # the same failure shape as an infeasible or unbounded end: the stage,
     # the LP's size and HiGHS's own status
     p_hat = market.extended_marginals(sec26.surface)
-    lp, _ = bound.build_primal_extended(p_hat, sec26.payoff)
+    lp, _, _ = bound.build_primal_extended(p_hat, sec26.payoff)
     shape = "(%dx%d)" % (len(lp.rhs), lp.num_vars)
     monkeypatch.setattr(lpcore, "solve", _highs_not_set)
     with pytest.raises(bound.BoundError) as err:
@@ -557,9 +574,8 @@ def test_solver_ending_without_a_verdict_names_its_status(sec26,
                               % shape)
     with pytest.raises(bound.BoundError) as err:
         bound.seed_model(sec26.surface)
-    assert str(err.value) == ("no martingale transport: marginals not in "
-                              "convex order; primal LP %s: HiGHS dual "
-                              "simplex ended Not Set" % shape)
+    assert str(err.value) == ("primal LP %s: HiGHS dual simplex ended Not Set"
+                              % shape)
 
     def rejected(lp):
         raise lpcore.LPError("HiGHS rejected option presolve='off'")

@@ -89,6 +89,40 @@ def test_validate_sec26_weakly_valid(sec26_surface):
     assert market.validate(sec26_surface, mode="strict").status == "invalid"
 
 
+def test_weak_validate_grades_no_margin_on_a_weakly_valid_surface(
+        sec26_surface, monkeypatch):
+    # no margin fails by more than TOL: weak mode returns the status without
+    # building the lists, which strict mode still builds as before
+    want = _loop_validate(sec26_surface, "strict")
+
+    def grade(*args):
+        raise AssertionError("_grade called")
+
+    monkeypatch.setattr(market, "_grade", grade)
+    rep = market.validate(sec26_surface, mode="weak")
+    assert (rep.status, rep.violations, rep.zero_tail) == ("weakly-valid", [],
+                                                           True)
+    with pytest.raises(AssertionError, match="_grade called"):
+        market.validate(sec26_surface, mode="strict")
+    monkeypatch.undo()
+    rep = market.validate(sec26_surface, mode="strict")
+    assert (rep.status, rep.zero_tail) == (want.status, want.zero_tail)
+    assert rep.violations == want.violations and rep.violations
+
+
+def test_violation_magnitudes_are_python_floats(sec26_surface):
+    prices = sec26_surface.prices.copy()
+    prices[2, 2] = prices[2, 1] - 1e-6
+    prices[1, 0] = 101.0
+    bad = market.CallSurface(100.0, sec26_surface.strikes,
+                             sec26_surface.maturities, prices)
+    for mode in ("weak", "strict"):
+        rep = market.validate(bad, mode)
+        names = {v[0] for v in rep.violations}
+        assert {"calendar", "slope-bound", "positive-tail"} & names
+        assert all(type(v[2]) is float for v in rep.violations), mode
+
+
 def test_validate_detects_dominance_violation(sec26_surface):
     prices = sec26_surface.prices.copy()
     prices[1, 0] = 101.0  # call above the asset price

@@ -105,7 +105,7 @@ def assert_solves_like_linprog(lp):
 
 
 def _primal(surface, grid):
-    lp, _ = build_primal_extended(market.extended_marginals(surface), grid)
+    lp, _, _ = build_primal_extended(market.extended_marginals(surface), grid)
     return lp
 
 
@@ -138,7 +138,7 @@ def test_primal_colwise_layout_on_sweep_shapes():
                     rng.uniform(0.0, 50.0, (J + 1, N)), states,
                     np.arange(1.0, N + 1.0),
                     rng.uniform(0.0, 1.0, N) if sloped else None)
-                lp, _ = bound._build_primal(p_hat, a)
+                lp, _, _ = bound._build_primal(p_hat, a)
                 assert_colwise_like_scipy(lp)
 
 

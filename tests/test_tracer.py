@@ -38,8 +38,8 @@ def test_tracer_counts_the_lp_matrix(tracing):
     solves = [span for span in tracer.spans if span.name == "lpcore.solve"]
     assert len(solves) == len(cases)
     for span, (surface, a) in zip(solves, cases):
-        lp, _ = bound.build_primal_extended(market.extended_marginals(surface),
-                                            a)
+        lp, _, _ = bound.build_primal_extended(
+            market.extended_marginals(surface), a)
         assert (span.counts["rows"], span.counts["cols"]) == csr(lp).shape
         assert span.counts["nnz"] == csr(lp).nnz
         assert span.counts["status"] == "optimal"
